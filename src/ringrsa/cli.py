@@ -176,6 +176,7 @@ def _cmd_inspect(args) -> int:
         print(f"totient bits: {priv.phi.bit_length()}")
         print(f"box radices: {','.join(str(r) for r in box.radices)}")
         print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
+        print(f"decrypt path: {priv.decrypt_path}")
     if args.verify:
         if pub is None or priv is None:
             raise KeyFileError("--verify needs both --pub and --priv")

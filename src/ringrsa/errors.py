@@ -19,3 +19,7 @@ class FingerprintMismatchError(ValueError):
 
 class CapacityError(ValueError):
     """The coset box is too small for the byte codec."""
+
+
+class AssociatePrimesError(ValueError):
+    """Two prime elements generate the same ideal, so they give no key."""

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SearchExhaustedError
+from .errors import AssociatePrimesError, SearchExhaustedError
 from .lattice import hnf, lattices_equal
 from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
 from .ring import RingContext, RingElement, ideal_matrix, make_ring, norm
@@ -70,6 +70,12 @@ class PrimeElement:
 
 
 def _is_square_free(d: int) -> bool:
+    """Trial division up to 10**6, then a square test on the cofactor.
+
+    A cofactor below 10**18 left by the trial division has at most two
+    prime factors, all above 10**6, so it has a square factor exactly
+    when it is a perfect square.  Larger cofactors are refused.
+    """
     x = abs(d)
     f = 2
     while f <= _SQUARE_FREE_TRIAL_BOUND and f * f <= x:
@@ -78,9 +84,9 @@ def _is_square_free(d: int) -> bool:
             if x % f == 0:
                 return False
         f += 1 if f == 2 else 2
-    if x > 1 and math.isqrt(x) ** 2 == x:
-        return False
-    return True
+    if x >= _SQUARE_FREE_TRIAL_BOUND**3:
+        raise ValueError("cannot decide whether d is square-free (cofactor >= 10**18)")
+    return x <= 1 or math.isqrt(x) ** 2 != x
 
 
 def quadratic_field(d: int) -> FieldDescriptor:
@@ -140,20 +146,20 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
     """Parse quadratic:d=<int> | cyclotomic:m=<int> | generic:phi=<csv>."""
     kind, sep, rest = spec.partition(":")
     name, eq, value = rest.partition("=")
+    bad = ValueError(f"bad field spec: {spec!r}")
     if not sep or not eq:
-        raise ValueError(f"bad field spec: {spec!r}")
+        raise bad
     try:
-        if kind == "quadratic" and name == "d":
-            return quadratic_field(int(value))
-        if kind == "cyclotomic" and name == "m":
-            return cyclotomic_field(int(value))
-        if kind == "generic" and name == "phi":
-            return generic_field([int(c) for c in value.split(",")])
-    except ValueError as exc:
-        if "invalid literal" in str(exc):
-            raise ValueError(f"bad field spec: {spec!r}") from None
-        raise
-    raise ValueError(f"bad field spec: {spec!r}")
+        numbers = [int(c) for c in value.split(",")]
+    except ValueError:
+        raise bad from None
+    if kind == "generic" and name == "phi":
+        return generic_field(numbers)
+    if len(numbers) == 1 and kind == "quadratic" and name == "d":
+        return quadratic_field(numbers[0])
+    if len(numbers) == 1 and kind == "cyclotomic" and name == "m":
+        return cyclotomic_field(numbers[0])
+    raise bad
 
 
 def is_inert_prime(field: FieldDescriptor, p: int) -> bool:
@@ -238,7 +244,7 @@ def totient_of_product(ctx: RingContext, alpha: PrimeElement, beta: PrimeElement
     la = hnf(ideal_matrix(ctx, alpha.element).entries)
     lb = hnf(ideal_matrix(ctx, beta.element).entries)
     if lattices_equal(la, lb):
-        raise ValueError("associate prime elements generate the same ideal")
+        raise AssociatePrimesError("associate prime elements generate the same ideal")
     return (alpha.norm_abs - 1) * (beta.norm_abs - 1)
 
 

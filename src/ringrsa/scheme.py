@@ -6,9 +6,12 @@ public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
 are points of the public coset box; encryption raises them to the e-th
 convolution power with per-step reduction back into the box, decryption
-applies d the same way.  The byte codec frames a payload with an 8-byte
-big-endian length header and packs fixed-size chunks into mixed-radix
-box coordinates.
+applies d the same way.  Two key shapes give the same result more
+cheaply: an HNF diagonal (N, 1, ..., 1) makes the box Z/N, so the power is
+an integer pow mod N; and alpha = p, beta = q for distinct unramified
+rational primes let decryption work mod p and mod q and recombine by CRT.
+The byte codec frames a payload with an 8-byte big-endian length header
+and packs fixed-size chunks into mixed-radix box coordinates.
 """
 
 from __future__ import annotations
@@ -16,9 +19,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import CapacityError, CiphertextFormatError, SearchExhaustedError
+from .errors import (
+    AssociatePrimesError,
+    CapacityError,
+    CiphertextFormatError,
+    SearchExhaustedError,
+)
 from .fields import (
     FieldDescriptor,
     PrimeElement,
@@ -27,6 +36,7 @@ from .fields import (
     totient_of_product,
 )
 from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
+from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_pow, ideal_matrix, norm
 
 __all__ = [
@@ -94,6 +104,36 @@ class PrivateKey:
         gamma = conv_mul(ctx, self.alpha, self.beta)
         if hnf(ideal_matrix(ctx, gamma).entries) != self.lattice:
             raise ValueError("lattice inconsistent with the prime elements")
+
+    @cached_property
+    def decrypt_path(self) -> str:
+        """Exponentiation decrypt_block runs: "scalar", "crt" or "lattice"."""
+        if _scalar_modulus(self.lattice) is not None:
+            return "scalar"
+        if self._crt is not None:
+            return "crt"
+        return "lattice"
+
+    @cached_property
+    def _crt(self) -> tuple[int, int, int, int, int] | None:
+        """(p, q, d_p, d_q, q^-1 mod p) for alpha = p, beta = q, else None.
+
+        Needs p != q prime and unramified, so that O/pO is a product of
+        fields F_{p^f} with f | n and x^(p^n) = x on it.  Then d_p is d
+        reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
+        divisors still map to 0; likewise d_q.
+        """
+        n = self.field.ring.degree
+        (p, *a_rest), (q, *b_rest) = self.alpha.coeffs, self.beta.coeffs
+        if any(a_rest) or any(b_rest) or p == q:
+            return None
+        if not (_unramified(self.field, p) and _unramified(self.field, q)):
+            return None
+        if not (is_probable_prime(p) and is_probable_prime(q)):
+            return None
+        d_p = (self.d - 1) % (p**n - 1) + 1
+        d_q = (self.d - 1) % (q**n - 1) + 1
+        return p, q, d_p, d_q, pow(q, -1, p)
 
 
 @dataclass(frozen=True)
@@ -163,10 +203,8 @@ def keygen(
             raise ValueError("unknown keygen mode")
         try:
             return keypair_from_primes(field, alpha, beta, e_choice)
-        except ValueError as exc:
-            if "associate" in str(exc):
-                continue
-            raise
+        except AssociatePrimesError:
+            continue
     raise SearchExhaustedError("search exhausted: could not find non-associate primes")
 
 
@@ -187,15 +225,41 @@ def _in_box(basis: HnfBasis, vec: Sequence[int]) -> bool:
     return all(0 <= c < b for c, b in zip(vec, basis.diag))
 
 
+def _scalar_modulus(basis: HnfBasis) -> int | None:
+    """N when the HNF diagonal is (N, 1, ..., 1), else None.
+
+    HNF reduction then forces every off-diagonal entry to 0, so the box
+    points are (m, 0, ..., 0), and they multiply as the integers m mod N.
+    """
+    first, *rest = basis.diag
+    return first if all(b == 1 for b in rest) else None
+
+
+def _unramified(field: FieldDescriptor, p: int) -> bool:
+    """p is coprime to the discriminant of a quadratic or cyclotomic ring."""
+    if field.kind == "quadratic":
+        return math.gcd(p, 4 * field.param) == 1
+    if field.kind == "cyclotomic":
+        return math.gcd(p, field.param) == 1
+    return False
+
+
+def _mod_each(moduli: Sequence[int]):
+    return lambda v: tuple(c % b for c, b in zip(v, moduli))
+
+
 def _box_reducer(basis: HnfBasis):
     if all(
         basis.entries[i][j] == 0
         for i in range(basis.dimension)
         for j in range(i + 1, basis.dimension)
     ):
-        diag = basis.diag
-        return lambda v: tuple(c % b for c, b in zip(v, diag))
+        return _mod_each(basis.diag)
     return lambda v: reduce_mod_lattice(basis, v)
+
+
+def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingElement:
+    return ctx.element((pow(vec[0], exponent, modulus),) + (0,) * (ctx.degree - 1))
 
 
 def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
@@ -204,17 +268,35 @@ def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
     vec = _vector_of(block, ctx)
     if not _in_box(pub.lattice, vec):
         raise ValueError("message outside coset box")
+    modulus = _scalar_modulus(pub.lattice)
+    if modulus is not None:
+        return CiphertextBlock(_scalar_pow(ctx, modulus, vec, pub.e))
     out = conv_pow(ctx, ctx.element(vec), pub.e, step_reducer=_box_reducer(pub.lattice))
     return CiphertextBlock(out)
 
 
 def decrypt_block(priv: PrivateKey, block) -> RingElement:
-    """d-th convolution power of a ciphertext point, reduced per step."""
+    """d-th convolution power of a ciphertext point, reduced per step.
+
+    The path follows priv.decrypt_path; all three give the same point.
+    """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)
     if not _in_box(priv.lattice, vec):
         raise ValueError("ciphertext outside coset box")
-    return conv_pow(ctx, ctx.element(vec), priv.d, step_reducer=_box_reducer(priv.lattice))
+    path = priv.decrypt_path
+    if path == "scalar":
+        return _scalar_pow(ctx, priv.lattice.diag[0], vec, priv.d)
+    x = ctx.element(vec)
+    if path == "crt":
+        p, q, d_p, d_q, q_inv = priv._crt
+        by_p = conv_pow(ctx, x, d_p, step_reducer=_mod_each((p,) * ctx.degree)).coeffs
+        by_q = conv_pow(ctx, x, d_q, step_reducer=_mod_each((q,) * ctx.degree)).coeffs
+        # Garner: the unique c in [0, pq) with c = c_p mod p and c = c_q mod q
+        return ctx.element(
+            tuple(cq + q * ((cp - cq) * q_inv % p) for cp, cq in zip(by_p, by_q))
+        )
+    return conv_pow(ctx, x, priv.d, step_reducer=_box_reducer(priv.lattice))
 
 
 def _chunk_bytes(box: CosetBox) -> int:

@@ -77,6 +77,14 @@ class TestKeygenCommand:
         assert code == 2
         assert "error: NC-property violated" in capsys.readouterr().err
 
+    def test_undecidable_square_free_d(self, tmp_path, capsys):
+        code = main(
+            ["keygen", "--field", f"quadratic:d={2 * 1000003**2 * 1000033}",
+             "--pub", str(tmp_path / "k.pub"), "--priv", str(tmp_path / "k.priv")]
+        )
+        assert code == 2
+        assert "square-free" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "field,mode",
         [("nonsense", "inert:bits=16"), ("quadratic:d=2", "inert:count=3")],
@@ -234,6 +242,21 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "role: private" in out
         assert "totient bits: 8" in out  # 192 needs 8 bits
+
+    @pytest.mark.parametrize(
+        "mode,seed,path",
+        [
+            ("element:bound=5", "0x0", "scalar"),  # lattice diagonal (391, 1)
+            ("inert:bits=16", "0x2a", "crt"),
+            ("element:bound=3", "0x0", "lattice"),  # equal norms: (7, 7)
+        ],
+    )
+    def test_private_report_names_decrypt_path(self, tmp_path, capsys, mode, seed, path):
+        code, _, priv_path = run_keygen(tmp_path, "--mode", mode, seed=seed)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["inspect", "--priv", str(priv_path)]) == 0
+        assert f"decrypt path: {path}\n" in capsys.readouterr().out
 
     def test_verify_matched(self, tmp_path, capsys):
         pub_path, priv_path, _ = toy_key_files(tmp_path)

@@ -18,6 +18,7 @@ from ringrsa import (
     quadratic_field,
     totient_of_product,
 )
+from ringrsa.errors import AssociatePrimesError
 from ringrsa.primes import (
     carmichael_lambda,
     euler_phi,
@@ -47,6 +48,17 @@ class TestQuadraticField:
     def test_square_factor_rejected(self, d):
         with pytest.raises(ValueError, match="square-free"):
             quadratic_field(d)
+
+    # 2 * 1000003**2 * 1000033: trial division to 10**6 leaves a cofactor
+    # above 10**18 that is not itself a perfect square
+    @pytest.mark.parametrize("d", [2 * 1000003**2, 2 * 1000003**2 * 1000033])
+    def test_square_factor_above_trial_bound_rejected(self, d):
+        with pytest.raises(ValueError, match="square-free"):
+            quadratic_field(d)
+
+    def test_two_large_primes_below_cofactor_limit_accepted(self):
+        d = 2 * 1000003 * 1000033
+        assert quadratic_field(d).param == d
 
     @pytest.mark.parametrize("d", [5, 13, -3, -7])
     def test_one_mod_four_rejected(self, d):
@@ -95,6 +107,13 @@ class TestParseFieldSpec:
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
+            parse_field_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["quadratic:d=x", "quadratic:d=1,2", "cyclotomic:m=5.0", "generic:phi=1,,0"]
+    )
+    def test_bad_integers_named_as_bad_spec(self, spec):
+        with pytest.raises(ValueError, match="bad field spec"):
             parse_field_spec(spec)
 
     def test_constructor_errors_surface(self):
@@ -222,6 +241,13 @@ class TestTotientOfProduct:
         # sqrt(2) * (1 + sqrt(2)) = 2 + sqrt(2), an associate
         beta = PrimeElement(field.ring.element((2, 1)), 2)
         with pytest.raises(ValueError, match="associate"):
+            totient_of_product(field.ring, alpha, beta)
+
+    def test_associates_raise_typed_error(self):
+        field = quadratic_field(2)
+        alpha = PrimeElement(field.ring.element((0, 1)), 2)
+        beta = PrimeElement(field.ring.element((2, 1)), 2)
+        with pytest.raises(AssociatePrimesError):
             totient_of_product(field.ring, alpha, beta)
 
 

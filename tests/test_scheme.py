@@ -1,5 +1,7 @@
 """Key generation, block encryption, and key pair validation."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -13,14 +15,20 @@ from ringrsa import (
     PrivateKey,
     PublicKey,
     SearchExhaustedError,
+    conv_mul,
+    conv_pow,
     coset_box,
     cyclotomic_field,
     decrypt_block,
     encrypt_block,
+    generic_field,
+    hnf,
+    ideal_matrix,
     keygen,
     keypair_from_primes,
     norm,
     quadratic_field,
+    reduce_mod_lattice,
     validate_keypair,
 )
 
@@ -209,3 +217,132 @@ class TestValidateKeypair:
         pub, priv = toy_keypair()
         other_pub = PublicKey(FIELD, pub.lattice, 7)
         assert not validate_keypair(other_pub, priv)
+
+
+def scalar_prime_keypair(field, p, q):
+    """Key pair from the rational integers alpha = p and beta = q."""
+    n = field.ring.degree
+    pad = (0,) * (n - 1)
+    alpha = PrimeElement(field.ring.element((p,) + pad), p**n)
+    beta = PrimeElement(field.ring.element((q,) + pad), q**n)
+    return keypair_from_primes(field, alpha, beta)
+
+
+def hand_built_private_key(field, p, q, d):
+    """Private key for alpha = p, beta = q with any d, bypassing keygen."""
+    ctx = field.ring
+    n = ctx.degree
+    alpha = ctx.element((p,) + (0,) * (n - 1))
+    beta = ctx.element((q,) + (0,) * (n - 1))
+    lattice = hnf(ideal_matrix(ctx, conv_mul(ctx, alpha, beta)).entries)
+    return PrivateKey(field, alpha, beta, d, (p**n - 1) * (q**n - 1), lattice)
+
+
+def element_keypair(field, coeff_bound, seed):
+    return keygen(field, PrimeNormElementMode(coeff_bound), rng=random.Random(seed))
+
+
+def lattice_power(ctx, lattice, vec, exponent):
+    """The generic path: convolution power reduced mod the lattice per step."""
+    step = lambda v: reduce_mod_lattice(lattice, v)  # noqa: E731
+    return conv_pow(ctx, ctx.element(vec), exponent, step_reducer=step).coeffs
+
+
+def box_points(radices, rng, limit=2000):
+    """The whole box when it has at most `limit` points, else a sample.
+
+    The sample mixes uniform points with points whose coordinates share a
+    factor of the first radix, so zero divisors of every factor ring occur.
+    """
+    if math.prod(radices) <= limit:
+        return list(itertools.product(*(range(r) for r in radices)))
+    factors = [f for f in range(2, radices[0]) if radices[0] % f == 0]
+    points = []
+    for _ in range(limit // 10):
+        f = rng.choice(factors)
+        points.append(tuple(rng.randrange(r) for r in radices))
+        points.append(tuple(f * rng.randrange(r // f) for r in radices))
+    return points
+
+
+# id: (key pair builder, decryption path the key must take)
+PATH_KEYS = {
+    "scalar-m5": (lambda: element_keypair(cyclotomic_field(5), 1, 0), "scalar"),
+    "scalar-d2": (lambda: element_keypair(quadratic_field(2), 5, 0), "scalar"),
+    "crt-d2": (lambda: scalar_prime_keypair(quadratic_field(2), 3, 5), "crt"),
+    "crt-d-1": (lambda: scalar_prime_keypair(quadratic_field(-1), 3, 7), "crt"),
+    "crt-m5": (lambda: scalar_prime_keypair(cyclotomic_field(5), 2, 3), "crt"),
+    "crt-m8": (lambda: scalar_prime_keypair(cyclotomic_field(8), 3, 5), "crt"),
+    "crt-m12": (lambda: scalar_prime_keypair(cyclotomic_field(12), 5, 7), "crt"),
+    "lattice-generic": (
+        lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
+        "lattice",
+    ),
+    # element mode, but equal norms 11 give the diagonal (11, 11, 1, 1)
+    "lattice-equal-norm": (lambda: element_keypair(cyclotomic_field(5), 1, 2), "lattice"),
+    "lattice-skew": (
+        lambda: keypair_from_primes(
+            FIELD,
+            PrimeElement(FIELD.ring.element((3, 1)), 7),
+            PrimeElement(FIELD.ring.element((3, 0)), 9),
+        ),
+        "lattice",
+    ),
+}
+
+
+class TestDecryptPaths:
+    """Every exponentiation path equals the generic lattice-reduced power."""
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_paths_match_lattice_power_on_box(self, key):
+        build, path = PATH_KEYS[key]
+        pub, priv = build()
+        assert priv.decrypt_path == path
+        ctx = pub.field.ring
+        rng = random.Random(key)
+        for msg in box_points(pub.lattice.diag, rng):
+            ct = encrypt_block(pub, msg).vector.coeffs
+            assert ct == lattice_power(ctx, pub.lattice, msg, pub.e)
+            assert decrypt_block(priv, ct).coeffs == msg
+            assert decrypt_block(priv, msg).coeffs == lattice_power(
+                ctx, priv.lattice, msg, priv.d
+            )
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_out_of_box_ciphertext_rejected_on_every_path(self, key):
+        _, priv = PATH_KEYS[key][0]()
+        bad = (priv.lattice.diag[0],) + (0,) * (priv.lattice.dimension - 1)
+        with pytest.raises(ValueError, match="ciphertext outside coset box"):
+            decrypt_block(priv, bad)
+
+    @pytest.mark.parametrize(
+        "field,p,q",
+        [
+            (quadratic_field(2), 2, 3),  # 2 | 4d: ramified
+            (quadratic_field(3), 3, 5),  # 3 | 4d: ramified
+            (quadratic_field(2), 3, 3),
+            (generic_field((1, 1, 0)), 2, 3),
+            (quadratic_field(2), 15, 11),  # composite alpha
+        ],
+        ids=["p=2-d=2", "p=3-d=3", "p=q", "generic", "composite"],
+    )
+    def test_hand_built_scalar_keys_take_lattice_path(self, field, p, q):
+        priv = hand_built_private_key(field, p, q, d=7)
+        assert priv.decrypt_path == "lattice"
+        rng = random.Random(p * q)
+        for _ in range(20):
+            ct = tuple(rng.randrange(r) for r in priv.lattice.diag)
+            assert decrypt_block(priv, ct).coeffs == lattice_power(
+                field.ring, priv.lattice, ct, priv.d
+            )
+
+    def test_crt_exponent_divisible_by_p_group_order(self):
+        # d = 40 = 0 mod 3^2 - 1: the reduced exponent must be 8, not 0,
+        # or the zero divisors mod 3 would map to 1
+        priv = hand_built_private_key(FIELD, 3, 5, d=40)
+        assert priv.decrypt_path == "crt"
+        for ct in box_points(priv.lattice.diag, random.Random(0)):
+            assert decrypt_block(priv, ct).coeffs == lattice_power(
+                FIELD.ring, priv.lattice, ct, 40
+            )
