@@ -27,7 +27,8 @@ def main():
     field = quadratic_field(2)
     ctx = field.ring
     print(f"field: {field.spec_string()}   minimal polynomial x^2 - 2")
-    show_matrix("rotation matrix H", ctx.rotation)
+    # H is the ideal matrix of x: multiplication by x in the ring
+    show_matrix("rotation matrix H", ideal_matrix(ctx, ctx.element((0, 1))).entries)
 
     alpha = PrimeElement(ctx.element((3, 0)), 9)
     beta = PrimeElement(ctx.element((5, 0)), 25)

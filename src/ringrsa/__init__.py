@@ -35,7 +35,6 @@ from .lattice import (
     coset_box,
     determinant,
     hnf,
-    lattices_equal,
     reduce_mod_lattice,
 )
 from .ring import (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AssociatePrimesError, SearchExhaustedError
-from .lattice import hnf, lattices_equal
+from .lattice import contains, hnf
 from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
 from .ring import RingContext, RingElement, ideal_matrix, make_ring, norm
 
@@ -37,6 +37,10 @@ __all__ = [
 
 _SQUARE_FREE_TRIAL_BOUND = 10**6
 _SEARCH_ATTEMPT_BOUND = 10**5
+# Largest ring degree a field spec may ask for, four times the largest
+# benchmarked degree (32): key files are untrusted, and the norm and HNF
+# work of parsing a key grows at least as n^3.
+_MAX_DEGREE = 128
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,15 @@ def generic_field(phi_coeffs: Sequence[int]) -> FieldDescriptor:
 
 
 def parse_field_spec(spec: str) -> FieldDescriptor:
-    """Parse quadratic:d=<int> | cyclotomic:m=<int> | generic:phi=<csv>."""
+    """Parse quadratic:d=<int> | cyclotomic:m=<int> | generic:phi=<csv>.
+
+    Specs come from untrusted key files, so a degree above _MAX_DEGREE is
+    refused before any polynomial is built.
+    """
     kind, sep, rest = spec.partition(":")
     name, eq, value = rest.partition("=")
     bad = ValueError(f"bad field spec: {spec!r}")
+    too_large = ValueError(f"field degree above the limit of {_MAX_DEGREE}")
     if not sep or not eq:
         raise bad
     try:
@@ -154,11 +163,18 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
     except ValueError:
         raise bad from None
     if kind == "generic" and name == "phi":
+        if len(numbers) > _MAX_DEGREE:
+            raise too_large
         return generic_field(numbers)
     if len(numbers) == 1 and kind == "quadratic" and name == "d":
         return quadratic_field(numbers[0])
     if len(numbers) == 1 and kind == "cyclotomic" and name == "m":
-        return cyclotomic_field(numbers[0])
+        m = numbers[0]
+        # euler_phi(m) >= sqrt(m / 2), so no larger m passes the cap, and
+        # refusing it first keeps euler_phi's trial division short
+        if m > 2 * _MAX_DEGREE**2 or (m >= 3 and euler_phi(m) > _MAX_DEGREE):
+            raise too_large
+        return cyclotomic_field(m)
     raise bad
 
 
@@ -240,10 +256,15 @@ def find_prime_norm_element(
 
 
 def totient_of_product(ctx: RingContext, alpha: PrimeElement, beta: PrimeElement) -> int:
-    """(|N(alpha)| - 1) * (|N(beta)| - 1) for non-associate prime elements."""
-    la = hnf(ideal_matrix(ctx, alpha.element).entries)
-    lb = hnf(ideal_matrix(ctx, beta.element).entries)
-    if lattices_equal(la, lb):
+    """(|N(alpha)| - 1) * (|N(beta)| - 1) for non-associate prime elements.
+
+    Associates have equal norms; with equal norms, (beta) is inside
+    (alpha) exactly when the two ideals are equal, since both have index
+    |N(alpha)| in the ring.
+    """
+    if alpha.norm_abs == beta.norm_abs and contains(
+        hnf(ideal_matrix(ctx, alpha.element).entries), beta.element.coeffs
+    ):
         raise AssociatePrimesError("associate prime elements generate the same ideal")
     return (alpha.norm_abs - 1) * (beta.norm_abs - 1)
 

@@ -137,12 +137,10 @@ def render_private(priv: PrivateKey, e: int) -> str:
 def parse_private(text: str) -> tuple[PrivateKey, int]:
     """Rebuild the private key; returns it with the recorded public e.
 
-    The lattice and totient are recomputed from alpha and beta, so a
-    parsed key is internally consistent by construction.
+    The file holds only alpha, beta and d; the key derives the totient
+    and the lattice from alpha and beta, so it is consistent by
+    construction.
     """
-    from .lattice import hnf
-    from .ring import conv_mul, ideal_matrix, norm
-
     pairs = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
     if pairs["role"] != "private":
@@ -152,10 +150,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         ctx = field.ring
         alpha = ctx.element(_parse_vector(pairs["alpha"]))
         beta = ctx.element(_parse_vector(pairs["beta"]))
-        phi = (abs(norm(ctx, alpha)) - 1) * (abs(norm(ctx, beta)) - 1)
-        basis = hnf(ideal_matrix(ctx, conv_mul(ctx, alpha, beta)).entries)
         d = _parse_int(pairs, "d", "private key file")
-        priv = PrivateKey(field, alpha, beta, d, phi, basis)
+        priv = PrivateKey(field, alpha, beta, d)
         return priv, _parse_int(pairs, "e", "private key file")
     except KeyFileError:
         raise

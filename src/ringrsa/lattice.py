@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._matops import bareiss_determinant
-
 __all__ = [
     "HnfBasis",
     "CosetBox",
@@ -25,7 +23,6 @@ __all__ = [
     "coset_box",
     "reduce_mod_lattice",
     "contains",
-    "lattices_equal",
 ]
 
 
@@ -85,8 +82,36 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Signed determinant; callers wanting the lattice volume take abs()."""
-    return bareiss_determinant(matrix)
+    """Signed determinant by fraction-free (Bareiss) elimination, exact over Z.
+
+    Callers wanting the lattice volume take abs().
+    """
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("matrix must be square")
+    a = [list(r) for r in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                # exact by the Bareiss two-term recurrence
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def hnf(matrix: Sequence[Sequence[int]]) -> HnfBasis:
@@ -100,7 +125,7 @@ def hnf(matrix: Sequence[Sequence[int]]) -> HnfBasis:
     n = len(matrix)
     if n == 0 or any(len(r) != n for r in matrix):
         raise ValueError("basis matrix must be square and nonempty")
-    det = bareiss_determinant(matrix)
+    det = determinant(matrix)
     if det == 0:
         raise ValueError("rank-deficient lattice")
     big_d = abs(det)
@@ -174,8 +199,3 @@ def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...
 def contains(basis: HnfBasis, vector: Sequence[int]) -> bool:
     """True when the vector is a lattice point."""
     return not any(reduce_mod_lattice(basis, vector))
-
-
-def lattices_equal(a: HnfBasis, b: HnfBasis) -> bool:
-    """HNF bases are canonical, so entry equality decides lattice equality."""
-    return a.entries == b.entries

@@ -9,8 +9,10 @@ so its companion ("rotation") matrix H carries an identity block below the
 top row and (phi_0, ..., phi_{n-1}) as its last column.  A ring element is
 the column vector of polynomial coefficients; multiplication by x is
 multiplication by H, and the ideal matrix of f stacks f, Hf, ..., H^{n-1}f
-as columns, which equals f(H).  All arithmetic is exact over the integers
-(or Fractions for the rational helpers); no floating point anywhere.
+as columns, which equals f(H).  H is never stored: multiplying by x is a
+shift plus one substitution of x^n, which costs O(n).  All arithmetic is
+exact over the integers (or Fractions for the rational helpers); no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from ._matops import bareiss_determinant, identity_matrix, mat_mul, mat_vec
+from .lattice import determinant
 
 __all__ = [
     "RingContext",
@@ -37,18 +39,6 @@ __all__ = [
 ]
 
 _ROOT_SCREEN_BOUND = 10**6
-
-
-def _rotation_matrix(phi_coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(phi_coeffs)
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i > 0:
-            row[i - 1] = 1
-        row[n - 1] += phi_coeffs[i]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _phi_eval(phi_coeffs: tuple[int, ...], t: int) -> int:
@@ -72,28 +62,13 @@ def _rational_root_screen(phi_coeffs: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class RingContext:
-    """Degree, modulus coefficients, and rotation matrix of one ring."""
+    """Z[x]/(phi) given by the modulus coefficients; build it with make_ring."""
 
-    degree: int
     phi_coeffs: tuple[int, ...]
-    rotation: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = self.degree
-        if n < 1 or len(self.phi_coeffs) != n:
-            raise ValueError("degree must match the modulus coefficient count")
-        if self.rotation != _rotation_matrix(self.phi_coeffs):
-            raise ValueError("rotation matrix inconsistent with phi")
-        # Hamilton-Cayley: phi(H) = 0 must hold for the companion matrix.
-        power = identity_matrix(n)
-        acc = [[0] * n for _ in range(n)]
-        for c in self.phi_coeffs:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += c * power[i][j]
-            power = mat_mul(power, self.rotation)
-        if tuple(map(tuple, acc)) != power:
-            raise ValueError("phi(H) != 0: corrupt rotation matrix")
+    @property
+    def degree(self) -> int:
+        return len(self.phi_coeffs)
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, tuple(operator.index(c) for c in coeffs))
@@ -120,7 +95,7 @@ def make_ring(phi_coeffs: Sequence[int]) -> RingContext:
         raise ValueError("degree must be at least 1")
     if len(coeffs) > 1:
         _rational_root_screen(coeffs)
-    return RingContext(len(coeffs), coeffs, _rotation_matrix(coeffs))
+    return RingContext(coeffs)
 
 
 @dataclass(frozen=True)
@@ -172,7 +147,6 @@ class IdealMatrix:
     """Columns f, Hf, ..., H^{n-1}f of a generator f; equals f(H)."""
 
     entries: tuple[tuple[int, ...], ...]
-    generator: RingElement
 
 
 def _claim(ctx: RingContext, elem: Element) -> None:
@@ -180,14 +154,19 @@ def _claim(ctx: RingContext, elem: Element) -> None:
         raise ValueError("context mismatch")
 
 
+def _times_x(phi: tuple[int, ...], v: Sequence[int]) -> tuple[int, ...]:
+    """x * v: shift every coefficient up one degree, then substitute x^n."""
+    top = v[-1]
+    return (top * phi[0],) + tuple(c + top * p for c, p in zip(v, phi[1:]))
+
+
 def ideal_matrix(ctx: RingContext, f: RingElement) -> IdealMatrix:
-    """Ideal matrix of f: the k-th column is H^k f."""
+    """Ideal matrix of f: the k-th column is H^k f = x^k f."""
     _claim(ctx, f)
     cols = [f.coeffs]
     for _ in range(ctx.degree - 1):
-        cols.append(mat_vec(ctx.rotation, cols[-1]))
-    entries = tuple(tuple(col[i] for col in cols) for i in range(ctx.degree))
-    return IdealMatrix(entries=entries, generator=f)
+        cols.append(_times_x(ctx.phi_coeffs, cols[-1]))
+    return IdealMatrix(tuple(zip(*cols)))
 
 
 def _conv(phi: tuple[int, ...], a: Sequence, b: Sequence) -> list:
@@ -224,7 +203,7 @@ def conv_pow(
     ctx: RingContext,
     f: RingElement,
     m: int,
-    step_reducer: Callable[[Sequence[int]], Sequence[int]] | None = None,
+    step_reducer: Callable[[Sequence[int]], tuple[int, ...]] | None = None,
 ) -> RingElement:
     """f to the m-th convolution power by square and multiply.
 
@@ -238,40 +217,33 @@ def conv_pow(
     if m < 0:
         raise ValueError("negative exponent")
     _claim(ctx, f)
-    red = (lambda v: tuple(step_reducer(v))) if step_reducer is not None else None
     if m == 0:
         one = (1,) + (0,) * (ctx.degree - 1)
-        return RingElement(ctx, red(one) if red else one)
+        return RingElement(ctx, step_reducer(one) if step_reducer else one)
     base = f.coeffs
-    if red:
-        base = red(base)
+    if step_reducer:
+        base = step_reducer(base)
     phi = ctx.phi_coeffs
     acc = base
     for bit in bin(m)[3:]:
         acc = tuple(_conv(phi, acc, acc))
-        if red:
-            acc = red(acc)
+        if step_reducer:
+            acc = step_reducer(acc)
         if bit == "1":
             acc = tuple(_conv(phi, acc, base))
-            if red:
-                acc = red(acc)
+            if step_reducer:
+                acc = step_reducer(acc)
     return RingElement(ctx, acc)
 
 
 def trace(ctx: RingContext, f: RingElement) -> int:
     """Matrix trace of the ideal matrix of f."""
-    _claim(ctx, f)
-    col = f.coeffs
-    total = col[0]
-    for k in range(1, ctx.degree):
-        col = mat_vec(ctx.rotation, col)
-        total += col[k]
-    return total
+    return sum(row[i] for i, row in enumerate(ideal_matrix(ctx, f).entries))
 
 
 def norm(ctx: RingContext, f: RingElement) -> int:
     """Signed determinant of the ideal matrix of f, computed exactly."""
-    return bareiss_determinant(ideal_matrix(ctx, f).entries)
+    return determinant(ideal_matrix(ctx, f).entries)
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:

@@ -87,23 +87,28 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """The secret primes and exponent; the totient and lattice follow from them."""
+
     field: FieldDescriptor
     alpha: RingElement
     beta: RingElement
     d: int
-    phi: int
-    lattice: HnfBasis
 
     def __post_init__(self):
-        ctx = self.field.ring
-        expected = (abs(norm(ctx, self.alpha)) - 1) * (abs(norm(ctx, self.beta)) - 1)
-        if self.phi != expected:
-            raise ValueError("totient inconsistent with the prime elements")
         if not 1 <= self.d < self.phi:
             raise ValueError("private exponent out of range")
-        gamma = conv_mul(ctx, self.alpha, self.beta)
-        if hnf(ideal_matrix(ctx, gamma).entries) != self.lattice:
-            raise ValueError("lattice inconsistent with the prime elements")
+
+    @cached_property
+    def phi(self) -> int:
+        """(|N(alpha)| - 1) * (|N(beta)| - 1)."""
+        ctx = self.field.ring
+        return (abs(norm(ctx, self.alpha)) - 1) * (abs(norm(ctx, self.beta)) - 1)
+
+    @cached_property
+    def lattice(self) -> HnfBasis:
+        """HNF of the ideal matrix of alpha * beta: the public modulus."""
+        ctx = self.field.ring
+        return hnf(ideal_matrix(ctx, conv_mul(ctx, self.alpha, self.beta)).entries)
 
     @cached_property
     def decrypt_path(self) -> str:
@@ -167,13 +172,10 @@ def keypair_from_primes(
     """Assemble a key pair from two already-found prime elements."""
     ctx = field.ring
     phi = totient_of_product(ctx, alpha, beta)
-    gamma = conv_mul(ctx, alpha.element, beta.element)
-    basis = hnf(ideal_matrix(ctx, gamma).entries)
     e = _select_e(phi, e_choice)
-    d = pow(e, -1, phi)
-    pub = PublicKey(field, basis, e)
-    priv = PrivateKey(field, alpha.element, beta.element, d, phi, basis)
-    return pub, priv
+    gamma = conv_mul(ctx, alpha.element, beta.element)
+    pub = PublicKey(field, hnf(ideal_matrix(ctx, gamma).entries), e)
+    return pub, PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
 
 
 def keygen(
@@ -357,14 +359,13 @@ def decode_blocks(box: CosetBox, blocks: Iterable[Sequence[int]]) -> bytes:
 
 
 def validate_keypair(pub: PublicKey, priv: PrivateKey) -> bool:
-    """Consistency of a key pair: exponents, lattice, and determinant."""
-    if pub.field != priv.field:
-        return False
-    ctx = pub.field.ring
-    if pub.e * priv.d % priv.phi != 1:
-        return False
-    gamma = conv_mul(ctx, priv.alpha, priv.beta)
-    if hnf(ideal_matrix(ctx, gamma).entries) != pub.lattice:
-        return False
-    modulus = abs(norm(ctx, priv.alpha)) * abs(norm(ctx, priv.beta))
-    return math.prod(pub.lattice.diag) == modulus
+    """Consistency of a key pair: field, exponents, and lattice.
+
+    The lattice determinant needs no check of its own: priv.lattice is
+    the HNF of alpha * beta, whose determinant is N(alpha) N(beta).
+    """
+    return (
+        pub.field == priv.field
+        and pub.e * priv.d % priv.phi == 1
+        and pub.lattice == priv.lattice
+    )

@@ -29,6 +29,20 @@ def rand_nonzero_element(rng, ctx, bound=9):
             return ctx.element(coeffs)
 
 
+def companion_matrix(phi_coeffs):
+    """Rotation matrix H of phi, from its definition: ones below the
+    diagonal and (phi_0, ..., phi_{n-1}) added into the last column.
+
+    The library never builds H, so tests of ideal matrices compare
+    against this independent copy.
+    """
+    n = len(phi_coeffs)
+    return tuple(
+        tuple(int(j == i - 1) + (phi_coeffs[i] if j == n - 1 else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
 def mat_mul(a, b):
     n = len(a)
     return tuple(

@@ -41,6 +41,7 @@ from ringrsa.oracles import (
 )
 from support import (
     TEST_RINGS,
+    companion_matrix,
     mat_mul,
     mat_pow,
     rand_coeffs,
@@ -160,7 +161,7 @@ def test_06_ring_identity_batch(acceptance):
     with acceptance(6, "ring identity batch", budget=30.0):
         for ctx in TEST_RINGS.values():
             n = ctx.degree
-            h = ctx.rotation
+            h = companion_matrix(ctx.phi_coeffs)
             # closure of the rotation orbit: H^n = sum phi_k H^k
             powers = [mat_pow(h, k) for k in range(n + 1)]
             acc = [[0] * n for _ in range(n)]
@@ -294,12 +295,13 @@ def test_11_rotation_maps_ideal_lattices_into_themselves(acceptance):
         for _ in range(100):
             ctx = rng.choice(rings)
             n = ctx.degree
+            h = companion_matrix(ctx.phi_coeffs)
             f = rand_nonzero_element(rng, ctx, 9)
             basis = hnf(ideal_matrix(ctx, f).entries)
             for j in range(n):
                 col = tuple(basis.entries[i][j] for i in range(n))
                 rotated = tuple(
-                    sum(ctx.rotation[i][k] * col[k] for k in range(n))
+                    sum(h[i][k] * col[k] for k in range(n))
                     for i in range(n)
                 )
                 assert reduce_mod_lattice(basis, rotated) == (0,) * n

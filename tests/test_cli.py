@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -283,6 +284,34 @@ class TestInspect:
         bad = tmp_path / "bad.pub"
         bad.write_text("role = nonsense\n")
         assert main(["inspect", "--pub", str(bad)]) == 2
+
+
+OVERSIZED_FIELDS = {
+    "huge-m": "cyclotomic:m=10000000000000000000",
+    "m-30030": "cyclotomic:m=30030",  # degree 5760
+    "generic-129": "generic:phi=" + ",".join(["1"] * 129),
+}
+
+
+class TestUntrustedFieldSpecs:
+    @pytest.mark.parametrize("spec", OVERSIZED_FIELDS.values(), ids=OVERSIZED_FIELDS.keys())
+    @pytest.mark.parametrize("role", ["pub", "priv"])
+    def test_oversized_field_refused_quickly(self, tmp_path, capsys, role, spec):
+        pub_path, priv_path, _ = toy_key_files(tmp_path)
+        key = pub_path if role == "pub" else priv_path
+        key.write_text(key.read_text().replace("quadratic:d=2", spec))
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"payload")
+        command = "encrypt" if role == "pub" else "decrypt"
+        start = time.monotonic()
+        code = main([command, f"--{role}", str(key), "--in", str(src),
+                     "--out", str(tmp_path / "out")])
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "degree above the limit of 128" in err[0]
+        assert elapsed < 1.0
 
 
 class TestArgumentParsing:

@@ -243,6 +243,16 @@ class TestTotientOfProduct:
         with pytest.raises(ValueError, match="associate"):
             totient_of_product(field.ring, alpha, beta)
 
+    def test_equal_norm_non_associates_accepted(self):
+        # 2 + i and 2 - i both have norm 5 but generate different ideals
+        field = quadratic_field(-1)
+        alpha = PrimeElement(field.ring.element((2, 1)), 5)
+        beta = PrimeElement(field.ring.element((2, -1)), 5)
+        assert totient_of_product(field.ring, alpha, beta) == 16
+        # i * (2 + i) = -1 + 2i is an associate of alpha
+        with pytest.raises(AssociatePrimesError):
+            totient_of_product(field.ring, alpha, PrimeElement(field.ring.element((-1, 2)), 5))
+
     def test_associates_raise_typed_error(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((0, 1)), 2)

@@ -1,0 +1,48 @@
+"""Byte identity of seeded key files and ciphertexts across versions.
+
+The hashes were recorded from `ringrsa keygen --seed 0x2a` and `ringrsa
+encrypt` of a fixed 40-byte payload.  Key files must stay byte-identical
+for a fixed seed, and a ciphertext of a fixed payload under a fixed key
+must not change, so old ciphertexts keep decrypting.
+"""
+
+import hashlib
+
+import pytest
+
+from ringrsa.cli import main
+
+PAYLOAD = bytes(range(40))
+
+# (field, mode) -> SHA-256 of the .pub, .priv and .ct files
+GOLDEN = {
+    ("quadratic:d=2", "inert:bits=64"): (
+        "f5f879ba1f57406ef2dd7f99b66422735a2cfaae9ffd5921b9dfc6327f9fcea8",
+        "3d2724a6166a7596b60c57e22ecfe98fa3741c37fc6bcbf2f413784780b85b1d",
+        "eaf1f6e8733d4f97d658431e6b3edde7929af30fdc305cb9e67d235b928ff8fb",
+    ),
+    ("cyclotomic:m=16", "element:bound=100"): (
+        "c3ef6661628bf3247379e82b61c9c63c3366607f0a1e353ebe0e42e4785be3ba",
+        "f7f1136c4a1b62a0205d7c7bcd97bc973bbfa9ba517bafbbd5eee690f8a0f735",
+        "4b290cb2d8774e7dc22d35673041e19bd087be06bfe8986eb110a0dcf1ca4866",
+    ),
+    ("generic:phi=1,1,0", "element:bound=50"): (
+        "9fb9991b687ba5780af8e35b9d840c138c68bc92cb5802d1fe8451ab98fd9c03",
+        "54613208c4baeec2ed384111ff7edc347617baf0ea646469c4b1da341aa76f6a",
+        "67e332c423755c671e5ed5f5b1146982a43b517a507073822d64879c558274fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("field, mode", GOLDEN, ids=["inert-d2", "element-m16", "element-generic"])
+def test_seeded_files_are_byte_identical(tmp_path, field, mode):
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    src, ct, back = tmp_path / "m.bin", tmp_path / "m.ct", tmp_path / "m.out"
+    src.write_bytes(PAYLOAD)
+    assert main(["keygen", "--field", field, "--mode", mode, "--seed", "0x2a",
+                 "--pub", str(pub), "--priv", str(priv)]) == 0
+    assert main(["encrypt", "--pub", str(pub), "--in", str(src), "--out", str(ct)]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pub, priv, ct))
+    assert got == GOLDEN[field, mode]
+    assert main(["decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(back)]) == 0
+    assert back.read_bytes() == PAYLOAD

@@ -18,7 +18,7 @@ from ringrsa import (
     trace,
 )
 from ringrsa.oracles import poly_mulmod_naive
-from support import TEST_RINGS, mat_mul, mat_pow, mat_vec
+from support import TEST_RINGS, companion_matrix, mat_pow, mat_vec
 
 SQRT2 = TEST_RINGS["sqrt2"]
 ZETA5 = TEST_RINGS["zeta5"]
@@ -38,21 +38,25 @@ def ring_and_vectors(draw, count=1, bound=small_ints):
 
 class TestConstruction:
     def test_rotation_matrix_sqrt2(self):
-        assert SQRT2.rotation == ((0, 2), (1, 0))
+        h = ((0, 2), (1, 0))
+        assert companion_matrix(SQRT2.phi_coeffs) == h
+        assert ideal_matrix(SQRT2, SQRT2.element((0, 1))).entries == h
 
     def test_rotation_matrix_zeta5(self):
-        assert ZETA5.rotation == (
+        h = (
             (0, 0, 0, -1),
             (1, 0, 0, -1),
             (0, 1, 0, -1),
             (0, 0, 1, -1),
         )
+        assert companion_matrix(ZETA5.phi_coeffs) == h
+        assert ideal_matrix(ZETA5, ZETA5.element((0, 1, 0, 0))).entries == h
 
     @pytest.mark.parametrize("ctx", TEST_RINGS.values(), ids=TEST_RINGS.keys())
     def test_rotation_satisfies_minimal_polynomial(self, ctx):
         # H^n must equal phi_0*I + phi_1*H + ... + phi_{n-1}*H^{n-1}
         n = ctx.degree
-        h = ctx.rotation
+        h = companion_matrix(ctx.phi_coeffs)
         acc = tuple(
             tuple(0 for _ in range(n)) for _ in range(n)
         )
@@ -108,16 +112,17 @@ class TestIdealMatrix:
         for k in range(1, n + 1):
             e_k = tuple(int(i == k - 1) for i in range(n))
             got = ideal_matrix(ctx, ctx.element(e_k)).entries
-            assert got == mat_pow(ctx.rotation, k - 1)
+            assert got == mat_pow(companion_matrix(ctx.phi_coeffs), k - 1)
 
     @given(ring_and_vectors())
     def test_columns_are_rotation_orbit(self, data):
         ctx, f = data
         m = ideal_matrix(ctx, ctx.element(f)).entries
+        h = companion_matrix(ctx.phi_coeffs)
         col = f
         for j in range(ctx.degree):
             assert tuple(m[i][j] for i in range(ctx.degree)) == tuple(col)
-            col = mat_vec(ctx.rotation, col)
+            col = mat_vec(h, col)
 
     def test_context_mismatch_rejected(self):
         with pytest.raises(ValueError, match="context mismatch"):

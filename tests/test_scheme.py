@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -15,15 +16,12 @@ from ringrsa import (
     PrivateKey,
     PublicKey,
     SearchExhaustedError,
-    conv_mul,
     conv_pow,
     coset_box,
     cyclotomic_field,
     decrypt_block,
     encrypt_block,
     generic_field,
-    hnf,
-    ideal_matrix,
     keygen,
     keypair_from_primes,
     norm,
@@ -31,6 +29,8 @@ from ringrsa import (
     reduce_mod_lattice,
     validate_keypair,
 )
+from ringrsa import lattice
+from ringrsa.keyfiles import parse_private, render_private
 
 FIELD = quadratic_field(2)
 
@@ -146,15 +146,8 @@ class TestKeyObjects:
 
     def test_private_key_consistency_enforced(self):
         pub, priv = toy_keypair()
-        with pytest.raises(ValueError, match="totient inconsistent"):
-            PrivateKey(FIELD, priv.alpha, priv.beta, 77, 193, priv.lattice)
         with pytest.raises(ValueError, match="private exponent"):
-            PrivateKey(FIELD, priv.alpha, priv.beta, 0, 192, priv.lattice)
-        with pytest.raises(ValueError, match="lattice inconsistent"):
-            PrivateKey(
-                FIELD, priv.alpha, priv.beta, 77, 192,
-                HnfBasis(((15, 14), (0, 1))),
-            )
+            PrivateKey(FIELD, priv.alpha, priv.beta, 0)
 
 
 class TestBlockOperations:
@@ -234,8 +227,7 @@ def hand_built_private_key(field, p, q, d):
     n = ctx.degree
     alpha = ctx.element((p,) + (0,) * (n - 1))
     beta = ctx.element((q,) + (0,) * (n - 1))
-    lattice = hnf(ideal_matrix(ctx, conv_mul(ctx, alpha, beta)).entries)
-    return PrivateKey(field, alpha, beta, d, (p**n - 1) * (q**n - 1), lattice)
+    return PrivateKey(field, alpha, beta, d)
 
 
 def element_keypair(field, coeff_bound, seed):
@@ -346,3 +338,46 @@ class TestDecryptPaths:
             assert decrypt_block(priv, ct).coeffs == lattice_power(
                 FIELD.ring, priv.lattice, ct, 40
             )
+
+
+@pytest.fixture
+def hnf_calls(monkeypatch):
+    """Counts lattice.hnf calls made through any ringrsa module."""
+    real = lattice.hnf
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ringrsa" and getattr(module, "hnf", None) is real:
+            monkeypatch.setattr(module, "hnf", counting)
+    return calls
+
+
+class TestHnfPerKey:
+    """The public lattice is computed once per key, not re-proved."""
+
+    def test_inert_keygen(self, hnf_calls):
+        keygen(FIELD, InertPrimeMode(bits=16), rng=random.Random(3))
+        assert len(hnf_calls) == 1
+
+    def test_element_keygen_with_distinct_norms(self, hnf_calls):
+        pub, priv = keygen(cyclotomic_field(5), PrimeNormElementMode(3), rng=random.Random(1))
+        ctx = pub.field.ring
+        assert abs(norm(ctx, priv.alpha)) != abs(norm(ctx, priv.beta))
+        assert len(hnf_calls) == 1
+
+    @pytest.mark.parametrize(
+        "mode", [InertPrimeMode(bits=16), PrimeNormElementMode(30)], ids=["inert", "element"]
+    )
+    def test_parse_private_then_decrypt(self, hnf_calls, mode):
+        pub, priv = keygen(FIELD, mode, rng=random.Random(5))
+        text = render_private(priv, pub.e)
+        ct = encrypt_block(pub, (1, 0))
+        hnf_calls.clear()
+        parsed, _ = parse_private(text)
+        assert decrypt_block(parsed, ct).coeffs == (1, 0)
+        assert decrypt_block(parsed, ct).coeffs == (1, 0)
+        assert len(hnf_calls) == 1
