@@ -18,7 +18,6 @@ from .errors import (
 from .fields import (
     FieldDescriptor,
     PrimeElement,
-    coset_box_naive,
     cyclotomic_field,
     find_inert_prime,
     find_prime_norm_element,
@@ -39,7 +38,6 @@ from .lattice import (
 )
 from .ring import (
     IdealMatrix,
-    RationalRingElement,
     RingContext,
     RingElement,
     conv_mul,
@@ -47,8 +45,6 @@ from .ring import (
     ideal_matrix,
     make_ring,
     norm,
-    rational_inverse,
-    trace,
 )
 from .scheme import (
     CiphertextBlock,

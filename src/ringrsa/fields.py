@@ -28,11 +28,11 @@ __all__ = [
     "cyclotomic_field",
     "generic_field",
     "parse_field_spec",
+    "unramified",
     "is_inert_prime",
     "find_inert_prime",
     "find_prime_norm_element",
     "totient_of_product",
-    "coset_box_naive",
 ]
 
 _SQUARE_FREE_TRIAL_BOUND = 10**6
@@ -47,7 +47,6 @@ _MAX_DEGREE = 128
 class FieldDescriptor:
     kind: str
     ring: RingContext
-    label: str
     param: int | None = None
 
     def __post_init__(self):
@@ -101,8 +100,7 @@ def quadratic_field(d: int) -> FieldDescriptor:
         raise ValueError("not square-free")
     if d % 4 not in (2, 3):
         raise ValueError("NC-property violated (d = 1 mod 4)")
-    ring = make_ring((d, 0))
-    return FieldDescriptor("quadratic", ring, f"Q(sqrt({d}))", d)
+    return FieldDescriptor("quadratic", make_ring((d, 0)), d)
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -138,12 +136,11 @@ def cyclotomic_field(m: int) -> FieldDescriptor:
     poly = _cyclotomic_poly(m, {})
     assert len(poly) - 1 == euler_phi(m)
     ring = make_ring(tuple(-c for c in poly[:-1]))
-    return FieldDescriptor("cyclotomic", ring, f"Q(zeta_{m})", m)
+    return FieldDescriptor("cyclotomic", ring, m)
 
 
 def generic_field(phi_coeffs: Sequence[int]) -> FieldDescriptor:
-    ring = make_ring(phi_coeffs)
-    return FieldDescriptor("generic", ring, f"generic degree {ring.degree}")
+    return FieldDescriptor("generic", make_ring(phi_coeffs))
 
 
 def parse_field_spec(spec: str) -> FieldDescriptor:
@@ -178,29 +175,44 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
     raise bad
 
 
+def unramified(field: FieldDescriptor, p: int) -> bool:
+    """p is coprime to 4d (quadratic) or to m (cyclotomic).
+
+    For a prime p this says p does not ramify in the ring.  A generic
+    field has no known discriminant, so no p counts as unramified there.
+    """
+    if field.kind == "quadratic":
+        return math.gcd(p, 4 * field.param) == 1
+    if field.kind == "cyclotomic":
+        return math.gcd(p, field.param) == 1
+    return False
+
+
+def _inert(field: FieldDescriptor, p: int) -> bool:
+    """is_inert_prime for a p already known to be prime."""
+    if field.kind == "generic":
+        raise ValueError("no inert-prime criterion for generic fields")
+    if not unramified(field, p):
+        return False
+    if field.kind == "quadratic":
+        return pow(field.param % p, (p - 1) // 2, p) == p - 1
+    m = field.param
+    return multiplicative_order(p, m) == carmichael_lambda(m)
+
+
 def is_inert_prime(field: FieldDescriptor, p: int) -> bool:
     """Test whether the rational prime p stays prime-like in the field.
 
-    Quadratic: p is odd, coprime to 4d, and d is a quadratic non-residue
-    mod p.  Cyclotomic: p does not divide m and the multiplicative order
-    of p mod m is the largest attainable (the Carmichael function of m);
-    when the unit group mod m is cyclic this is exactly the inert
-    condition, and in every case p*q generates a square-free ideal whose
-    totient divides (p^n - 1)(q^n - 1), which is what key generation needs.
+    Quadratic: p is unramified and d is a quadratic non-residue mod p.
+    Cyclotomic: p is unramified and the multiplicative order of p mod m
+    is the largest attainable (the Carmichael function of m); when the
+    unit group mod m is cyclic this is exactly the inert condition, and
+    in every case p*q generates a square-free ideal whose totient
+    divides (p^n - 1)(q^n - 1), which is what key generation needs.
     """
     if not is_probable_prime(p):
         raise ValueError("p must be prime")
-    if field.kind == "quadratic":
-        d = field.param
-        if p == 2 or (4 * d) % p == 0:
-            return False
-        return pow(d % p, (p - 1) // 2, p) == p - 1
-    if field.kind == "cyclotomic":
-        m = field.param
-        if m % p == 0:
-            return False
-        return multiplicative_order(p, m) == carmichael_lambda(m)
-    raise ValueError("no inert-prime criterion for generic fields")
+    return _inert(field, p)
 
 
 def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
@@ -222,9 +234,9 @@ def find_inert_prime(
     lo, hi = 1 << (bits - 1), 1 << bits
     for _ in range(max_attempts):
         cand = rng.randrange(lo, hi)
-        if cand == exclude or not is_probable_prime(cand):
-            continue
-        if is_inert_prime(field, cand):
+        # primality first: trial division rejects most candidates before
+        # the residue test would spend a modexp on them
+        if cand != exclude and is_probable_prime(cand) and _inert(field, cand):
             return _scalar_element(field, cand)
     raise SearchExhaustedError("search exhausted: no inert prime found")
 
@@ -268,13 +280,3 @@ def totient_of_product(ctx: RingContext, alpha: PrimeElement, beta: PrimeElement
         raise AssociatePrimesError("associate prime elements generate the same ideal")
     return (alpha.norm_abs - 1) * (beta.norm_abs - 1)
 
-
-def coset_box_naive(field: FieldDescriptor, p: int, q: int):
-    """Box with every radix p*q: the coset box of distinct inert primes."""
-    from .lattice import CosetBox
-
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    if not (is_probable_prime(p) and is_probable_prime(q)):
-        raise ValueError("p and q must be prime")
-    return CosetBox((p * q,) * field.ring.degree)

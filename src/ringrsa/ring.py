@@ -11,31 +11,26 @@ the column vector of polynomial coefficients; multiplication by x is
 multiplication by H, and the ideal matrix of f stacks f, Hf, ..., H^{n-1}f
 as columns, which equals f(H).  H is never stored: multiplying by x is a
 shift plus one substitution of x^n, which costs O(n).  All arithmetic is
-exact over the integers (or Fractions for the rational helpers); no
-floating point anywhere.
+exact over the integers; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .lattice import determinant
 
 __all__ = [
     "RingContext",
     "RingElement",
-    "RationalRingElement",
     "IdealMatrix",
     "make_ring",
     "ideal_matrix",
     "conv_mul",
     "conv_pow",
-    "trace",
     "norm",
-    "rational_inverse",
 ]
 
 _ROOT_SCREEN_BOUND = 10**6
@@ -72,9 +67,6 @@ class RingContext:
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, tuple(operator.index(c) for c in coeffs))
-
-    def rational_element(self, coeffs: Sequence) -> "RationalRingElement":
-        return RationalRingElement(self, tuple(Fraction(c) for c in coeffs))
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * self.degree)
@@ -130,26 +122,13 @@ class RingElement:
 
 
 @dataclass(frozen=True)
-class RationalRingElement:
-    context: RingContext
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.context.degree:
-            raise ValueError("coefficient vector has wrong length")
-
-
-Element = Union[RingElement, RationalRingElement]
-
-
-@dataclass(frozen=True)
 class IdealMatrix:
     """Columns f, Hf, ..., H^{n-1}f of a generator f; equals f(H)."""
 
     entries: tuple[tuple[int, ...], ...]
 
 
-def _claim(ctx: RingContext, elem: Element) -> None:
+def _claim(ctx: RingContext, elem: RingElement) -> None:
     if elem.context != ctx:
         raise ValueError("context mismatch")
 
@@ -169,7 +148,7 @@ def ideal_matrix(ctx: RingContext, f: RingElement) -> IdealMatrix:
     return IdealMatrix(tuple(zip(*cols)))
 
 
-def _conv(phi: tuple[int, ...], a: Sequence, b: Sequence) -> list:
+def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = len(phi)
     if n == 1:
         return [a[0] * b[0]]
@@ -189,14 +168,11 @@ def _conv(phi: tuple[int, ...], a: Sequence, b: Sequence) -> list:
     return prod[:n]
 
 
-def conv_mul(ctx: RingContext, f: Element, g: Element) -> Element:
+def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
     """Product in Z[x]/(phi): schoolbook multiply, then reduce by phi."""
     _claim(ctx, f)
     _claim(ctx, g)
-    raw = _conv(ctx.phi_coeffs, f.coeffs, g.coeffs)
-    if isinstance(f, RationalRingElement) or isinstance(g, RationalRingElement):
-        return RationalRingElement(ctx, tuple(Fraction(c) for c in raw))
-    return RingElement(ctx, tuple(raw))
+    return RingElement(ctx, tuple(_conv(ctx.phi_coeffs, f.coeffs, g.coeffs)))
 
 
 def conv_pow(
@@ -236,64 +212,7 @@ def conv_pow(
     return RingElement(ctx, acc)
 
 
-def trace(ctx: RingContext, f: RingElement) -> int:
-    """Matrix trace of the ideal matrix of f."""
-    return sum(row[i] for i, row in enumerate(ideal_matrix(ctx, f).entries))
-
-
 def norm(ctx: RingContext, f: RingElement) -> int:
     """Signed determinant of the ideal matrix of f, computed exactly."""
     return determinant(ideal_matrix(ctx, f).entries)
 
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
-    dlead = den[-1]
-    for k in range(len(rem) - 1, len(den) - 2, -1):
-        c = rem[k] / dlead
-        if c:
-            out[k - (len(den) - 1)] = c
-            for j, dj in enumerate(den):
-                rem[k - (len(den) - 1) + j] -= c * dj
-    return out, _poly_trim(rem)
-
-
-def rational_inverse(ctx: RingContext, f: Element) -> RationalRingElement:
-    """Inverse of f over the rationals: u with u * f = 1 mod phi.
-
-    Runs the extended Euclidean algorithm against phi.  A nonzero f has an
-    inverse whenever gcd(f, phi) is constant, which always holds over an
-    irreducible phi; a nonconstant gcd therefore signals a reducible
-    modulus and is reported as such.
-    """
-    _claim(ctx, f)
-    n = ctx.degree
-    if not any(f.coeffs):
-        raise ValueError("not invertible (zero element)")
-    phi_poly = [-Fraction(c) for c in ctx.phi_coeffs] + [Fraction(1)]
-    r0 = phi_poly
-    r1 = _poly_trim([Fraction(c) for c in f.coeffs])
-    u0: list[Fraction] = []
-    u1: list[Fraction] = [Fraction(1)]
-    while len(r1) > 1:
-        q, r2 = _poly_divmod(r0, r1)
-        u2 = list(u0) + [Fraction(0)] * max(0, len(u1) + len(q) - 1 - len(u0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    u2[i + j] -= qi * uj
-        r0, r1 = r1, r2
-        u0, u1 = u1, _poly_trim(u2)
-    if not r1:
-        raise ValueError("reducible minimal polynomial (nonconstant gcd with phi)")
-    c = r1[0]
-    inv = [ui / c for ui in u1]
-    inv += [Fraction(0)] * (n - len(inv))
-    return RationalRingElement(ctx, tuple(inv[:n]))

@@ -34,6 +34,7 @@ from .fields import (
     find_inert_prime,
     find_prime_norm_element,
     totient_of_product,
+    unramified,
 )
 from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
 from .primes import is_probable_prime
@@ -132,7 +133,7 @@ class PrivateKey:
         (p, *a_rest), (q, *b_rest) = self.alpha.coeffs, self.beta.coeffs
         if any(a_rest) or any(b_rest) or p == q:
             return None
-        if not (_unramified(self.field, p) and _unramified(self.field, q)):
+        if not (unramified(self.field, p) and unramified(self.field, q)):
             return None
         if not (is_probable_prime(p) and is_probable_prime(q)):
             return None
@@ -235,15 +236,6 @@ def _scalar_modulus(basis: HnfBasis) -> int | None:
     """
     first, *rest = basis.diag
     return first if all(b == 1 for b in rest) else None
-
-
-def _unramified(field: FieldDescriptor, p: int) -> bool:
-    """p is coprime to the discriminant of a quadratic or cyclotomic ring."""
-    if field.kind == "quadratic":
-        return math.gcd(p, 4 * field.param) == 1
-    if field.kind == "cyclotomic":
-        return math.gcd(p, field.param) == 1
-    return False
 
 
 def _mod_each(moduli: Sequence[int]):

@@ -1,6 +1,7 @@
 """Helpers shared across test modules."""
 
-from ringrsa import determinant, make_ring
+from ringrsa import CosetBox, determinant, ideal_matrix, make_ring
+from ringrsa.primes import is_probable_prime
 
 # Rings the identity batches run over: two quadratics, a cubic, two
 # quartics from cyclotomic minimal polynomials.  Keys are short labels
@@ -41,6 +42,20 @@ def companion_matrix(phi_coeffs):
         tuple(int(j == i - 1) + (phi_coeffs[i] if j == n - 1 else 0) for j in range(n))
         for i in range(n)
     )
+
+
+def trace(ctx, f):
+    """Matrix trace of the ideal matrix of f."""
+    return sum(row[i] for i, row in enumerate(ideal_matrix(ctx, f).entries))
+
+
+def coset_box_naive(field, p, q):
+    """Box with every radix p*q: the coset box of distinct inert primes."""
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    if not (is_probable_prime(p) and is_probable_prime(q)):
+        raise ValueError("p and q must be prime")
+    return CosetBox((p * q,) * field.ring.degree)
 
 
 def mat_mul(a, b):

@@ -16,7 +16,6 @@ from ringrsa import (
     conv_mul,
     conv_pow,
     coset_box,
-    coset_box_naive,
     cyclotomic_field,
     decrypt_block,
     determinant,
@@ -29,7 +28,6 @@ from ringrsa import (
     norm,
     quadratic_field,
     reduce_mod_lattice,
-    trace,
     validate_keypair,
 )
 from ringrsa.cli import main
@@ -42,12 +40,14 @@ from ringrsa.oracles import (
 from support import (
     TEST_RINGS,
     companion_matrix,
+    coset_box_naive,
     mat_mul,
     mat_pow,
     rand_coeffs,
     rand_nonsingular,
     rand_nonzero_element,
     rand_unimodular,
+    trace,
 )
 
 SQRT2_FIELD = quadratic_field(2)

@@ -7,7 +7,6 @@ import pytest
 from ringrsa import (
     PrimeElement,
     SearchExhaustedError,
-    coset_box_naive,
     cyclotomic_field,
     find_inert_prime,
     find_prime_norm_element,
@@ -19,12 +18,14 @@ from ringrsa import (
     totient_of_product,
 )
 from ringrsa.errors import AssociatePrimesError
+from ringrsa.fields import unramified
 from ringrsa.primes import (
     carmichael_lambda,
     euler_phi,
     is_probable_prime,
     multiplicative_order,
 )
+from support import coset_box_naive
 
 
 class TestQuadraticField:
@@ -158,6 +159,26 @@ class TestInertPrimes:
     def test_generic_has_no_criterion(self):
         with pytest.raises(ValueError, match="no inert-prime criterion"):
             is_inert_prime(generic_field((1, 1, 0)), 3)
+
+
+class TestUnramified:
+    @pytest.mark.parametrize(
+        "field, p, expected",
+        [
+            (quadratic_field(2), 2, False),
+            (quadratic_field(2), 3, True),
+            (quadratic_field(-1), 2, False),
+            (cyclotomic_field(12), 2, False),
+            (cyclotomic_field(12), 3, False),
+            (cyclotomic_field(12), 5, True),
+            (generic_field((1, 1, 0)), 3, False),
+            (generic_field((1, 1, 0)), 5, False),
+        ],
+        ids=["d=2,p=2", "d=2,p=3", "d=-1,p=2", "m=12,p=2", "m=12,p=3", "m=12,p=5",
+             "generic,p=3", "generic,p=5"],
+    )
+    def test_table(self, field, p, expected):
+        assert unramified(field, p) is expected
 
 
 class TestFindInertPrime:

@@ -1,24 +1,19 @@
 """Ring construction, convolution products, ideal matrices, norms."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ringrsa import (
-    RationalRingElement,
     RingElement,
     conv_mul,
     conv_pow,
     ideal_matrix,
     make_ring,
     norm,
-    rational_inverse,
-    trace,
 )
 from ringrsa.oracles import poly_mulmod_naive
-from support import TEST_RINGS, companion_matrix, mat_pow, mat_vec
+from support import TEST_RINGS, companion_matrix, mat_pow, mat_vec, trace
 
 SQRT2 = TEST_RINGS["sqrt2"]
 ZETA5 = TEST_RINGS["zeta5"]
@@ -169,12 +164,6 @@ class TestConvolution:
         ef = ctx.element(f)
         assert conv_mul(ctx, ef, ctx.one()) == ef
 
-    def test_rational_operand_gives_rational_product(self):
-        half_x = SQRT2.rational_element((0, Fraction(1, 2)))
-        got = conv_mul(SQRT2, SQRT2.element((0, 1)), half_x)
-        assert isinstance(got, RationalRingElement)
-        assert got.coeffs == (Fraction(1), Fraction(0))
-
     def test_add_sub_neg(self):
         f = SQRT2.element((4, -2))
         g = SQRT2.element((1, 7))
@@ -246,32 +235,6 @@ class TestTraceNorm:
         assert norm(ctx, ef * eg) == norm(ctx, ef) * norm(ctx, eg)
 
 
-class TestRationalInverse:
-    def test_known_inverse(self):
-        inv = rational_inverse(SQRT2, SQRT2.element((0, 1)))
-        assert inv.coeffs == (Fraction(0), Fraction(1, 2))
-
-    @given(ring_and_vectors(bound=st.integers(-12, 12)))
-    def test_product_with_inverse_is_one(self, data):
-        ctx, f = data
-        if not any(f):
-            f = (1,) + (0,) * (ctx.degree - 1)
-        ef = ctx.element(f)
-        inv = rational_inverse(ctx, ef)
-        got = conv_mul(ctx, ef, inv)
-        assert got.coeffs == (Fraction(1),) + (Fraction(0),) * (ctx.degree - 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="zero element"):
-            rational_inverse(SQRT2, SQRT2.zero())
-
-    def test_common_factor_with_modulus_detected(self):
-        # (x^2-2)^2 passes the linear-root screen but x^2-2 shares a factor
-        ctx = make_ring((-4, 0, 4, 0))
-        with pytest.raises(ValueError, match="nonconstant gcd"):
-            rational_inverse(ctx, ctx.element((-2, 0, 1, 0)))
-
-
 class TestElementTypes:
     def test_elements_are_value_objects(self):
         assert SQRT2.element((1, 2)) == SQRT2.element((1, 2))
@@ -280,10 +243,6 @@ class TestElementTypes:
     def test_mixed_context_arithmetic_rejected(self):
         with pytest.raises(ValueError, match="context mismatch"):
             SQRT2.element((1, 0)) + TEST_RINGS["isqrt5"].element((1, 0))
-
-    def test_rational_element_normalizes_to_fraction(self):
-        e = SQRT2.rational_element((1, 2))
-        assert all(isinstance(c, Fraction) for c in e.coeffs)
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Key generation, block encryption, and key pair validation."""
 
+import collections
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from ringrsa import (
     reduce_mod_lattice,
     validate_keypair,
 )
-from ringrsa import lattice
+from ringrsa import lattice, primes
 from ringrsa.keyfiles import parse_private, render_private
 
 FIELD = quadratic_field(2)
@@ -381,3 +382,29 @@ class TestHnfPerKey:
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert len(hnf_calls) == 1
+
+
+@pytest.fixture
+def primality_calls(monkeypatch):
+    """Counts is_probable_prime calls per integer, through any ringrsa module."""
+    real = primes.is_probable_prime
+    calls = collections.Counter()
+
+    def counting(n):
+        calls[n] += 1
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ringrsa" and getattr(module, "is_probable_prime", None) is real:
+            monkeypatch.setattr(module, "is_probable_prime", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "field", [quadratic_field(2), cyclotomic_field(5)], ids=["d=2", "m=5"]
+)
+def test_inert_keygen_tests_each_integer_for_primality_once(primality_calls, field):
+    pub, priv = keygen(field, InertPrimeMode(bits=64), rng=random.Random(11))
+    assert primality_calls[priv.alpha.coeffs[0]] == 1
+    assert primality_calls[priv.beta.coeffs[0]] == 1
+    assert max(primality_calls.values()) == 1

@@ -12,8 +12,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    [["toy_walkthrough.py"], ["bench_roundtrip.py", "--size", "1"]],
-    ids=["toy_walkthrough", "bench_roundtrip"],
+    [["toy_walkthrough.py"]],
+    ids=["toy_walkthrough"],
 )
 def test_script_exits_zero(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
