@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -49,6 +50,20 @@ class HnfBasis:
     @property
     def diag(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.entries))
+
+    @cached_property
+    def _schedule(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Back substitution steps, last column first: (i, b_ii, above),
+        where above holds the nonzero (r, b_ri) with r < i.
+
+        A cached property, not a field, so equality and hashing still see
+        only the entries.
+        """
+        e = self.entries
+        return tuple(
+            (i, e[i][i], tuple((r, e[r][i]) for r in range(i) if e[r][i]))
+            for i in reversed(range(self.dimension))
+        )
 
 
 @dataclass(frozen=True)
@@ -182,17 +197,19 @@ def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...
 
     Back substitution from the last coordinate: at row i subtract the
     floor quotient of the i-th basis column, leaving 0 <= w[i] < b[i][i].
+    A column with nothing above the diagonal costs one %, so a diagonal
+    basis such as p * I reduces every coordinate mod its radix.
     """
-    n = basis.dimension
-    if len(vector) != n:
+    if len(vector) != basis.dimension:
         raise ValueError("vector length does not match the lattice dimension")
-    entries = basis.entries
     w = list(vector)
-    for i in range(n - 1, -1, -1):
-        q = w[i] // entries[i][i]
-        if q:
-            for r in range(i + 1):
-                w[r] -= q * entries[r][i]
+    for i, b_ii, above in basis._schedule:
+        if above:
+            q, w[i] = divmod(w[i], b_ii)
+            for r, b_ri in above:
+                w[r] -= q * b_ri
+        else:
+            w[i] %= b_ii
     return tuple(w)
 
 

@@ -12,15 +12,21 @@ multiplication by H, and the ideal matrix of f stacks f, Hf, ..., H^{n-1}f
 as columns, which equals f(H).  H is never stored: multiplying by x is a
 shift plus one substitution of x^n, which costs O(n).  All arithmetic is
 exact over the integers; no floating point anywhere.
+
+Powers are taken modulo a lattice given by its HNF basis and reduced into
+its coset box after every step.  The lattices used (ideal matrices, and
+p * I) are ideals, closed under multiplication by x, so congruence mod
+the lattice survives every product and reducing per step gives the same
+point as reducing the full power once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .lattice import determinant
+from .lattice import HnfBasis, determinant, reduce_mod_lattice
 
 __all__ = [
     "RingContext",
@@ -99,27 +105,6 @@ class RingElement:
         if len(self.coeffs) != self.context.degree:
             raise ValueError("coefficient vector has wrong length")
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        _claim(self.context, other)
-        return RingElement(
-            self.context, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        _claim(self.context, other)
-        return RingElement(
-            self.context, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.context, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return conv_mul(self.context, self, other)
-
-    def __pow__(self, m: int) -> "RingElement":
-        return conv_pow(self.context, self, m)
-
 
 @dataclass(frozen=True)
 class IdealMatrix:
@@ -175,19 +160,15 @@ def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
     return RingElement(ctx, tuple(_conv(ctx.phi_coeffs, f.coeffs, g.coeffs)))
 
 
-def conv_pow(
-    ctx: RingContext,
-    f: RingElement,
-    m: int,
-    step_reducer: Callable[[Sequence[int]], tuple[int, ...]] | None = None,
-) -> RingElement:
-    """f to the m-th convolution power by square and multiply.
+def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingElement:
+    """f to the m-th convolution power modulo the lattice of basis.
 
-    m = 0 yields the multiplicative identity even for f = 0.  When a
-    step_reducer is given it runs on the base and after every squaring and
-    multiplication; if the reducer preserves congruence (lattice coset
-    reduction, coefficient mod arithmetic) the result equals the unreduced
-    power pushed once through the reducer.
+    Square and multiply, reducing the base and every square and product
+    into the coset box.  basis must span an ideal (an ideal matrix's HNF,
+    or p * I): then each reduction changes a factor by a lattice point
+    whose products stay in the lattice, so the result equals the
+    unreduced power reduced once.  m = 0 yields the reduced identity even
+    for f = 0.
     """
     m = operator.index(m)
     if m < 0:
@@ -195,20 +176,14 @@ def conv_pow(
     _claim(ctx, f)
     if m == 0:
         one = (1,) + (0,) * (ctx.degree - 1)
-        return RingElement(ctx, step_reducer(one) if step_reducer else one)
-    base = f.coeffs
-    if step_reducer:
-        base = step_reducer(base)
+        return RingElement(ctx, reduce_mod_lattice(basis, one))
     phi = ctx.phi_coeffs
+    base = reduce_mod_lattice(basis, f.coeffs)
     acc = base
     for bit in bin(m)[3:]:
-        acc = tuple(_conv(phi, acc, acc))
-        if step_reducer:
-            acc = step_reducer(acc)
+        acc = reduce_mod_lattice(basis, _conv(phi, acc, acc))
         if bit == "1":
-            acc = tuple(_conv(phi, acc, base))
-            if step_reducer:
-                acc = step_reducer(acc)
+            acc = reduce_mod_lattice(basis, _conv(phi, acc, base))
     return RingElement(ctx, acc)
 
 

@@ -9,7 +9,8 @@ convolution power with per-step reduction back into the box, decryption
 applies d the same way.  Two key shapes give the same result more
 cheaply: an HNF diagonal (N, 1, ..., 1) makes the box Z/N, so the power is
 an integer pow mod N; and alpha = p, beta = q for distinct unramified
-rational primes let decryption work mod p and mod q and recombine by CRT.
+rational primes let decryption work modulo the lattices pZ^n and qZ^n of
+the two prime ideals and recombine by CRT.
 The byte codec frames a payload with an 8-byte big-endian length header
 and packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -36,7 +37,7 @@ from .fields import (
     totient_of_product,
     unramified,
 )
-from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
+from .lattice import CosetBox, HnfBasis, hnf
 from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_pow, ideal_matrix, norm
 
@@ -121,13 +122,13 @@ class PrivateKey:
         return "lattice"
 
     @cached_property
-    def _crt(self) -> tuple[int, int, int, int, int] | None:
-        """(p, q, d_p, d_q, q^-1 mod p) for alpha = p, beta = q, else None.
+    def _crt(self) -> tuple[int, int, int, int, int, HnfBasis, HnfBasis] | None:
+        """(p, q, d_p, d_q, q^-1 mod p, pZ^n, qZ^n) for alpha = p, beta = q.
 
         Needs p != q prime and unramified, so that O/pO is a product of
         fields F_{p^f} with f | n and x^(p^n) = x on it.  Then d_p is d
         reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
-        divisors still map to 0; likewise d_q.
+        divisors still map to 0; likewise d_q.  None for any other key.
         """
         n = self.field.ring.degree
         (p, *a_rest), (q, *b_rest) = self.alpha.coeffs, self.beta.coeffs
@@ -139,7 +140,8 @@ class PrivateKey:
             return None
         d_p = (self.d - 1) % (p**n - 1) + 1
         d_q = (self.d - 1) % (q**n - 1) + 1
-        return p, q, d_p, d_q, pow(q, -1, p)
+        p_lattice, q_lattice = _scaled_identity(p, n), _scaled_identity(q, n)
+        return p, q, d_p, d_q, pow(q, -1, p), p_lattice, q_lattice
 
 
 @dataclass(frozen=True)
@@ -238,18 +240,9 @@ def _scalar_modulus(basis: HnfBasis) -> int | None:
     return first if all(b == 1 for b in rest) else None
 
 
-def _mod_each(moduli: Sequence[int]):
-    return lambda v: tuple(c % b for c, b in zip(v, moduli))
-
-
-def _box_reducer(basis: HnfBasis):
-    if all(
-        basis.entries[i][j] == 0
-        for i in range(basis.dimension)
-        for j in range(i + 1, basis.dimension)
-    ):
-        return _mod_each(basis.diag)
-    return lambda v: reduce_mod_lattice(basis, v)
+def _scaled_identity(p: int, n: int) -> HnfBasis:
+    """p * I: the lattice pZ^n of the ideal pO, already in HNF."""
+    return HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
 
 
 def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingElement:
@@ -265,8 +258,7 @@ def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
     modulus = _scalar_modulus(pub.lattice)
     if modulus is not None:
         return CiphertextBlock(_scalar_pow(ctx, modulus, vec, pub.e))
-    out = conv_pow(ctx, ctx.element(vec), pub.e, step_reducer=_box_reducer(pub.lattice))
-    return CiphertextBlock(out)
+    return CiphertextBlock(conv_pow(ctx, ctx.element(vec), pub.e, pub.lattice))
 
 
 def decrypt_block(priv: PrivateKey, block) -> RingElement:
@@ -283,14 +275,14 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
         return _scalar_pow(ctx, priv.lattice.diag[0], vec, priv.d)
     x = ctx.element(vec)
     if path == "crt":
-        p, q, d_p, d_q, q_inv = priv._crt
-        by_p = conv_pow(ctx, x, d_p, step_reducer=_mod_each((p,) * ctx.degree)).coeffs
-        by_q = conv_pow(ctx, x, d_q, step_reducer=_mod_each((q,) * ctx.degree)).coeffs
+        p, q, d_p, d_q, q_inv, p_lattice, q_lattice = priv._crt
+        by_p = conv_pow(ctx, x, d_p, p_lattice).coeffs
+        by_q = conv_pow(ctx, x, d_q, q_lattice).coeffs
         # Garner: the unique c in [0, pq) with c = c_p mod p and c = c_q mod q
         return ctx.element(
             tuple(cq + q * ((cp - cq) * q_inv % p) for cp, cq in zip(by_p, by_q))
         )
-    return conv_pow(ctx, x, priv.d, step_reducer=_box_reducer(priv.lattice))
+    return conv_pow(ctx, x, priv.d, priv.lattice)
 
 
 def _chunk_bytes(box: CosetBox) -> int:

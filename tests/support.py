@@ -1,6 +1,6 @@
 """Helpers shared across test modules."""
 
-from ringrsa import CosetBox, determinant, ideal_matrix, make_ring
+from ringrsa import CosetBox, HnfBasis, determinant, ideal_matrix, make_ring
 from ringrsa.primes import is_probable_prime
 
 # Rings the identity batches run over: two quadratics, a cubic, two
@@ -42,6 +42,18 @@ def companion_matrix(phi_coeffs):
         tuple(int(j == i - 1) + (phi_coeffs[i] if j == n - 1 else 0) for j in range(n))
         for i in range(n)
     )
+
+
+def add(f, g):
+    """f + g coefficientwise; the library itself never adds ring elements."""
+    if f.context != g.context:
+        raise ValueError("context mismatch")
+    return f.context.element(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
+
+
+def scaled_identity(n, k):
+    """k * I as an HnfBasis: the lattice of the ideal generated by k."""
+    return HnfBasis(tuple(tuple(k * (i == j) for j in range(n)) for i in range(n)))
 
 
 def trace(ctx, f):

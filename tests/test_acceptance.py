@@ -39,6 +39,7 @@ from ringrsa.oracles import (
 )
 from support import (
     TEST_RINGS,
+    add,
     companion_matrix,
     coset_box_naive,
     mat_mul,
@@ -99,14 +100,11 @@ def test_03_repeated_totient_exponent_fixes_box_points(acceptance):
             for _ in range(10):
                 pub, priv = keygen(field, InertPrimeMode(bits=6), rng=rng)
                 box = coset_box(pub.lattice)
-                red = lambda v: reduce_mod_lattice(pub.lattice, v)
                 for _ in range(100):
                     point = tuple(rng.randrange(r) for r in box.radices)
                     elem = ctx.element(point)
                     for k in (0, 1, 2):
-                        got = conv_pow(
-                            ctx, elem, k * priv.phi + 1, step_reducer=red
-                        )
+                        got = conv_pow(ctx, elem, k * priv.phi + 1, pub.lattice)
                         assert got.coeffs == point
 
 
@@ -194,8 +192,8 @@ def test_07_norm_and_trace_laws(acceptance):
             for _ in range(200):
                 f = ctx.element(rand_coeffs(rng, ctx.degree, 99))
                 g = ctx.element(rand_coeffs(rng, ctx.degree, 99))
-                assert norm(ctx, f * g) == norm(ctx, f) * norm(ctx, g)
-                assert trace(ctx, f + g) == trace(ctx, f) + trace(ctx, g)
+                assert norm(ctx, conv_mul(ctx, f, g)) == norm(ctx, f) * norm(ctx, g)
+                assert trace(ctx, add(f, g)) == trace(ctx, f) + trace(ctx, g)
         # numeric route agrees on every degree up to 6
         for phi in ((2, 0), (1, 1, 0), (-1, -1, -1, -1), (-1,) * 6):
             ctx = make_ring(phi)

@@ -16,7 +16,8 @@ from ringrsa import (
     reduce_mod_lattice,
 )
 from ringrsa.oracles import is_lattice_member, laplace_determinant
-from support import mat_mul, rand_nonsingular, rand_unimodular
+from ringrsa.primes import is_probable_prime
+from support import mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
 
 dims = st.integers(min_value=1, max_value=4)
 entries = st.integers(min_value=-40, max_value=40)
@@ -154,6 +155,18 @@ class TestReduce:
         w = tuple(a + s for a, s in zip(v, shift))
         assert reduce_mod_lattice(b, w) == reduce_mod_lattice(b, v)
 
+    def test_scaled_identity_reduces_each_coordinate(self):
+        # the shape of the CRT path: a 512-bit prime p, products of two
+        # reduced 4-coefficient vectors (about 1100 bits), either sign
+        rng = random.Random(512)
+        p = rng.getrandbits(512) | (1 << 511) | 1
+        while not is_probable_prime(p):
+            p += 2
+        basis = scaled_identity(4, p)
+        for _ in range(50):
+            v = tuple(rng.randrange(-(1 << 1100), 1 << 1100) for _ in range(4))
+            assert reduce_mod_lattice(basis, v) == tuple(c % p for c in v)
+
 
 class TestMembershipAndEquality:
     def test_contains_known(self):
@@ -170,6 +183,16 @@ class TestMembershipAndEquality:
         assert a == b
         c = hnf(((6, 4), (2, 6)))
         assert a != c
+
+    def test_cached_schedule_leaves_equality_and_hash(self):
+        m = ((3, 2, 0), (1, 3, 5), (0, 4, 2))
+        used = hnf(m)
+        reduce_mod_lattice(used, (5, -7, 11))
+        assert "_schedule" in vars(used)
+        fresh = hnf(m)
+        assert "_schedule" not in vars(fresh)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
 
     @given(nonsingular_matrices(bound=st.integers(-12, 12)))
     def test_equality_matches_mutual_membership(self, m):

@@ -27,7 +27,6 @@ from ringrsa import (
     keypair_from_primes,
     norm,
     quadratic_field,
-    reduce_mod_lattice,
     validate_keypair,
 )
 from ringrsa import lattice, primes
@@ -237,8 +236,7 @@ def element_keypair(field, coeff_bound, seed):
 
 def lattice_power(ctx, lattice, vec, exponent):
     """The generic path: convolution power reduced mod the lattice per step."""
-    step = lambda v: reduce_mod_lattice(lattice, v)  # noqa: E731
-    return conv_pow(ctx, ctx.element(vec), exponent, step_reducer=step).coeffs
+    return conv_pow(ctx, ctx.element(vec), exponent, lattice).coeffs
 
 
 def box_points(radices, rng, limit=2000):
