@@ -182,8 +182,15 @@ class TestConvPow:
         basis = scaled_identity(2, 5)
         assert conv_pow(SQRT2, f, 0, basis).coeffs == (1, 0)
         assert conv_pow(SQRT2, SQRT2.zero(), 0, basis).coeffs == (1, 0)
-        # the identity is reduced too: modulo the whole ring it is 0
+
+    def test_zero_exponent_goes_through_reducer(self):
+        # the identity is reduced too: modulo the whole ring it is 0, and
+        # modulo the ideal (2 + 2x) it is its box representative
+        f = SQRT2.element((2, 2))
         assert conv_pow(SQRT2, f, 0, scaled_identity(2, 1)).coeffs == (0, 0)
+        basis = hnf(ideal_matrix(SQRT2, f).entries)
+        got = conv_pow(SQRT2, f, 0, basis).coeffs
+        assert got == reduce_mod_lattice(basis, (1, 0))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
@@ -191,24 +198,37 @@ class TestConvPow:
 
     @given(
         ring_and_vectors(count=2, bound=st.integers(min_value=-9, max_value=9)),
-        st.integers(min_value=0, max_value=8),
-        st.integers(min_value=1, max_value=97),
-        st.booleans(),
+        st.integers(min_value=0, max_value=6),
     )
-    def test_per_step_reduction_matches_reducing_once(self, data, m, modulus, by_g):
+    def test_matches_repeated_multiplication(self, data, m):
         # exact for ideal lattices only (closed under multiplication by x):
-        # the HNF of the ideal matrix of g != 0, or modulus * I
+        # here the HNF of the ideal matrix of g != 0
         ctx, f, g = data
-        if by_g and any(g):
-            basis = hnf(ideal_matrix(ctx, ctx.element(g)).entries)
-        else:
-            basis = scaled_identity(ctx.degree, modulus)
+        if not any(g):
+            g = (1,) + g[1:]
+        basis = hnf(ideal_matrix(ctx, ctx.element(g)).entries)
         ef = ctx.element(f)
         power = ctx.one()
         for _ in range(m):
             power = conv_mul(ctx, power, ef)
         got = conv_pow(ctx, ef, m, basis).coeffs
         assert got == reduce_mod_lattice(basis, power.coeffs)
+
+    @given(
+        ring_and_vectors(bound=st.integers(min_value=-9, max_value=9)),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=1, max_value=97),
+    )
+    def test_coefficient_mod_reducer_commutes(self, data, m, modulus):
+        # modulo modulus * I, reducing after every step must agree with
+        # reducing every coefficient of the full power once
+        ctx, f = data
+        ef = ctx.element(f)
+        power = ctx.one()
+        for _ in range(m):
+            power = conv_mul(ctx, power, ef)
+        got = conv_pow(ctx, ef, m, scaled_identity(ctx.degree, modulus)).coeffs
+        assert got == tuple(c % modulus for c in power.coeffs)
 
 
 class TestTraceNorm:
