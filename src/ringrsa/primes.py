@@ -1,9 +1,8 @@
-"""Integer number theory: probabilistic primality and small-modulus helpers."""
+"""Integer number theory: Baillie-PSW primality and small-modulus helpers."""
 
 from __future__ import annotations
 
 import math
-import random
 
 __all__ = [
     "is_probable_prime",
@@ -12,11 +11,7 @@ __all__ = [
     "multiplicative_order",
 ]
 
-# Strong-pseudoprime bases that decide primality for every n < 3.3e24,
-# comfortably past 2**64.
-_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_RANDOM_ROUNDS = 64
-_sysrand = random.SystemRandom()
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % f for f in range(2, p)))
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -35,21 +30,82 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic below 2**64, else 64 random rounds.
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
-    Above 2**64 the error probability is below 4**-64 = 2**-128.
+
+def _half(x: int, n: int) -> int:
+    """x / 2 mod odd n, by integer halving."""
+    x %= n
+    return (x + n if x % 2 else x) // 2
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd non-square n.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4.  With n + 1 = k 2^s, k odd, n passes when U_k = 0 or
+    V_(k 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k = n + 1
+    s = 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_1 = 1, V_1 = P = 1; U_2j = U_j V_j, V_2j = V_j^2 - 2 Q^j,
+    # U_(j+1) = (U_j + V_j) / 2, V_(j+1) = (D U_j + V_j) / 2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(k)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = _half(u + v, n), _half(D * u + v, n)
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: trial division, a strong base-2 test, a strong Lucas test.
+
+    Deterministic.  It is exact below 2**64 (checked exhaustively), and no
+    composite passing it is known at any size.
     """
     if n < 2:
         return False
-    for p in _DETERMINISTIC_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < 1 << 64:
-        bases = _DETERMINISTIC_BASES
-    else:
-        bases = [_sysrand.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
-    return all(_strong_probable_prime(n, a) for a in bases)
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -17,11 +17,14 @@ Powers are taken modulo a lattice given by its HNF basis and reduced into
 its coset box after every step.  The lattices used (ideal matrices, and
 p * I) are ideals, closed under multiplication by x, so congruence mod
 the lattice survives every product and reducing per step gives the same
-point as reducing the full power once.
+point as reducing the full power once.  One square-and-multiply loop,
+conv_multi_pow, raises several bases to their own exponents at once
+(Shamir's trick); conv_pow is its single-base case.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,10 +39,19 @@ __all__ = [
     "ideal_matrix",
     "conv_mul",
     "conv_pow",
+    "conv_multi_pow",
     "norm",
 ]
 
 _ROOT_SCREEN_BOUND = 10**6
+# Bases per Shamir table in conv_multi_pow: 2**4 - 1 = 15 entries per group.
+_SHAMIR_GROUP = 4
+# Table index of one bit of each exponent of a group: ("1", "0", "1") -> 0b101.
+_MASK_OF = {
+    col: sum((c == "1") << k for k, c in enumerate(col))
+    for size in range(1, _SHAMIR_GROUP + 1)
+    for col in itertools.product("01", repeat=size)
+}
 
 
 def _phi_eval(phi_coeffs: tuple[int, ...], t: int) -> int:
@@ -160,31 +172,68 @@ def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
     return RingElement(ctx, tuple(_conv(ctx.phi_coeffs, f.coeffs, g.coeffs)))
 
 
+def conv_multi_pow(
+    ctx: RingContext,
+    bases: Sequence[RingElement],
+    exponents: Sequence[int],
+    basis: HnfBasis,
+) -> RingElement:
+    """Product of bases[i] ** exponents[i] modulo the lattice of basis.
+
+    One square-and-multiply loop over the bits of the largest exponent
+    with a shared squaring chain (Shamir's simultaneous exponentiation,
+    HAC Alg. 14.88).  The bases are split into groups of at most
+    _SHAMIR_GROUP; each group has a table of the products of its
+    non-empty subsets, and each bit costs one squaring plus one product
+    per group with that bit set in some exponent.  Every square and
+    product is reduced into the coset box.  basis must span an ideal (an
+    ideal matrix's HNF, or p * I): then each reduction changes a factor by
+    a lattice point whose products stay in the lattice, so the result
+    equals the unreduced product reduced once.  Bases with exponent 0 are
+    skipped; if every exponent is 0 the result is the reduced identity.
+    """
+    phi = ctx.phi_coeffs
+    pairs = []
+    for f, m in zip(bases, exponents, strict=True):
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError("negative exponent")
+        _claim(ctx, f)
+        if m:
+            pairs.append((reduce_mod_lattice(basis, f.coeffs), m))
+    width = max((m.bit_length() for _, m in pairs), default=0)
+    tables, columns = [], []
+    for start in range(0, len(pairs), _SHAMIR_GROUP):
+        group = pairs[start : start + _SHAMIR_GROUP]
+        # table[mask] is the product of the group's bases whose bit is in mask
+        table: list = [None]
+        for vec, _ in group:
+            table += [vec] + [reduce_mod_lattice(basis, _conv(phi, t, vec)) for t in table[1:]]
+        tables.append(table)
+        # one mask per bit of the exponents, most significant first
+        bits = [format(m, f"0{width}b") for _, m in group]
+        columns.append(list(map(_MASK_OF.__getitem__, zip(*bits))))
+    acc = None
+    for masks in zip(*columns):
+        if acc is not None:
+            acc = reduce_mod_lattice(basis, _conv(phi, acc, acc))
+        for table, mask in zip(tables, masks):
+            if mask:
+                factor = table[mask]
+                acc = factor if acc is None else reduce_mod_lattice(basis, _conv(phi, acc, factor))
+    if acc is None:
+        acc = reduce_mod_lattice(basis, (1,) + (0,) * (ctx.degree - 1))
+    return RingElement(ctx, acc)
+
+
 def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingElement:
     """f to the m-th convolution power modulo the lattice of basis.
 
-    Square and multiply, reducing the base and every square and product
-    into the coset box.  basis must span an ideal (an ideal matrix's HNF,
-    or p * I): then each reduction changes a factor by a lattice point
-    whose products stay in the lattice, so the result equals the
-    unreduced power reduced once.  m = 0 yields the reduced identity even
-    for f = 0.
+    The single-base case of conv_multi_pow: square and multiply, reducing
+    the base and every square and product into the coset box.  m = 0
+    yields the reduced identity even for f = 0.
     """
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError("negative exponent")
-    _claim(ctx, f)
-    if m == 0:
-        one = (1,) + (0,) * (ctx.degree - 1)
-        return RingElement(ctx, reduce_mod_lattice(basis, one))
-    phi = ctx.phi_coeffs
-    base = reduce_mod_lattice(basis, f.coeffs)
-    acc = base
-    for bit in bin(m)[3:]:
-        acc = reduce_mod_lattice(basis, _conv(phi, acc, acc))
-        if bit == "1":
-            acc = reduce_mod_lattice(basis, _conv(phi, acc, base))
-    return RingElement(ctx, acc)
+    return conv_multi_pow(ctx, (f,), (m,), basis)
 
 
 def norm(ctx: RingContext, f: RingElement) -> int:

@@ -10,7 +10,11 @@ applies d the same way.  Two key shapes give the same result more
 cheaply: an HNF diagonal (N, 1, ..., 1) makes the box Z/N, so the power is
 an integer pow mod N; and alpha = p, beta = q for distinct unramified
 rational primes let decryption work modulo the lattices pZ^n and qZ^n of
-the two prime ideals and recombine by CRT.
+the two prime ideals and recombine by CRT.  Modulo p the block is raised
+to d_p with the Frobenius map a -> a^p = a(x^p), a linear map cached per
+prime: with d_p = sum d_i p^i in base p, the power is the product of the
+images Frob^i(block)^(d_i), taken in one simultaneous exponentiation over
+the bits of a single digit.
 The byte codec frames a payload with an 8-byte big-endian length header
 and packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -18,6 +22,7 @@ and packs fixed-size chunks into mixed-radix box coordinates.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,9 +42,9 @@ from .fields import (
     totient_of_product,
     unramified,
 )
-from .lattice import CosetBox, HnfBasis, hnf
+from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
 from .primes import is_probable_prime
-from .ring import RingElement, conv_mul, conv_pow, ideal_matrix, norm
+from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix, norm
 
 __all__ = [
     "InertPrimeMode",
@@ -122,15 +127,13 @@ class PrivateKey:
         return "lattice"
 
     @cached_property
-    def _crt(self) -> tuple[int, int, int, int, int, HnfBasis, HnfBasis] | None:
-        """(p, q, d_p, d_q, q^-1 mod p, pZ^n, qZ^n) for alpha = p, beta = q.
+    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, int] | None:
+        """(the half for p, the half for q, q^-1 mod p) for alpha = p, beta = q.
 
         Needs p != q prime and unramified, so that O/pO is a product of
-        fields F_{p^f} with f | n and x^(p^n) = x on it.  Then d_p is d
-        reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
-        divisors still map to 0; likewise d_q.  None for any other key.
+        fields F_{p^f} with f | n and x^(p^n) = x on it.  None for any
+        other key.
         """
-        n = self.field.ring.degree
         (p, *a_rest), (q, *b_rest) = self.alpha.coeffs, self.beta.coeffs
         if any(a_rest) or any(b_rest) or p == q:
             return None
@@ -138,10 +141,56 @@ class PrivateKey:
             return None
         if not (is_probable_prime(p) and is_probable_prime(q)):
             return None
-        d_p = (self.d - 1) % (p**n - 1) + 1
-        d_q = (self.d - 1) % (q**n - 1) + 1
-        p_lattice, q_lattice = _scaled_identity(p, n), _scaled_identity(q, n)
-        return p, q, d_p, d_q, pow(q, -1, p), p_lattice, q_lattice
+        ctx = self.field.ring
+        return _prime_half(ctx, p, self.d), _prime_half(ctx, q, self.d), pow(q, -1, p)
+
+
+@dataclass(frozen=True)
+class _PrimeHalf:
+    """Decryption modulo one unramified prime p, in O/pO = (Z/p)[x]/(phi).
+
+    digits are those of d_p in base p, least significant first, where
+    d_p is d reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
+    divisors still map to 0.  lattice is pZ^n.  frobenius holds the rows
+    of the matrix whose j-th column is (x^p)^j mod p: in characteristic p,
+    a^p = a(x^p), so the matrix maps a block to its p-th power.
+    """
+
+    p: int
+    digits: tuple[int, ...]
+    lattice: HnfBasis
+    frobenius: tuple[tuple[int, ...], ...]
+
+
+def _prime_half(ctx, p: int, d: int) -> _PrimeHalf:
+    n = ctx.degree
+    d_p = (d - 1) % (p**n - 1) + 1
+    digits = []
+    while d_p:
+        d_p, digit = divmod(d_p, p)
+        digits.append(digit)
+    lattice = _scaled_identity(p, n)
+    x_p = conv_pow(ctx, ctx.element((0, 1) + (0,) * (n - 2)), p, lattice)
+    cols = [ctx.one()]
+    while len(cols) < n:
+        col = reduce_mod_lattice(lattice, conv_mul(ctx, cols[-1], x_p).coeffs)
+        cols.append(ctx.element(col))
+    return _PrimeHalf(p, tuple(digits), lattice, tuple(zip(*(c.coeffs for c in cols))))
+
+
+def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ...]:
+    """vec^(d_p) mod p as the product of Frob^i(vec)^(digit i).
+
+    Frob^i(vec) = vec^(p^i), so the exponentiation runs over the bits of
+    one base-p digit instead of all of d_p.
+    """
+    images = [reduce_mod_lattice(half.lattice, vec)]
+    for _ in half.digits[1:]:
+        prev = images[-1]
+        image = [sum(map(operator.mul, row, prev)) for row in half.frobenius]
+        images.append(reduce_mod_lattice(half.lattice, image))
+    bases = [ctx.element(image) for image in images]
+    return conv_multi_pow(ctx, bases, half.digits, half.lattice).coeffs
 
 
 @dataclass(frozen=True)
@@ -273,16 +322,16 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     path = priv.decrypt_path
     if path == "scalar":
         return _scalar_pow(ctx, priv.lattice.diag[0], vec, priv.d)
-    x = ctx.element(vec)
     if path == "crt":
-        p, q, d_p, d_q, q_inv, p_lattice, q_lattice = priv._crt
-        by_p = conv_pow(ctx, x, d_p, p_lattice).coeffs
-        by_q = conv_pow(ctx, x, d_q, q_lattice).coeffs
+        p_half, q_half, q_inv = priv._crt
+        p, q = p_half.p, q_half.p
+        by_p = _power_mod_prime(ctx, p_half, vec)
+        by_q = _power_mod_prime(ctx, q_half, vec)
         # Garner: the unique c in [0, pq) with c = c_p mod p and c = c_q mod q
         return ctx.element(
             tuple(cq + q * ((cp - cq) * q_inv % p) for cp, cq in zip(by_p, by_q))
         )
-    return conv_pow(ctx, x, priv.d, priv.lattice)
+    return conv_pow(ctx, ctx.element(vec), priv.d, priv.lattice)
 
 
 def _chunk_bytes(box: CosetBox) -> int:

@@ -1,5 +1,6 @@
 """Field descriptors, prime searches, and the naive coset box."""
 
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from ringrsa import (
     totient_of_product,
 )
 from ringrsa.errors import AssociatePrimesError
+from ringrsa import primes
 from ringrsa.fields import unramified
 from ringrsa.primes import (
     carmichael_lambda,
@@ -314,6 +316,35 @@ class TestPrimesModule:
     def test_large_values(self):
         assert is_probable_prime(2**127 - 1)
         assert not is_probable_prime(2**128 + 1)
+        assert is_probable_prime(2**521 - 1)
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+    def test_strong_base_2_pseudoprimes_rejected(self, n):
+        # they pass the base-2 half, so the Lucas half must catch them
+        assert primes._strong_probable_prime(n, 2)
+        assert not primes._strong_lucas_probable_prime(n)
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes_rejected(self, n):
+        # they pass the Lucas half, so the base-2 half must catch them
+        assert primes._strong_lucas_probable_prime(n)
+        assert not primes._strong_probable_prime(n, 2)
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("p", [101, 1000003, 2**61 - 1, 2**89 - 1])
+    def test_prime_squares_rejected(self, p):
+        # no Selfridge parameter D exists for a square: the search must not run
+        assert not is_probable_prime(p * p)
+
+    def test_agrees_with_sieve_below_one_million(self):
+        limit = 10**6
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for f in range(2, math.isqrt(limit) + 1):
+            if sieve[f]:
+                sieve[f * f :: f] = bytes(len(range(f * f, limit, f)))
+        assert [n for n in range(limit) if is_probable_prime(n) != sieve[n]] == []
 
     def test_totients(self):
         assert euler_phi(1) == 1

@@ -15,6 +15,7 @@ from ringrsa import (
     reduce_mod_lattice,
 )
 from ringrsa.oracles import poly_mulmod_naive
+from ringrsa.ring import conv_multi_pow
 from support import (
     TEST_RINGS,
     add,
@@ -229,6 +230,55 @@ class TestConvPow:
             power = conv_mul(ctx, power, ef)
         got = conv_pow(ctx, ef, m, scaled_identity(ctx.degree, modulus)).coeffs
         assert got == tuple(c % modulus for c in power.coeffs)
+
+
+class TestConvMultiPow:
+    """Shamir's simultaneous power against a product of single powers."""
+
+    @given(
+        ring_and_vectors(count=7, bound=st.integers(min_value=-9, max_value=9)),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=6, max_size=6),
+        st.integers(min_value=1, max_value=97),
+    )
+    def test_matches_repeated_multiplication(self, data, exps, modulus):
+        # six bases span two Shamir groups; zero exponents drop out
+        ctx, g, *fs = data
+        bases = [ctx.element(f) for f in fs]
+        product = ctx.one()
+        for f, m in zip(bases, exps):
+            for _ in range(m):
+                product = conv_mul(ctx, product, f)
+        lattices = [scaled_identity(ctx.degree, modulus)]
+        if any(g):
+            lattices.append(hnf(ideal_matrix(ctx, ctx.element(g)).entries))
+        for basis in lattices:
+            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            assert got == reduce_mod_lattice(basis, product.coeffs)
+
+    def test_single_base_is_conv_pow(self):
+        f = ZETA5.element((3, -1, 4, 1))
+        basis = scaled_identity(4, 1009)
+        for m in (0, 1, 2, 5, 2**70 + 3):
+            assert conv_multi_pow(ZETA5, [f], [m], basis) == conv_pow(ZETA5, f, m, basis)
+
+    def test_no_bases_or_zero_exponents_give_reduced_identity(self):
+        basis = scaled_identity(2, 1)
+        assert conv_multi_pow(SQRT2, [], [], scaled_identity(2, 7)).coeffs == (1, 0)
+        assert conv_multi_pow(SQRT2, [SQRT2.zero()] * 5, [0] * 5, basis).coeffs == (0, 0)
+
+    def test_zero_base_with_positive_exponent(self):
+        basis = scaled_identity(2, 7)
+        got = conv_multi_pow(SQRT2, [SQRT2.element((3, 1)), SQRT2.zero()], [4, 1], basis)
+        assert got.coeffs == (0, 0)
+
+    def test_bad_arguments_rejected(self):
+        basis = scaled_identity(2, 5)
+        with pytest.raises(ValueError, match="negative exponent"):
+            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1, -1], basis)
+        with pytest.raises(ValueError):
+            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1], basis)
+        with pytest.raises(ValueError, match="context mismatch"):
+            conv_multi_pow(SQRT2, [ZETA5.one()], [1], basis)
 
 
 class TestTraceNorm:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -31,6 +32,7 @@ from ringrsa import (
 )
 from ringrsa import lattice, primes
 from ringrsa.keyfiles import parse_private, render_private
+from support import scaled_identity
 
 FIELD = quadratic_field(2)
 
@@ -265,6 +267,8 @@ PATH_KEYS = {
     "crt-m5": (lambda: scalar_prime_keypair(cyclotomic_field(5), 2, 3), "crt"),
     "crt-m8": (lambda: scalar_prime_keypair(cyclotomic_field(8), 3, 5), "crt"),
     "crt-m12": (lambda: scalar_prime_keypair(cyclotomic_field(12), 5, 7), "crt"),
+    # 5 = (2 + i)(2 - i) splits in Z[i]: Z[i]/5 is F_5 x F_5, with zero divisors
+    "crt-d-1-split": (lambda: scalar_prime_keypair(quadratic_field(-1), 5, 3), "crt"),
     "lattice-generic": (
         lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
         "lattice",
@@ -337,6 +341,65 @@ class TestDecryptPaths:
             assert decrypt_block(priv, ct).coeffs == lattice_power(
                 FIELD.ring, priv.lattice, ct, 40
             )
+
+
+class TestFrobeniusPower:
+    """The CRT halves raise a block to d_p as a product of Frobenius images."""
+
+    @pytest.mark.parametrize(
+        "field,p,q",
+        [(quadratic_field(2), 3, 5), (cyclotomic_field(5), 2, 3), (cyclotomic_field(16), 3, 5)],
+        ids=["n=2", "n=4", "n=8"],
+    )
+    def test_matrix_columns_are_pth_powers_of_basis(self, field, p, q):
+        priv = hand_built_private_key(field, p, q, d=7)
+        assert priv.decrypt_path == "crt"
+        ctx = field.ring
+        n = ctx.degree
+        p_half, q_half, _ = priv._crt
+        for half, prime in ((p_half, p), (q_half, q)):
+            columns = list(zip(*half.frobenius))
+            for j in range(n):
+                x_j = ctx.element(tuple(int(i == j) for i in range(n)))
+                assert columns[j] == conv_pow(ctx, x_j, prime, scaled_identity(n, prime)).coeffs
+
+    @pytest.mark.parametrize(
+        "d,digits",
+        [
+            (2, (2,)),  # d_p < p: a single digit
+            (19, (1, 0, 2)),  # a zero digit inside
+            (54, (0, 0, 0, 2)),  # a lone top digit
+            (80, (2, 2, 2, 2)),  # d_p = p^n - 1
+            (81 + 80 * 7, (1,)),  # reduced mod p^n - 1 first
+        ],
+    )
+    def test_digit_patterns_match_lattice_power(self, d, digits):
+        # cyclotomic m=8 has degree 4, so d_p < 3^4 has 4 digits in base 3
+        field = cyclotomic_field(8)
+        priv = hand_built_private_key(field, 3, 5, d)
+        assert priv._crt[0].digits == digits
+        for ct in box_points(priv.lattice.diag, random.Random(d), limit=300):
+            assert decrypt_block(priv, ct).coeffs == lattice_power(
+                field.ring, priv.lattice, ct, d
+            )
+
+    def test_degree_32_key_is_bounded(self):
+        # 32 base-3 digits: a single Shamir table over all of them would
+        # hold 2**32 - 1 products, so this finishes only with bounded groups
+        field = cyclotomic_field(64)
+        pub, priv = scalar_prime_keypair(field, 3, 5)
+        assert priv.decrypt_path == "crt"
+        assert len(priv._crt[0].digits) == 32
+        rng = random.Random(64)
+        start = time.monotonic()
+        for _ in range(3):
+            msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
+            ct = encrypt_block(pub, msg).vector.coeffs
+            assert decrypt_block(priv, ct).coeffs == msg
+            assert decrypt_block(priv, msg).coeffs == lattice_power(
+                field.ring, priv.lattice, msg, priv.d
+            )
+        assert time.monotonic() - start < 30
 
 
 @pytest.fixture
