@@ -18,8 +18,8 @@ from ringrsa import (
     quadratic_field,
     totient_of_product,
 )
-from ringrsa.errors import AssociatePrimesError
 from ringrsa import primes
+from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import unramified
 from ringrsa.primes import (
     carmichael_lambda,

@@ -30,7 +30,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import lattice, primes
+from ringrsa import lattice, primes, ring
 from ringrsa.keyfiles import parse_private, render_private
 from support import scaled_identity
 
@@ -383,19 +383,31 @@ class TestFrobeniusPower:
                 field.ring, priv.lattice, ct, d
             )
 
-    def test_degree_32_key_is_bounded(self):
-        # 32 base-3 digits: a single Shamir table over all of them would
-        # hold 2**32 - 1 products, so this finishes only with bounded groups
+    def test_degree_32_key_is_bounded(self, monkeypatch):
+        # 32 digits in base 3 and in base 5: one Shamir table over all of
+        # them would hold 2**32 - 1 products.  Eight tables of four cost
+        # 8 * 11 products each half, plus a squaring and up to eight
+        # products per bit of a digit (2 bits for p = 3, 3 for q = 5).
         field = cyclotomic_field(64)
         pub, priv = scalar_prime_keypair(field, 3, 5)
         assert priv.decrypt_path == "crt"
         assert len(priv._crt[0].digits) == 32
+        products = []
+        real_conv = ring._conv
+
+        def counting_conv(*args):
+            products.append(args)
+            return real_conv(*args)
+
+        monkeypatch.setattr(ring, "_conv", counting_conv)
         rng = random.Random(64)
         start = time.monotonic()
         for _ in range(3):
             msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
             ct = encrypt_block(pub, msg).vector.coeffs
+            products.clear()
             assert decrypt_block(priv, ct).coeffs == msg
+            assert len(products) <= 2 * 8 * 11 + (2 + 3) * 9
             assert decrypt_block(priv, msg).coeffs == lattice_power(
                 field.ring, priv.lattice, msg, priv.d
             )
