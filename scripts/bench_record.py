@@ -31,12 +31,12 @@ def git(checkout: Path, *args: str) -> str:
     return proc.stdout.strip()
 
 
-def run_workload(checkout: Path, command: list[str], args, workload: str) -> dict:
+def run_workload(checkout: Path, spec: dict, args, workload: str) -> dict:
     argv = [
-        *command,
+        *spec["command"],
         "--workload", workload,
         "--seed", str(args.seed),
-        "--seconds", str(args.seconds),
+        "--seconds", str(spec["run_seconds"]),
         "--trace", str(args.trace),
     ]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -47,7 +47,7 @@ def run_workload(checkout: Path, command: list[str], args, workload: str) -> dic
         "label": args.label,
         "workload": workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "trace": args.trace,
         "commit": git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
@@ -65,7 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT, help="repository whose code runs")
     parser.add_argument("--workload", action="append", choices=names, help="default: all")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
     record = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"runs": []}
     checkout = args.checkout.resolve()
     for workload in args.workload or names:
-        entry = run_workload(checkout, spec["command"], args, workload)
+        entry = run_workload(checkout, spec, args, workload)
         record["runs"].append(entry)
         # write after every run, so an interrupted sweep keeps what it measured
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

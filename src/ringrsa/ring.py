@@ -24,7 +24,6 @@ conv_multi_pow, raises several bases to their own exponents at once
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,12 +45,6 @@ __all__ = [
 _ROOT_SCREEN_BOUND = 10**6
 # Bases per Shamir table in conv_multi_pow: 2**4 - 1 = 15 entries per group.
 _SHAMIR_GROUP = 4
-# Table index of one bit of each exponent of a group: ("1", "0", "1") -> 0b101.
-_MASK_OF = {
-    col: sum((c == "1") << k for k, c in enumerate(col))
-    for size in range(1, _SHAMIR_GROUP + 1)
-    for col in itertools.product("01", repeat=size)
-}
 
 
 def _phi_eval(phi_coeffs: tuple[int, ...], t: int) -> int:
@@ -202,22 +195,20 @@ def conv_multi_pow(
         if m:
             pairs.append((reduce_mod_lattice(basis, f.coeffs), m))
     width = max((m.bit_length() for _, m in pairs), default=0)
-    tables, columns = [], []
+    groups = []
     for start in range(0, len(pairs), _SHAMIR_GROUP):
         group = pairs[start : start + _SHAMIR_GROUP]
-        # table[mask] is the product of the group's bases whose bit is in mask
+        # table[mask] is the product of the group's bases whose bit k is set in mask
         table: list = [None]
         for vec, _ in group:
             table += [vec] + [reduce_mod_lattice(basis, _conv(phi, t, vec)) for t in table[1:]]
-        tables.append(table)
-        # one mask per bit of the exponents, most significant first
-        bits = [format(m, f"0{width}b") for _, m in group]
-        columns.append(list(map(_MASK_OF.__getitem__, zip(*bits))))
+        groups.append((table, [m for _, m in group]))
     acc = None
-    for masks in zip(*columns):
+    for b in range(width - 1, -1, -1):
         if acc is not None:
             acc = reduce_mod_lattice(basis, _conv(phi, acc, acc))
-        for table, mask in zip(tables, masks):
+        for table, exps in groups:
+            mask = sum(((m >> b) & 1) << k for k, m in enumerate(exps))
             if mask:
                 factor = table[mask]
                 acc = factor if acc is None else reduce_mod_lattice(basis, _conv(phi, acc, factor))
