@@ -18,8 +18,10 @@ its coset box after every step.  The lattices used (ideal matrices, and
 p * I) are ideals, closed under multiplication by x, so congruence mod
 the lattice survives every product and reducing per step gives the same
 point as reducing the full power once.  One square-and-multiply loop,
-conv_multi_pow, raises several bases to their own exponents at once
-(Shamir's trick); conv_pow is its single-base case.
+conv_multi_pow, raises several bases to their own exponents at once by
+interleaved sliding windows over one shared squaring chain; conv_pow is
+its single-base case.  Squares go through _sqr, which needs n(n+1)/2
+coefficient products where the general _conv needs n^2.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ __all__ = [
 ]
 
 _ROOT_SCREEN_BOUND = 10**6
-# Bases per Shamir table in conv_multi_pow: 2**4 - 1 = 15 entries per group.
-_SHAMIR_GROUP = 4
 
 
 def _phi_eval(phi_coeffs: tuple[int, ...], t: int) -> int:
@@ -138,15 +138,9 @@ def ideal_matrix(ctx: RingContext, f: RingElement) -> IdealMatrix:
     return IdealMatrix(tuple(zip(*cols)))
 
 
-def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _reduce_by_phi(phi: tuple[int, ...], prod: list[int]) -> list[int]:
+    """Fold a product of degree up to 2n - 2 back to degree n - 1."""
     n = len(phi)
-    if n == 1:
-        return [a[0] * b[0]]
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
     # substitute x^k = x^(k-n) * (phi_0 + phi_1 x + ... + phi_{n-1} x^{n-1})
     for k in range(2 * n - 2, n - 1, -1):
         c = prod[k]
@@ -158,11 +152,66 @@ def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]
     return prod[:n]
 
 
+def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]:
+    n = len(phi)
+    if n == 1:
+        return [a[0] * b[0]]
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _reduce_by_phi(phi, prod)
+
+
+def _sqr(phi: tuple[int, ...], a: Sequence[int]) -> list[int]:
+    """_conv(phi, a, a) with n(n+1)/2 coefficient products instead of n^2."""
+    n = len(phi)
+    if n == 1:
+        return [a[0] * a[0]]
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[2 * i] += ai * ai
+            twice = ai << 1
+            for j in range(i + 1, n):
+                prod[i + j] += twice * a[j]
+    return _reduce_by_phi(phi, prod)
+
+
 def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
     """Product in Z[x]/(phi): schoolbook multiply, then reduce by phi."""
     _claim(ctx, f)
     _claim(ctx, g)
     return RingElement(ctx, tuple(_conv(ctx.phi_coeffs, f.coeffs, g.coeffs)))
+
+
+def _window_width(bits: int) -> int:
+    """Sliding-window width for an exponent of the given bit length.
+
+    OpenSSL's thresholds (BN_window_bits_for_exponent_size), capped at 5
+    so a table holds at most 16 odd powers per base.
+    """
+    return 5 if bits >= 240 else 4 if bits >= 80 else 3 if bits >= 24 else 1
+
+
+def _windows(m: int, w: int) -> list[tuple[int, int]]:
+    """Recode m > 0 as (bit position, odd value < 2**w) with m = sum v * 2**pos.
+
+    Right to left: skip zero bits, then take the next w bits as one window.
+    """
+    events = []
+    pos = 0
+    while m:
+        if m & 1:
+            events.append((pos, m & ((1 << w) - 1)))
+            m >>= w
+            pos += w
+        else:
+            zeros = (m & -m).bit_length() - 1
+            m >>= zeros
+            pos += zeros
+    return events
 
 
 def conv_multi_pow(
@@ -173,56 +222,59 @@ def conv_multi_pow(
 ) -> RingElement:
     """Product of bases[i] ** exponents[i] modulo the lattice of basis.
 
-    One square-and-multiply loop over the bits of the largest exponent
-    with a shared squaring chain (Shamir's simultaneous exponentiation,
-    HAC Alg. 14.88).  The bases are split into groups of at most
-    _SHAMIR_GROUP; each group has a table of the products of its
-    non-empty subsets, and each bit costs one squaring plus one product
-    per group with that bit set in some exponent.  Every square and
-    product is reduced into the coset box.  basis must span an ideal (an
-    ideal matrix's HNF, or p * I): then each reduction changes a factor by
-    a lattice point whose products stay in the lattice, so the result
-    equals the unreduced product reduced once.  Bases with exponent 0 are
-    skipped; if every exponent is 0 the result is the reduced identity.
+    Interleaved sliding windows (HAC Alg. 14.85; Moller, "Algorithms for
+    multi-exponentiation", SAC 2001): each exponent is recoded once into
+    windows, odd values below 2**w at the bit where the window ends, with
+    w from the exponent's bit length (_window_width).  Each base gets a
+    table of the odd powers it needs, f, f^3, ..., at most 16 of them,
+    and one squaring chain (_sqr) from the highest window down to bit 0
+    multiplies in a table entry wherever a window ends.  With w = 1 this
+    is the plain binary ladder.  Every square and product is reduced into
+    the coset box.  basis must span an ideal (an ideal matrix's HNF, or
+    p * I): then each reduction changes a factor by a lattice point whose
+    products stay in the lattice, so the result equals the unreduced
+    product reduced once.  Bases with exponent 0 are skipped; if every
+    exponent is 0 the result is the reduced identity.
     """
     phi = ctx.phi_coeffs
-    pairs = []
+    events = []
     for f, m in zip(bases, exponents, strict=True):
         m = operator.index(m)
         if m < 0:
             raise ValueError("negative exponent")
         _claim(ctx, f)
-        if m:
-            pairs.append((reduce_mod_lattice(basis, f.coeffs), m))
-    width = max((m.bit_length() for _, m in pairs), default=0)
-    groups = []
-    for start in range(0, len(pairs), _SHAMIR_GROUP):
-        group = pairs[start : start + _SHAMIR_GROUP]
-        # table[mask] is the product of the group's bases whose bit k is set in mask
-        table: list = [None]
-        for vec, _ in group:
-            table += [vec] + [reduce_mod_lattice(basis, _conv(phi, t, vec)) for t in table[1:]]
-        groups.append((table, [m for _, m in group]))
-    acc = None
-    for b in range(width - 1, -1, -1):
-        if acc is not None:
-            acc = reduce_mod_lattice(basis, _conv(phi, acc, acc))
-        for table, exps in groups:
-            mask = sum(((m >> b) & 1) << k for k, m in enumerate(exps))
-            if mask:
-                factor = table[mask]
-                acc = factor if acc is None else reduce_mod_lattice(basis, _conv(phi, acc, factor))
-    if acc is None:
-        acc = reduce_mod_lattice(basis, (1,) + (0,) * (ctx.degree - 1))
+        if not m:
+            continue
+        windows = _windows(m, _window_width(m.bit_length()))
+        # table[k] is f^(2k + 1), up to the largest window value
+        table = [reduce_mod_lattice(basis, f.coeffs)]
+        size = max(v for _, v in windows) // 2 + 1
+        if size > 1:
+            square = reduce_mod_lattice(basis, _sqr(phi, table[0]))
+            while len(table) < size:
+                table.append(reduce_mod_lattice(basis, _conv(phi, table[-1], square)))
+        events += [(pos, table[v >> 1]) for pos, v in windows]
+    events.sort(key=lambda event: event[0], reverse=True)
+    if not events:
+        return RingElement(ctx, reduce_mod_lattice(basis, (1,) + (0,) * (ctx.degree - 1)))
+    (at, acc), *rest = events
+    for pos, factor in rest:
+        for _ in range(at - pos):
+            acc = reduce_mod_lattice(basis, _sqr(phi, acc))
+        at = pos
+        acc = reduce_mod_lattice(basis, _conv(phi, acc, factor))
+    for _ in range(at):
+        acc = reduce_mod_lattice(basis, _sqr(phi, acc))
     return RingElement(ctx, acc)
 
 
 def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingElement:
     """f to the m-th convolution power modulo the lattice of basis.
 
-    The single-base case of conv_multi_pow: square and multiply, reducing
-    the base and every square and product into the coset box.  m = 0
-    yields the reduced identity even for f = 0.
+    The single-base case of conv_multi_pow: a sliding-window power whose
+    base, squares and products are all reduced into the coset box.  At
+    m = 65537 the window is 1 bit wide: 16 squarings and 1 multiply.
+    m = 0 yields the reduced identity even for f = 0.
     """
     return conv_multi_pow(ctx, (f,), (m,), basis)
 

@@ -13,8 +13,8 @@ rational primes let decryption work modulo the lattices pZ^n and qZ^n of
 the two prime ideals and recombine by CRT.  Modulo p the block is raised
 to d_p with the Frobenius map a -> a^p = a(x^p), a linear map cached per
 prime: with d_p = sum d_i p^i in base p, the power is the product of the
-images Frob^i(block)^(d_i), taken in one simultaneous exponentiation over
-the bits of a single digit.
+images Frob^i(block)^(d_i), taken by interleaved sliding windows over one
+squaring chain as long as a single digit.
 The byte codec frames a payload with an 8-byte big-endian length header
 and packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -269,7 +269,7 @@ def _vector_of(arg, ctx) -> tuple[int, ...]:
         if arg.context != ctx:
             raise ValueError("context mismatch")
         return arg.coeffs
-    vec = tuple(int(c) for c in arg)
+    vec = tuple(operator.index(c) for c in arg)
     if len(vec) != ctx.degree:
         raise ValueError("vector length does not match the field degree")
     return vec
@@ -299,7 +299,11 @@ def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingEle
 
 
 def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
-    """e-th convolution power of a box point, reduced into the box per step."""
+    """e-th convolution power of a box point, reduced into the box per step.
+
+    Raises TypeError for a coordinate that is not an integer (a float,
+    Fraction or str) and ValueError for a point outside the box.
+    """
     ctx = pub.field.ring
     vec = _vector_of(block, ctx)
     if not _in_box(pub.lattice, vec):
@@ -314,6 +318,8 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     """d-th convolution power of a ciphertext point, reduced per step.
 
     The path follows priv.decrypt_path; all three give the same point.
+    Raises TypeError for a coordinate that is not an integer (a float,
+    Fraction or str) and ValueError for a point outside the box.
     """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)

@@ -1,10 +1,13 @@
 """Shared test configuration and the acceptance summary hook."""
 
+import collections
 import time
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
+
+from ringrsa import ring
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -40,6 +43,24 @@ def acceptance():
             )
 
     return record
+
+
+@pytest.fixture
+def ring_products(monkeypatch):
+    """Counts the ring products by kernel: ["_sqr"] squarings, ["_conv"] the rest.
+
+    Both kernels are wrapped, so a squaring moved from one to the other
+    still counts.
+    """
+    counts = collections.Counter()
+    for name in ("_sqr", "_conv"):
+
+        def counting(*args, real=getattr(ring, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ring, name, counting)
+    return counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,14 @@
 """Helpers shared across test modules."""
 
-from ringrsa import CosetBox, HnfBasis, determinant, ideal_matrix, make_ring
+from ringrsa import (
+    CosetBox,
+    HnfBasis,
+    conv_mul,
+    determinant,
+    ideal_matrix,
+    make_ring,
+    reduce_mod_lattice,
+)
 from ringrsa.primes import is_probable_prime
 
 # Rings the identity batches run over: two quadratics, a cubic, two
@@ -59,6 +67,21 @@ def scaled_identity(n, k):
 def trace(ctx, f):
     """Matrix trace of the ideal matrix of f."""
     return sum(row[i] for i, row in enumerate(ideal_matrix(ctx, f).entries))
+
+
+def binary_ladder(ctx, f, m, basis):
+    """f^m modulo the lattice of basis by the plain left-to-right binary
+    ladder, reducing after every product.
+
+    An independent reference for the library's windowed powers at
+    exponents far beyond repeated multiplication.
+    """
+    acc = ctx.element(reduce_mod_lattice(basis, ctx.one().coeffs))
+    for bit in bin(m)[2:]:
+        acc = ctx.element(reduce_mod_lattice(basis, conv_mul(ctx, acc, acc).coeffs))
+        if bit == "1":
+            acc = ctx.element(reduce_mod_lattice(basis, conv_mul(ctx, acc, f).coeffs))
+    return acc
 
 
 def coset_box_naive(field, p, q):

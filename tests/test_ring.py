@@ -1,7 +1,7 @@
 """Ring construction, convolution products, ideal matrices, norms."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringrsa import (
@@ -14,11 +14,13 @@ from ringrsa import (
     norm,
     reduce_mod_lattice,
 )
+from ringrsa import ring
 from ringrsa.oracles import poly_mulmod_naive
 from ringrsa.ring import conv_multi_pow
 from support import (
     TEST_RINGS,
     add,
+    binary_ladder,
     companion_matrix,
     mat_pow,
     mat_vec,
@@ -31,6 +33,21 @@ ZETA5 = TEST_RINGS["zeta5"]
 
 rings = st.sampled_from(list(TEST_RINGS.values()))
 small_ints = st.integers(min_value=-50, max_value=50)
+
+# Exponents around every window-width threshold (24, 80 and 240 bits, and
+# 672, where OpenSSL would widen to 6 but the cap holds 5): the largest
+# value below it, the lone top bit exactly at it and the all-ones value of
+# that length; then long zero runs inside, and at the ends of, 800 bits.
+WINDOW_EDGE_EXPONENTS = [
+    *(m for t in (24, 80, 240, 672) for m in ((1 << t - 1) - 1, 1 << t - 1, (1 << t) - 1)),
+    (1 << 799) | 1,
+    ((1 << 300) - 1) << 400 | 0b1011,
+    (0b10111 << 795) | (0b11101 << 300),
+    1 << 800,
+]
+exponents_to_800_bits = st.one_of(
+    st.integers(min_value=0, max_value=1 << 800), st.sampled_from(WINDOW_EDGE_EXPONENTS)
+)
 
 
 @st.composite
@@ -176,6 +193,20 @@ class TestConvolution:
         assert conv_mul(ctx, ef, ctx.one()) == ef
 
 
+class TestSquaring:
+    """The dedicated squaring kernel against the general product."""
+
+    # degree 1, then a generic quintic x^5 - 2x^4 - 3 with zero coefficients
+    RINGS = [make_ring((7,)), *TEST_RINGS.values(), make_ring((3, 0, 0, 0, 2))]
+
+    @given(st.data(), st.sampled_from(RINGS))
+    def test_matches_conv(self, data, ctx):
+        coeff = st.one_of(small_ints, st.integers(min_value=-(1 << 600), max_value=1 << 600))
+        a = data.draw(st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree))
+        phi = ctx.phi_coeffs
+        assert ring._sqr(phi, a) == ring._conv(phi, a, a)
+
+
 
 class TestConvPow:
     def test_zero_exponent(self):
@@ -233,7 +264,10 @@ class TestConvPow:
 
 
 class TestConvMultiPow:
-    """Shamir's simultaneous power against a product of single powers."""
+    """Interleaved sliding windows against a product of single powers:
+    repeated multiplication for small exponents, the binary ladder of
+    tests/support.py up to 800 bits.
+    """
 
     @given(
         ring_and_vectors(count=7, bound=st.integers(min_value=-9, max_value=9)),
@@ -241,7 +275,7 @@ class TestConvMultiPow:
         st.integers(min_value=1, max_value=97),
     )
     def test_matches_repeated_multiplication(self, data, exps, modulus):
-        # six bases span two Shamir groups; zero exponents drop out
+        # six bases, each with its own table; zero exponents drop out
         ctx, g, *fs = data
         bases = [ctx.element(f) for f in fs]
         product = ctx.one()
@@ -254,6 +288,51 @@ class TestConvMultiPow:
         for basis in lattices:
             got = conv_multi_pow(ctx, bases, exps, basis).coeffs
             assert got == reduce_mod_lattice(basis, product.coeffs)
+
+    @pytest.mark.parametrize("m", WINDOW_EDGE_EXPONENTS, ids=lambda m: f"{m.bit_length()}bits")
+    def test_window_edges_match_binary_ladder(self, m):
+        for ctx in (SQRT2, ZETA5):
+            f = ctx.element((3, -1, 4, 1)[: ctx.degree])
+            lattices = [
+                scaled_identity(ctx.degree, (1 << 61) - 1),
+                hnf(ideal_matrix(ctx, ctx.element((5, 2, 0, 1)[: ctx.degree])).entries),
+            ]
+            for basis in lattices:
+                assert conv_pow(ctx, f, m, basis) == binary_ladder(ctx, f, m, basis)
+
+    @given(
+        ring_and_vectors(count=4, bound=st.integers(min_value=-99, max_value=99)),
+        st.lists(exponents_to_800_bits, min_size=0, max_size=3),
+    )
+    @settings(max_examples=20)
+    def test_large_exponents_match_binary_ladder(self, data, exps):
+        ctx, g, *fs = data
+        bases = [ctx.element(f) for f in fs[: len(exps)]]
+        lattices = [scaled_identity(ctx.degree, 2**89 - 1)]
+        if any(g):
+            lattices.append(hnf(ideal_matrix(ctx, ctx.element(g)).entries))
+        for basis in lattices:
+            product = ctx.one()
+            for f, m in zip(bases, exps):
+                product = conv_mul(ctx, product, binary_ladder(ctx, f, m, basis))
+            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            assert got == reduce_mod_lattice(basis, product.coeffs)
+
+    def test_window_width_rule(self):
+        widths = {bits: ring._window_width(bits) for bits in (1, 23, 24, 79, 80, 239, 240, 672, 800)}
+        assert widths == {1: 1, 23: 1, 24: 3, 79: 3, 80: 4, 239: 4, 240: 5, 672: 5, 800: 5}
+
+    @given(exponents_to_800_bits.filter(bool))
+    def test_recoding_is_exact_with_bounded_tables(self, m):
+        w = ring._window_width(m.bit_length())
+        assert w <= 5
+        windows = ring._windows(m, w)
+        assert sum(v << pos for pos, v in windows) == m
+        assert all(v % 2 == 1 and v < 1 << w for _, v in windows)
+
+    def test_e_65537_is_a_plain_ladder(self, ring_products):
+        conv_pow(ZETA5, ZETA5.element((3, -1, 4, 1)), 65537, scaled_identity(4, 1009))
+        assert ring_products == {"_sqr": 16, "_conv": 1}
 
     def test_single_base_is_conv_pow(self):
         f = ZETA5.element((3, -1, 4, 1))

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import lattice, primes, ring
+from ringrsa import lattice, primes
 from ringrsa.keyfiles import parse_private, render_private
 from support import scaled_identity
 
@@ -177,6 +178,19 @@ class TestBlockOperations:
         pub, _ = toy_keypair()
         with pytest.raises(ValueError):
             encrypt_block(pub, (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "block",
+        [(2.9, 0), (Fraction(12), 0), ("12", 0), (True, 0.5)],
+        ids=["float", "fraction", "str", "bool-and-float"],
+    )
+    def test_non_integer_coordinates_rejected(self, block):
+        # int() would truncate 2.9 to 2 and parse "12"; only integers pass
+        pub, priv = toy_keypair()
+        with pytest.raises(TypeError):
+            encrypt_block(pub, block)
+        with pytest.raises(TypeError):
+            decrypt_block(priv, block)
 
     @pytest.mark.parametrize(
         "mode",
@@ -383,35 +397,40 @@ class TestFrobeniusPower:
                 field.ring, priv.lattice, ct, d
             )
 
-    def test_degree_32_key_is_bounded(self, monkeypatch):
-        # 32 digits in base 3 and in base 5: one Shamir table over all of
-        # them would hold 2**32 - 1 products.  Eight tables of four cost
-        # 8 * 11 products each half, plus a squaring and up to eight
-        # products per bit of a digit (2 bits for p = 3, 3 for q = 5).
+    def test_degree_32_key_is_bounded(self, ring_products):
+        # 32 digits in base 3 and in base 5, each below 24 bits, so w = 1:
+        # per half, one squaring per bit of p - 1 after the first, plus at
+        # most one product per set bit of a digit (1 for p = 3, 2 for
+        # q = 5): (1 + 32 * 1) + (2 + 32 * 2) = 99.
         field = cyclotomic_field(64)
         pub, priv = scalar_prime_keypair(field, 3, 5)
         assert priv.decrypt_path == "crt"
         assert len(priv._crt[0].digits) == 32
-        products = []
-        real_conv = ring._conv
-
-        def counting_conv(*args):
-            products.append(args)
-            return real_conv(*args)
-
-        monkeypatch.setattr(ring, "_conv", counting_conv)
         rng = random.Random(64)
         start = time.monotonic()
         for _ in range(3):
             msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
             ct = encrypt_block(pub, msg).vector.coeffs
-            products.clear()
+            ring_products.clear()
             assert decrypt_block(priv, ct).coeffs == msg
-            assert len(products) <= 2 * 8 * 11 + (2 + 3) * 9
+            assert sum(ring_products.values()) <= 99
             assert decrypt_block(priv, msg).coeffs == lattice_power(
                 field.ring, priv.lattice, msg, priv.d
             )
         assert time.monotonic() - start < 30
+
+    def test_rsa_size_block_products(self, ring_products):
+        # a 512-bit quadratic:d=2 key: the two base-p digits of d_p are
+        # about 512 bits, so w = 5 with 16-entry tables; binary Shamir
+        # tables took 1782 products a block
+        pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
+        assert priv.decrypt_path == "crt"
+        rng = random.Random(2)
+        msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
+        ct = encrypt_block(pub, msg).vector.coeffs
+        ring_products.clear()
+        assert decrypt_block(priv, ct).coeffs == msg
+        assert sum(ring_products.values()) < 1500
 
 
 @pytest.fixture
