@@ -420,9 +420,9 @@ class TestFrobeniusPower:
         assert time.monotonic() - start < 30
 
     def test_rsa_size_block_products(self, ring_products):
-        # a 512-bit quadratic:d=2 key: the two base-p digits of d_p are
-        # about 512 bits, so w = 5 with 16-entry tables; binary Shamir
-        # tables took 1782 products a block
+        # a 512-bit quadratic:d=2 key: each half raises two images to
+        # base-p digits of about 512 bits, so w = 5: 511 squarings, two
+        # 16-entry tables and about 2 * 512 / 6 window products per half
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
         assert priv.decrypt_path == "crt"
         rng = random.Random(2)
