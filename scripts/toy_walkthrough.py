@@ -30,8 +30,8 @@ def main():
     # H is the ideal matrix of x: multiplication by x in the ring
     show_matrix("rotation matrix H", ideal_matrix(ctx, ctx.element((0, 1))).entries)
 
-    alpha = PrimeElement(ctx.element((3, 0)), 9)
-    beta = PrimeElement(ctx.element((5, 0)), 25)
+    alpha = PrimeElement(ctx.element((3, 0)))
+    beta = PrimeElement(ctx.element((5, 0)))
     gamma = conv_mul(ctx, alpha.element, beta.element)
     print(f"\nalpha = {alpha.element.coeffs}  |N| = {alpha.norm_abs}")
     print(f"beta  = {beta.element.coeffs}  |N| = {beta.norm_abs}")

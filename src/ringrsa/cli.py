@@ -105,6 +105,8 @@ def _cmd_keygen(args) -> int:
     comment = ""
     if args.seed is not None:
         seed = int(args.seed, 16)
+        if seed < 0:
+            raise ValueError("seed must not be negative")
         rng = random.Random(seed)
         comment = f"# rng = python-random-mt19937 seed=0x{seed:x}\n"
     else:

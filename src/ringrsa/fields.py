@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import AssociatePrimesError, SearchExhaustedError
@@ -63,13 +64,17 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class PrimeElement:
-    element: RingElement
-    norm_abs: int
+    """An element meant to generate a prime ideal; totient_of_product refuses units.
 
-    def __post_init__(self):
-        actual = abs(norm(self.element.context, self.element))
-        if actual != self.norm_abs or self.norm_abs <= 1:
-            raise ValueError("norm_abs inconsistent with the element")
+    norm_abs is computed on first read and kept; equality and hashing see
+    only the element.
+    """
+
+    element: RingElement
+
+    @cached_property
+    def norm_abs(self) -> int:
+        return abs(norm(self.element.context, self.element))
 
 
 def _is_square_free(d: int) -> bool:
@@ -216,9 +221,7 @@ def is_inert_prime(field: FieldDescriptor, p: int) -> bool:
 
 
 def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
-    n = field.ring.degree
-    elem = field.ring.element((p,) + (0,) * (n - 1))
-    return PrimeElement(elem, p**n)
+    return PrimeElement(field.ring.element((p,) + (0,) * (field.ring.degree - 1)))
 
 
 def find_inert_prime(
@@ -260,20 +263,21 @@ def find_prime_norm_element(
         coeffs = tuple(rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n))
         if n > 1 and not any(coeffs[1:]):
             continue
-        elem = ctx.element(coeffs)
-        value = abs(norm(ctx, elem))
-        if value > 1 and is_probable_prime(value):
-            return PrimeElement(elem, value)
+        cand = PrimeElement(ctx.element(coeffs))
+        if is_probable_prime(cand.norm_abs):
+            return cand
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
 
 
 def totient_of_product(ctx: RingContext, alpha: PrimeElement, beta: PrimeElement) -> int:
     """(|N(alpha)| - 1) * (|N(beta)| - 1) for non-associate prime elements.
 
-    Associates have equal norms; with equal norms, (beta) is inside
-    (alpha) exactly when the two ideals are equal, since both have index
-    |N(alpha)| in the ring.
+    Units and zero (norm at most 1) are refused.  Associates have equal
+    norms; with equal norms, (beta) is inside (alpha) exactly when the
+    two ideals are equal, since both have index |N(alpha)| in the ring.
     """
+    if alpha.norm_abs <= 1 or beta.norm_abs <= 1:
+        raise ValueError("norm at most 1: a unit or zero is not a prime element")
     if alpha.norm_abs == beta.norm_abs and contains(
         hnf(ideal_matrix(ctx, alpha.element).entries), beta.element.coeffs
     ):

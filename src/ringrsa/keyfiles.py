@@ -53,25 +53,32 @@ def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_vector(row) for row in text.split(";"))
 
 
-def _parse_pairs(text: str, expected: tuple[str, ...], what: str) -> dict[str, str]:
+def _parse_pairs(
+    text: str, expected: tuple[str, ...], what: str, error=KeyFileError, repeated=None
+) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """The fields named in expected, once each, and the (line, value) rows of repeated."""
     pairs: dict[str, str] = {}
+    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         name, sep, value = line.partition("=")
         if not sep:
-            raise KeyFileError(f"{what}: line {lineno} is not 'name = value'")
-        name = name.strip()
+            raise error(f"{what}: line {lineno} is not 'name = value'")
+        name, value = name.strip(), value.strip()
+        if name == repeated:
+            rows.append((lineno, value))
+            continue
         if name not in expected:
-            raise KeyFileError(f"{what}: unknown field {name!r}")
+            raise error(f"{what}: unknown field {name!r}")
         if name in pairs:
-            raise KeyFileError(f"{what}: duplicate field {name!r}")
-        pairs[name] = value.strip()
+            raise error(f"{what}: duplicate field {name!r}")
+        pairs[name] = value
     missing = [name for name in expected if name not in pairs]
     if missing:
-        raise KeyFileError(f"{what}: missing field {missing[0]!r}")
-    return pairs
+        raise error(f"{what}: missing field {missing[0]!r}")
+    return pairs, rows
 
 
 def _parse_int(pairs: dict[str, str], name: str, what: str) -> int:
@@ -102,7 +109,7 @@ def render_public(pub: PublicKey) -> str:
 
 
 def parse_public(text: str) -> PublicKey:
-    pairs = _parse_pairs(text, _PUBLIC_FIELDS, "public key file")
+    pairs, _ = _parse_pairs(text, _PUBLIC_FIELDS, "public key file")
     _check_version(pairs, "public key file")
     if pairs["role"] != "public":
         raise KeyFileError("public key file: wrong role")
@@ -141,7 +148,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     and the lattice from alpha and beta, so it is consistent by
     construction.
     """
-    pairs = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
+    pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
     if pairs["role"] != "private":
         raise KeyFileError("private key file: wrong role")
@@ -170,30 +177,15 @@ def render_ciphertext(fp: str, blocks) -> str:
 
 
 def parse_ciphertext(text: str) -> tuple[str, list[tuple[int, ...]]]:
-    header: dict[str, str] = {}
+    header, rows = _parse_pairs(
+        text, ("magic", "fingerprint", "blocks"), "ciphertext", CiphertextFormatError, "block"
+    )
     blocks: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, value = line.partition("=")
-        if not sep:
-            raise CiphertextFormatError(f"ciphertext: line {lineno} is not 'name = value'")
-        name, value = name.strip(), value.strip()
-        if name == "block":
-            try:
-                blocks.append(tuple(int(part) for part in value.split(",")))
-            except ValueError:
-                raise CiphertextFormatError(f"ciphertext: bad block on line {lineno}") from None
-        elif name in ("magic", "fingerprint", "blocks"):
-            if name in header:
-                raise CiphertextFormatError(f"ciphertext: duplicate field {name!r}")
-            header[name] = value
-        else:
-            raise CiphertextFormatError(f"ciphertext: unknown field {name!r}")
-    for name in ("magic", "fingerprint", "blocks"):
-        if name not in header:
-            raise CiphertextFormatError(f"ciphertext: missing field {name!r}")
+    for lineno, value in rows:
+        try:
+            blocks.append(tuple(int(part) for part in value.split(",")))
+        except ValueError:
+            raise CiphertextFormatError(f"ciphertext: bad block on line {lineno}") from None
     if header["magic"] != CIPHERTEXT_MAGIC:
         raise CiphertextFormatError("ciphertext: bad magic")
     try:

@@ -31,7 +31,7 @@ from ringrsa import (
     validate_keypair,
 )
 from ringrsa.cli import main
-from ringrsa.oracles import (
+from oracles import (
     brute_force_cosets,
     is_lattice_member,
     numeric_norm_check,
@@ -55,8 +55,8 @@ SQRT2_FIELD = quadratic_field(2)
 
 
 def toy_keypair():
-    alpha = PrimeElement(SQRT2_FIELD.ring.element((3, 0)), 9)
-    beta = PrimeElement(SQRT2_FIELD.ring.element((5, 0)), 25)
+    alpha = PrimeElement(SQRT2_FIELD.ring.element((3, 0)))
+    beta = PrimeElement(SQRT2_FIELD.ring.element((5, 0)))
     return keypair_from_primes(SQRT2_FIELD, alpha, beta, e_choice=5)
 
 

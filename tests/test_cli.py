@@ -1,5 +1,7 @@
 """End-to-end command line behavior, including exit codes."""
 
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -11,11 +13,13 @@ from ringrsa import PrimeElement, keypair_from_primes, quadratic_field
 from ringrsa.cli import main
 from ringrsa.keyfiles import fingerprint, parse_public, render_private, render_public
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def toy_key_files(tmp_path):
     field = quadratic_field(2)
-    alpha = PrimeElement(field.ring.element((3, 0)), 9)
-    beta = PrimeElement(field.ring.element((5, 0)), 25)
+    alpha = PrimeElement(field.ring.element((3, 0)))
+    beta = PrimeElement(field.ring.element((5, 0)))
     pub, priv = keypair_from_primes(field, alpha, beta, e_choice=5)
     pub_path = tmp_path / "toy.pub"
     priv_path = tmp_path / "toy.priv"
@@ -60,6 +64,18 @@ class TestKeygenCommand:
         for path in (pub_path, priv_path):
             first = path.read_text().splitlines()[0]
             assert first == "# rng = python-random-mt19937 seed=0x2a"
+
+    @pytest.mark.parametrize("seed", ["-1", "-0x2a"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, seed):
+        # random.Random(-1) would silently seed with abs(-1)
+        pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+        code = main(
+            ["keygen", "--field", "quadratic:d=2", f"--seed={seed}",
+             "--pub", str(pub), "--priv", str(priv)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must not be negative\n"
+        assert not pub.exists() and not priv.exists()
 
     def test_quartic_field(self, tmp_path, capsys):
         code = main(
@@ -334,6 +350,7 @@ def test_module_entry_point(tmp_path):
     ct = tmp_path / "out.ct"
     back = tmp_path / "back.bin"
     src.write_bytes(b"subprocess roundtrip")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     steps = [
         ["keygen", "--field", "quadratic:d=2", "--mode", "inert:bits=16",
          "--seed", "0x7", "--pub", str(pub), "--priv", str(priv)],
@@ -344,6 +361,7 @@ def test_module_entry_point(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ringrsa", *step],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
     assert back.read_bytes() == b"subprocess roundtrip"

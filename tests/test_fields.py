@@ -18,7 +18,7 @@ from ringrsa import (
     quadratic_field,
     totient_of_product,
 )
-from ringrsa import primes
+from ringrsa import fields, primes, scheme
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import unramified
 from ringrsa.primes import (
@@ -28,6 +28,20 @@ from ringrsa.primes import (
     multiplicative_order,
 )
 from support import coset_box_naive
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The coefficients of every element whose norm fields or scheme takes."""
+    calls = []
+
+    def counting(ctx, elem):
+        calls.append(elem.coeffs)
+        return norm(ctx, elem)
+
+    monkeypatch.setattr(fields, "norm", counting)
+    monkeypatch.setattr(scheme, "norm", counting)
+    return calls
 
 
 class TestQuadraticField:
@@ -237,49 +251,79 @@ class TestFindPrimeNormElement:
         with pytest.raises(ValueError, match="at least 1"):
             find_prime_norm_element(quadratic_field(2), 0, random.Random(0))
 
+    def test_one_norm_per_candidate(self, norm_calls):
+        field = cyclotomic_field(16)
+        ctx, n = field.ring, field.ring.degree
+        alpha = find_prime_norm_element(field, 2, random.Random(5))
+        beta = find_prime_norm_element(field, 2, random.Random(6))
+
+        def drawn(seed, found):
+            """The non-scalar vectors the search draws, up to the one it returns."""
+            rng, out = random.Random(seed), []
+            while found.element.coeffs not in out[-1:]:
+                coeffs = tuple(rng.randrange(-2, 3) for _ in range(n))
+                if any(coeffs[1:]):
+                    out.append(coeffs)
+            return out
+
+        candidates = drawn(5, alpha) + drawn(6, beta)
+        assert len(candidates) > 2
+        assert norm_calls == candidates
+        assert is_probable_prime(alpha.norm_abs) and alpha.norm_abs != beta.norm_abs
+        totient_of_product(ctx, alpha, beta)
+        assert norm_calls == candidates
+
 
 class TestPrimeElement:
-    def test_norm_consistency_enforced(self):
+    def test_norm_derived_from_element(self):
         field = quadratic_field(2)
-        with pytest.raises(ValueError, match="norm_abs inconsistent"):
-            PrimeElement(field.ring.element((3, 0)), 7)
+        assert PrimeElement(field.ring.element((3, 0))).norm_abs == 9
+        # N(3 + sqrt(2)) = 7 and N(1 + 2 sqrt(2)) = -7
+        assert PrimeElement(field.ring.element((3, 1))).norm_abs == 7
+        read = PrimeElement(field.ring.element((1, 2)))
+        assert read.norm_abs == 7
+        assert read == PrimeElement(field.ring.element((1, 2)))
+        assert hash(read) == hash(PrimeElement(field.ring.element((1, 2))))
 
     def test_units_rejected(self):
         field = quadratic_field(2)
         # 1 + sqrt(2) has norm -1
-        with pytest.raises(ValueError):
-            PrimeElement(field.ring.element((1, 1)), 1)
+        unit = PrimeElement(field.ring.element((1, 1)))
+        prime = PrimeElement(field.ring.element((3, 0)))
+        for alpha, beta in ((unit, prime), (prime, unit)):
+            with pytest.raises(ValueError, match="norm at most 1"):
+                totient_of_product(field.ring, alpha, beta)
 
 
 class TestTotientOfProduct:
     def test_known_value(self):
         field = quadratic_field(2)
-        alpha = PrimeElement(field.ring.element((3, 0)), 9)
-        beta = PrimeElement(field.ring.element((5, 0)), 25)
+        alpha = PrimeElement(field.ring.element((3, 0)))
+        beta = PrimeElement(field.ring.element((5, 0)))
         assert totient_of_product(field.ring, alpha, beta) == 192
 
     def test_associates_rejected(self):
         field = quadratic_field(2)
-        alpha = PrimeElement(field.ring.element((0, 1)), 2)
+        alpha = PrimeElement(field.ring.element((0, 1)))
         # sqrt(2) * (1 + sqrt(2)) = 2 + sqrt(2), an associate
-        beta = PrimeElement(field.ring.element((2, 1)), 2)
+        beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(ValueError, match="associate"):
             totient_of_product(field.ring, alpha, beta)
 
     def test_equal_norm_non_associates_accepted(self):
         # 2 + i and 2 - i both have norm 5 but generate different ideals
         field = quadratic_field(-1)
-        alpha = PrimeElement(field.ring.element((2, 1)), 5)
-        beta = PrimeElement(field.ring.element((2, -1)), 5)
+        alpha = PrimeElement(field.ring.element((2, 1)))
+        beta = PrimeElement(field.ring.element((2, -1)))
         assert totient_of_product(field.ring, alpha, beta) == 16
         # i * (2 + i) = -1 + 2i is an associate of alpha
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(field.ring, alpha, PrimeElement(field.ring.element((-1, 2)), 5))
+            totient_of_product(field.ring, alpha, PrimeElement(field.ring.element((-1, 2))))
 
     def test_associates_raise_typed_error(self):
         field = quadratic_field(2)
-        alpha = PrimeElement(field.ring.element((0, 1)), 2)
-        beta = PrimeElement(field.ring.element((2, 1)), 2)
+        alpha = PrimeElement(field.ring.element((0, 1)))
+        beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(AssociatePrimesError):
             totient_of_product(field.ring, alpha, beta)
 

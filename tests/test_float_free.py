@@ -1,8 +1,7 @@
 """The production modules do exact integer arithmetic only.
 
-Every module of the package except the test-only oracles is parsed and
-searched for true division, float literals, the name float, and imports
-of fractions or numpy.
+Every module of the package is parsed and searched for true division,
+float literals, the name float, and imports of fractions or numpy.
 """
 
 import ast
@@ -11,7 +10,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringrsa"
-PRODUCTION = sorted(p for p in SRC.glob("*.py") if p.name != "oracles.py")
+PRODUCTION = sorted(SRC.glob("*.py"))
 FORBIDDEN_MODULES = {"fractions", "numpy"}
 
 

@@ -50,6 +50,13 @@ class TestPublicFiles:
         with pytest.raises(KeyFileError, match="unknown field"):
             parse_public(text)
 
+    @pytest.mark.parametrize("line", ["= 1", "block = 1,2"])
+    def test_nameless_and_block_lines_rejected(self, keypair, line):
+        # only a ciphertext repeats `block`; a key file knows no such field
+        pub, _ = keypair
+        with pytest.raises(KeyFileError, match="unknown field"):
+            parse_public(render_public(pub) + line + "\n")
+
     def test_duplicate_field_rejected(self, keypair):
         pub, _ = keypair
         text = render_public(pub) + "e = 3\n"

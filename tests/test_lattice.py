@@ -15,8 +15,8 @@ from ringrsa import (
     hnf,
     reduce_mod_lattice,
 )
-from ringrsa.oracles import is_lattice_member, laplace_determinant
 from ringrsa.primes import is_probable_prime
+from oracles import is_lattice_member, laplace_determinant
 from support import mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
 
 dims = st.integers(min_value=1, max_value=4)

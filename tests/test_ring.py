@@ -15,8 +15,8 @@ from ringrsa import (
     reduce_mod_lattice,
 )
 from ringrsa import ring
-from ringrsa.oracles import poly_mulmod_naive
 from ringrsa.ring import conv_multi_pow
+from oracles import poly_mulmod_naive
 from support import (
     TEST_RINGS,
     add,

@@ -39,8 +39,8 @@ FIELD = quadratic_field(2)
 
 
 def toy_keypair(e_choice=5):
-    alpha = PrimeElement(FIELD.ring.element((3, 0)), 9)
-    beta = PrimeElement(FIELD.ring.element((5, 0)), 25)
+    alpha = PrimeElement(FIELD.ring.element((3, 0)))
+    beta = PrimeElement(FIELD.ring.element((5, 0)))
     return keypair_from_primes(FIELD, alpha, beta, e_choice=e_choice)
 
 
@@ -78,8 +78,8 @@ class TestExponentSelection:
 
     def test_tiny_totient_has_no_exponent(self):
         field = quadratic_field(3)
-        alpha = PrimeElement(field.ring.element((1, 1)), 2)
-        beta = PrimeElement(field.ring.element((0, 1)), 3)
+        alpha = PrimeElement(field.ring.element((1, 1)))
+        beta = PrimeElement(field.ring.element((0, 1)))
         # phi = (2-1)(3-1) = 2 leaves no candidate e
         with pytest.raises(ValueError, match="no valid e"):
             keypair_from_primes(field, alpha, beta)
@@ -210,8 +210,8 @@ class TestValidateKeypair:
     def test_mismatched_fields(self):
         pub, _ = toy_keypair()
         other = quadratic_field(-1)
-        alpha = PrimeElement(other.ring.element((3, 0)), 9)
-        beta = PrimeElement(other.ring.element((1, 1)), 2)  # 1+i, norm 2
+        alpha = PrimeElement(other.ring.element((3, 0)))
+        beta = PrimeElement(other.ring.element((1, 1)))  # 1+i, norm 2
         _, priv = keypair_from_primes(other, alpha, beta)
         assert not validate_keypair(pub, priv)
 
@@ -232,8 +232,8 @@ def scalar_prime_keypair(field, p, q):
     """Key pair from the rational integers alpha = p and beta = q."""
     n = field.ring.degree
     pad = (0,) * (n - 1)
-    alpha = PrimeElement(field.ring.element((p,) + pad), p**n)
-    beta = PrimeElement(field.ring.element((q,) + pad), q**n)
+    alpha = PrimeElement(field.ring.element((p,) + pad))
+    beta = PrimeElement(field.ring.element((q,) + pad))
     return keypair_from_primes(field, alpha, beta)
 
 
@@ -292,8 +292,8 @@ PATH_KEYS = {
     "lattice-skew": (
         lambda: keypair_from_primes(
             FIELD,
-            PrimeElement(FIELD.ring.element((3, 1)), 7),
-            PrimeElement(FIELD.ring.element((3, 0)), 9),
+            PrimeElement(FIELD.ring.element((3, 1))),
+            PrimeElement(FIELD.ring.element((3, 0))),
         ),
         "lattice",
     ),
