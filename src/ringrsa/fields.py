@@ -229,13 +229,12 @@ def find_inert_prime(
     bits: int,
     rng,
     exclude: int | None = None,
-    max_attempts: int = _SEARCH_ATTEMPT_BOUND,
 ) -> PrimeElement:
     """Random search for an inert rational prime of the given bit length."""
     if bits < 2:
         raise ValueError("bits must be at least 2")
     lo, hi = 1 << (bits - 1), 1 << bits
-    for _ in range(max_attempts):
+    for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
         # primality first: trial division rejects most candidates before
         # the residue test would spend a modexp on them
@@ -248,7 +247,6 @@ def find_prime_norm_element(
     field: FieldDescriptor,
     coeff_bound: int,
     rng,
-    max_attempts: int = _SEARCH_ATTEMPT_BOUND,
 ) -> PrimeElement:
     """Random search for an element whose norm is a rational prime.
 
@@ -259,7 +257,7 @@ def find_prime_norm_element(
         raise ValueError("coeff_bound must be at least 1")
     ctx = field.ring
     n = ctx.degree
-    for _ in range(max_attempts):
+    for _ in range(_SEARCH_ATTEMPT_BOUND):
         coeffs = tuple(rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n))
         if n > 1 and not any(coeffs[1:]):
             continue

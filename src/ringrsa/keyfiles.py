@@ -144,9 +144,9 @@ def render_private(priv: PrivateKey, e: int) -> str:
 def parse_private(text: str) -> tuple[PrivateKey, int]:
     """Rebuild the private key; returns it with the recorded public e.
 
-    The file holds only alpha, beta and d; the key derives the totient
-    and the lattice from alpha and beta, so it is consistent by
-    construction.
+    The key derives the totient and the lattice from alpha and beta; a
+    file is checked here, where it comes in, for non-associate non-units
+    alpha and beta, 1 <= d < phi and e * d = 1 (mod phi).
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -158,8 +158,13 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         alpha = ctx.element(_parse_vector(pairs["alpha"]))
         beta = ctx.element(_parse_vector(pairs["beta"]))
         d = _parse_int(pairs, "d", "private key file")
+        e = _parse_int(pairs, "e", "private key file")
         priv = PrivateKey(field, alpha, beta, d)
-        return priv, _parse_int(pairs, "e", "private key file")
+        if not 1 <= d < priv.phi:
+            raise KeyFileError("private key file: private exponent out of range")
+        if e * d % priv.phi != 1:
+            raise KeyFileError("private key file: e does not invert d modulo the totient")
+        return priv, e
     except KeyFileError:
         raise
     except ValueError as exc:

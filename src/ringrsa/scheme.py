@@ -44,7 +44,7 @@ from .fields import (
 )
 from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
 from .primes import is_probable_prime
-from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix, norm
+from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix
 
 __all__ = [
     "InertPrimeMode",
@@ -88,28 +88,25 @@ class PublicKey:
     def __post_init__(self):
         if self.lattice.dimension != self.field.ring.degree:
             raise ValueError("lattice dimension does not match the field degree")
-        if not 1 <= self.e < math.prod(self.lattice.diag):
+        if not 2 <= self.e < math.prod(self.lattice.diag):
             raise ValueError("public exponent out of range")
 
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """The secret primes and exponent; the totient and lattice follow from them."""
+    """The secret primes and exponent, unchecked; the totient and lattice follow."""
 
     field: FieldDescriptor
     alpha: RingElement
     beta: RingElement
     d: int
 
-    def __post_init__(self):
-        if not 1 <= self.d < self.phi:
-            raise ValueError("private exponent out of range")
-
     @cached_property
     def phi(self) -> int:
-        """(|N(alpha)| - 1) * (|N(beta)| - 1)."""
-        ctx = self.field.ring
-        return (abs(norm(ctx, self.alpha)) - 1) * (abs(norm(ctx, self.beta)) - 1)
+        """totient_of_product of alpha and beta; refuses units, zero and associates."""
+        return totient_of_product(
+            self.field.ring, PrimeElement(self.alpha), PrimeElement(self.beta)
+        )
 
     @cached_property
     def lattice(self) -> HnfBasis:
@@ -202,7 +199,7 @@ def _select_e(phi: int, e_choice: int | None) -> int:
     if phi <= 2:
         raise ValueError("no valid e (totient too small)")
     if e_choice is not None:
-        if not 1 <= e_choice < phi:
+        if not 2 <= e_choice < phi:
             raise ValueError("requested public exponent out of range")
         if math.gcd(e_choice, phi) != 1:
             raise ValueError("requested public exponent not coprime to the totient")
@@ -222,12 +219,10 @@ def keypair_from_primes(
     e_choice: int | None = None,
 ) -> tuple[PublicKey, PrivateKey]:
     """Assemble a key pair from two already-found prime elements."""
-    ctx = field.ring
-    phi = totient_of_product(ctx, alpha, beta)
+    phi = totient_of_product(field.ring, alpha, beta)
     e = _select_e(phi, e_choice)
-    gamma = conv_mul(ctx, alpha.element, beta.element)
-    pub = PublicKey(field, hnf(ideal_matrix(ctx, gamma).entries), e)
-    return pub, PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
+    priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
+    return PublicKey(field, priv.lattice, e), priv
 
 
 def keygen(
@@ -405,6 +400,7 @@ def validate_keypair(pub: PublicKey, priv: PrivateKey) -> bool:
     """
     return (
         pub.field == priv.field
+        and 1 <= priv.d < priv.phi
         and pub.e * priv.d % priv.phi == 1
         and pub.lattice == priv.lattice
     )

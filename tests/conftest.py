@@ -1,6 +1,7 @@
 """Shared test configuration and the acceptance summary hook."""
 
 import collections
+import sys
 import time
 from contextlib import contextmanager
 
@@ -61,6 +62,27 @@ def ring_products(monkeypatch):
 
         monkeypatch.setattr(ring, name, counting)
     return counts
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """record_calls(module, name, record) wraps module.name in every ringrsa
+    module that imported it: each call passes its arguments to record, then
+    runs the real function.
+    """
+
+    def wrap(module, name, record):
+        real = getattr(module, name)
+
+        def recording(*args):
+            record(*args)
+            return real(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ringrsa" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, recording)
+
+    return wrap
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -134,6 +134,17 @@ class TestKeygenCommand:
         assert code == 2
         assert "coprime" in capsys.readouterr().err
 
+    def test_exponent_one_refused(self, tmp_path, capsys):
+        code, pub_path, priv_path = run_keygen(tmp_path, "--e", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: requested public exponent out of range\n"
+        assert not pub_path.exists() and not priv_path.exists()
+        pub_path, _, pub = toy_key_files(tmp_path)
+        pub_path.write_text(render_public(pub).replace("e = 5", "e = 1"))
+        assert main(["inspect", "--pub", str(pub_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: public key file: public exponent out of range\n"
+
 
 class TestEncryptDecrypt:
     def roundtrip(self, tmp_path, payload, keygen_args=()):
@@ -288,6 +299,20 @@ class TestInspect:
                      str(other_priv), "--verify"])
         assert code == 1
         assert "key pair mismatch" in capsys.readouterr().err
+
+    def test_verify_refuses_tampered_private_e(self, tmp_path, capsys):
+        code, pub_path, priv_path = run_keygen(tmp_path, seed="0x1")
+        assert code == 0
+        capsys.readouterr()
+        text = priv_path.read_text()
+        e_line = next(line for line in text.splitlines() if line.startswith("e = "))
+        priv_path.write_text(text.replace(e_line, "e = 3"))
+        code = main(["inspect", "--pub", str(pub_path), "--priv",
+                     str(priv_path), "--verify"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "verify: OK" not in captured.out
+        assert captured.err == "error: private key file: e does not invert d modulo the totient\n"
 
     def test_verify_needs_both_files(self, tmp_path, capsys):
         pub_path, _, _ = toy_key_files(tmp_path)

@@ -13,12 +13,13 @@ from ringrsa import (
     find_prime_norm_element,
     generic_field,
     is_inert_prime,
+    keypair_from_primes,
     norm,
     parse_field_spec,
     quadratic_field,
     totient_of_product,
 )
-from ringrsa import fields, primes, scheme
+from ringrsa import fields, primes, ring
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import unramified
 from ringrsa.primes import (
@@ -31,16 +32,10 @@ from support import coset_box_naive
 
 
 @pytest.fixture
-def norm_calls(monkeypatch):
-    """The coefficients of every element whose norm fields or scheme takes."""
+def norm_calls(record_calls):
+    """The coefficients of every element whose norm a ringrsa module takes."""
     calls = []
-
-    def counting(ctx, elem):
-        calls.append(elem.coeffs)
-        return norm(ctx, elem)
-
-    monkeypatch.setattr(fields, "norm", counting)
-    monkeypatch.setattr(scheme, "norm", counting)
+    record_calls(ring, "norm", lambda ctx, elem: calls.append(elem.coeffs))
     return calls
 
 
@@ -205,14 +200,13 @@ class TestFindInertPrime:
         assert got.element.coeffs == (5, 0)
         assert got.norm_abs == 25
 
-    def test_exclude_is_honored(self):
+    def test_exclude_is_honored(self, monkeypatch):
         field = quadratic_field(2)
         got = find_inert_prime(field, 3, random.Random(0), exclude=3)
         assert got.element.coeffs == (5, 0)
+        monkeypatch.setattr(fields, "_SEARCH_ATTEMPT_BOUND", 400)
         with pytest.raises(SearchExhaustedError, match="no inert prime"):
-            find_inert_prime(
-                field, 3, random.Random(0), exclude=5, max_attempts=400
-            )
+            find_inert_prime(field, 3, random.Random(0), exclude=5)
 
     def test_tiny_bits_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -253,7 +247,7 @@ class TestFindPrimeNormElement:
 
     def test_one_norm_per_candidate(self, norm_calls):
         field = cyclotomic_field(16)
-        ctx, n = field.ring, field.ring.degree
+        n = field.ring.degree
         alpha = find_prime_norm_element(field, 2, random.Random(5))
         beta = find_prime_norm_element(field, 2, random.Random(6))
 
@@ -270,7 +264,7 @@ class TestFindPrimeNormElement:
         assert len(candidates) > 2
         assert norm_calls == candidates
         assert is_probable_prime(alpha.norm_abs) and alpha.norm_abs != beta.norm_abs
-        totient_of_product(ctx, alpha, beta)
+        keypair_from_primes(field, alpha, beta)
         assert norm_calls == candidates
 
 

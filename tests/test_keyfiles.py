@@ -20,6 +20,14 @@ from ringrsa.keyfiles import (
 FIELD = quadratic_field(2)
 
 
+def with_field(text, name, value):
+    """The key file text with the value of the field `name` replaced."""
+    return "".join(
+        f"{name} = {value}\n" if line.startswith(f"{name} =") else line + "\n"
+        for line in text.splitlines()
+    )
+
+
 @pytest.fixture(scope="module")
 def keypair():
     return keygen(FIELD, InertPrimeMode(bits=12), rng=random.Random(100))
@@ -124,6 +132,26 @@ class TestPrivateFiles:
             f"d = {priv.d}", f"d = {priv.phi + 5}"
         )
         with pytest.raises(KeyFileError, match="private exponent"):
+            parse_private(text)
+
+    def test_associate_pair_rejected(self, keypair):
+        pub, priv = keypair
+        alpha = ",".join(map(str, priv.alpha.coeffs))
+        text = with_field(render_private(priv, pub.e), "beta", alpha)
+        with pytest.raises(KeyFileError, match="associate prime elements"):
+            parse_private(text)
+
+    @pytest.mark.parametrize("alpha", ["1,1", "0,0"])  # N(1 + sqrt(2)) = -1
+    def test_unit_or_zero_rejected(self, keypair, alpha):
+        pub, priv = keypair
+        text = with_field(render_private(priv, pub.e), "alpha", alpha)
+        with pytest.raises(KeyFileError, match="a unit or zero"):
+            parse_private(text)
+
+    def test_tampered_e_rejected(self, keypair):
+        pub, priv = keypair
+        text = with_field(render_private(priv, pub.e), "e", pub.e + 2)
+        with pytest.raises(KeyFileError, match="e does not invert d"):
             parse_private(text)
 
     def test_non_integer_field_rejected(self, keypair):

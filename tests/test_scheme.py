@@ -4,7 +4,6 @@ import collections
 import itertools
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from ringrsa import (
     validate_keypair,
 )
 from ringrsa import lattice, primes
+from ringrsa.errors import AssociatePrimesError
 from ringrsa.keyfiles import parse_private, render_private
 from support import scaled_identity
 
@@ -71,7 +71,7 @@ class TestExponentSelection:
         with pytest.raises(ValueError, match="not coprime"):
             toy_keypair(e_choice=4)
 
-    @pytest.mark.parametrize("e", [0, -5, 192, 500])
+    @pytest.mark.parametrize("e", [0, 1, -5, 192, 500])
     def test_requested_e_must_be_in_range(self, e):
         with pytest.raises(ValueError, match="out of range"):
             toy_keypair(e_choice=e)
@@ -137,20 +137,22 @@ class TestKeygen:
 class TestKeyObjects:
     def test_public_exponent_bounds(self):
         lattice = HnfBasis(((15, 0), (0, 15)))
-        with pytest.raises(ValueError, match="out of range"):
-            PublicKey(FIELD, lattice, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            PublicKey(FIELD, lattice, 225)
+        for e in (0, 1, 225):
+            with pytest.raises(ValueError, match="out of range"):
+                PublicKey(FIELD, lattice, e)
 
     def test_lattice_dimension_must_match_degree(self):
         lattice = HnfBasis(((15, 0), (0, 15)))
         with pytest.raises(ValueError, match="dimension"):
             PublicKey(cyclotomic_field(5), lattice, 5)
 
-    def test_private_key_consistency_enforced(self):
+    def test_hand_built_private_key_checked_by_validate_keypair(self):
         pub, priv = toy_keypair()
-        with pytest.raises(ValueError, match="private exponent"):
-            PrivateKey(FIELD, priv.alpha, priv.beta, 0)
+        assert not validate_keypair(pub, PrivateKey(FIELD, priv.alpha, priv.beta, 0))
+        # 77 - 192 inverts e = 5 modulo 192 too, but is out of range
+        assert not validate_keypair(pub, PrivateKey(FIELD, priv.alpha, priv.beta, 77 - 192))
+        with pytest.raises(AssociatePrimesError):
+            validate_keypair(pub, PrivateKey(FIELD, priv.alpha, priv.alpha, 77))
 
 
 class TestBlockOperations:
@@ -434,18 +436,10 @@ class TestFrobeniusPower:
 
 
 @pytest.fixture
-def hnf_calls(monkeypatch):
+def hnf_calls(record_calls):
     """Counts lattice.hnf calls made through any ringrsa module."""
-    real = lattice.hnf
     calls = []
-
-    def counting(matrix):
-        calls.append(len(matrix))
-        return real(matrix)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ringrsa" and getattr(module, "hnf", None) is real:
-            monkeypatch.setattr(module, "hnf", counting)
+    record_calls(lattice, "hnf", lambda matrix: calls.append(len(matrix)))
     return calls
 
 
@@ -477,18 +471,10 @@ class TestHnfPerKey:
 
 
 @pytest.fixture
-def primality_calls(monkeypatch):
+def primality_calls(record_calls):
     """Counts is_probable_prime calls per integer, through any ringrsa module."""
-    real = primes.is_probable_prime
     calls = collections.Counter()
-
-    def counting(n):
-        calls[n] += 1
-        return real(n)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ringrsa" and getattr(module, "is_probable_prime", None) is real:
-            monkeypatch.setattr(module, "is_probable_prime", counting)
+    record_calls(primes, "is_probable_prime", lambda n: calls.update((n,)))
     return calls
 
 
