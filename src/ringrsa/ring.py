@@ -20,15 +20,19 @@ the lattice survives every product and reducing per step gives the same
 point as reducing the full power once.  One square-and-multiply loop,
 conv_multi_pow, raises several bases to their own exponents at once by
 interleaved sliding windows over one shared squaring chain; conv_pow is
-its single-base case.  Squares go through _sqr, which needs n(n+1)/2
-coefficient products where the general _conv needs n^2.
+its single-base case.  Its squares and products run through two
+straight-line kernels, sqr and mul, whose source _kernels writes and
+compiles once per modulus: sqr takes n(n+1)/2 coefficient products where
+the schoolbook _conv takes n^2, and neither pays for a Python loop.
+One-off products (conv_mul) stay with _conv, which costs nothing to set up.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lattice import HnfBasis, determinant, reduce_mod_lattice
 
@@ -164,19 +168,71 @@ def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]
     return _reduce_by_phi(phi, prod)
 
 
-def _sqr(phi: tuple[int, ...], a: Sequence[int]) -> list[int]:
-    """_conv(phi, a, a) with n(n+1)/2 coefficient products instead of n^2."""
+def _fold_source(phi: Sequence[int], terms: list[list[str]]) -> list[str]:
+    """Lines that fold the product terms of x^(2n-2), ..., x^n by phi.
+
+    From the top down, each high coefficient is summed into a temporary
+    h<k> once and added, times phi_j, to the terms of x^(k-n+j); the last
+    line returns the n folded coefficients as a tuple.
+    """
     n = len(phi)
-    if n == 1:
-        return [a[0] * a[0]]
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            prod[2 * i] += ai * ai
-            twice = ai << 1
-            for j in range(i + 1, n):
-                prod[i + j] += twice * a[j]
-    return _reduce_by_phi(phi, prod)
+    lines = []
+    for k in range(2 * n - 2, n - 1, -1):
+        lines.append(f"    h{k} = {' + '.join(terms[k])}")
+        for j, c in enumerate(phi):
+            if c:
+                terms[k - n + j].append(f"h{k}" if c == 1 else f"h{k} * {c:d}")
+    lines.append(f"    return ({', '.join(' + '.join(t) for t in terms[:n])},)")
+    return lines
+
+
+def _kernel_source(phi_coeffs: Sequence[int]) -> str:
+    """Source of sqr(a) and mul(a, b), straight-line products in Z[x]/(phi).
+
+    Both unpack the coefficients into locals a<i> (and b<i>) and write
+    every coefficient product; sqr takes the n(n+1)/2 distinct ones, with
+    the cross terms doubled through d<i> = a<i> + a<i>.  The only text
+    not made here is the phi coefficients, formatted as exact ints after
+    operator.index, because field specs come from untrusted key files.
+    """
+    phi = [operator.index(c) for c in phi_coeffs]
+    n = len(phi)
+    a = ", ".join(f"a{i}" for i in range(n))
+    b = ", ".join(f"b{i}" for i in range(n))
+    sqr_terms = [[] for _ in range(2 * n - 1)]
+    mul_terms = [[] for _ in range(2 * n - 1)]
+    for i in range(n):
+        sqr_terms[2 * i].append(f"a{i} * a{i}")
+        for j in range(i + 1, n):
+            sqr_terms[i + j].append(f"d{i} * a{j}")
+        for j in range(n):
+            mul_terms[i + j].append(f"a{i} * b{j}")
+    return "\n".join([
+        "def sqr(a):",
+        f"    {a}, = a",
+        *(f"    d{i} = a{i} + a{i}" for i in range(n - 1)),
+        *_fold_source(phi, sqr_terms),
+        "",
+        "def mul(a, b):",
+        f"    {a}, = a",
+        f"    {b}, = b",
+        *_fold_source(phi, mul_terms),
+        "",
+    ])
+
+
+@functools.lru_cache(maxsize=16)
+def _kernels(phi_coeffs: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """(sqr, mul) for Z[x]/(phi): _kernel_source compiled once per phi.
+
+    sqr(a) equals _conv(phi, a, a) and mul(a, b) equals _conv(phi, a, b),
+    as tuples, without the loop overhead of the generic kernel.  The
+    functions see no builtins.  A pair holds at most a few MiB at the
+    degree cap of 128, and the build peaks at tens of MiB there.
+    """
+    namespace = {"__builtins__": {}}
+    exec(compile(_kernel_source(phi_coeffs), "<ring kernels>", "exec"), namespace)
+    return namespace["sqr"], namespace["mul"]
 
 
 def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
@@ -227,8 +283,10 @@ def conv_multi_pow(
     windows, odd values below 2**w at the bit where the window ends, with
     w from the exponent's bit length (_window_width).  Each base gets a
     table of the odd powers it needs, f, f^3, ..., at most 16 of them,
-    and one squaring chain (_sqr) from the highest window down to bit 0
-    multiplies in a table entry wherever a window ends.  With w = 1 this
+    and one squaring chain from the highest window down to bit 0
+    multiplies in a table entry wherever a window ends.  Every table
+    entry, square and product goes through the kernels _kernels builds
+    for phi.  With w = 1 this
     is the plain binary ladder.  Every square and product is reduced into
     the coset box.  basis must span an ideal (an ideal matrix's HNF, or
     p * I): then each reduction changes a factor by a lattice point whose
@@ -236,7 +294,7 @@ def conv_multi_pow(
     product reduced once.  Bases with exponent 0 are skipped; if every
     exponent is 0 the result is the reduced identity.
     """
-    phi = ctx.phi_coeffs
+    sqr, mul = _kernels(ctx.phi_coeffs)
     events = []
     for f, m in zip(bases, exponents, strict=True):
         m = operator.index(m)
@@ -250,9 +308,9 @@ def conv_multi_pow(
         table = [reduce_mod_lattice(basis, f.coeffs)]
         size = max(v for _, v in windows) // 2 + 1
         if size > 1:
-            square = reduce_mod_lattice(basis, _sqr(phi, table[0]))
+            square = reduce_mod_lattice(basis, sqr(table[0]))
             while len(table) < size:
-                table.append(reduce_mod_lattice(basis, _conv(phi, table[-1], square)))
+                table.append(reduce_mod_lattice(basis, mul(table[-1], square)))
         events += [(pos, table[v >> 1]) for pos, v in windows]
     events.sort(key=lambda event: event[0], reverse=True)
     if not events:
@@ -260,11 +318,11 @@ def conv_multi_pow(
     (at, acc), *rest = events
     for pos, factor in rest:
         for _ in range(at - pos):
-            acc = reduce_mod_lattice(basis, _sqr(phi, acc))
+            acc = reduce_mod_lattice(basis, sqr(acc))
         at = pos
-        acc = reduce_mod_lattice(basis, _conv(phi, acc, factor))
+        acc = reduce_mod_lattice(basis, mul(acc, factor))
     for _ in range(at):
-        acc = reduce_mod_lattice(basis, _sqr(phi, acc))
+        acc = reduce_mod_lattice(basis, sqr(acc))
     return RingElement(ctx, acc)
 
 

@@ -48,19 +48,26 @@ def acceptance():
 
 @pytest.fixture
 def ring_products(monkeypatch):
-    """Counts the ring products by kernel: ["_sqr"] squarings, ["_conv"] the rest.
+    """Counts the calls of the generated kernels: ["sqr"] squarings, ["mul"] the rest.
 
-    Both kernels are wrapped, so a squaring moved from one to the other
-    still counts.
+    ring._kernels is wrapped, so every kernel pair conv_multi_pow fetches
+    comes back with each function counting its calls.
     """
     counts = collections.Counter()
-    for name in ("_sqr", "_conv"):
+    real_kernels = ring._kernels
 
-        def counting(*args, real=getattr(ring, name), name=name):
+    def counted(name, kernel):
+        def counting(*args):
             counts[name] += 1
-            return real(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(ring, name, counting)
+        return counting
+
+    def counting_kernels(phi_coeffs):
+        sqr, mul = real_kernels(phi_coeffs)
+        return counted("sqr", sqr), counted("mul", mul)
+
+    monkeypatch.setattr(ring, "_kernels", counting_kernels)
     return counts
 
 

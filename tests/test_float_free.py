@@ -1,13 +1,18 @@
 """The production modules do exact integer arithmetic only.
 
 Every module of the package is parsed and searched for true division,
-float literals, the name float, and imports of fractions or numpy.
+float literals, the name float, and imports of fractions or numpy.  The
+source the ring writes for its kernels is parsed too, and may hold only
+straight-line integer arithmetic.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from ringrsa import ring
+from ringrsa.fields import parse_field_spec
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringrsa"
 PRODUCTION = sorted(SRC.glob("*.py"))
@@ -51,3 +56,54 @@ def test_no_float_arithmetic(path):
 )
 def test_detector_flags(source):
     assert float_uses(source)
+
+
+# The kernels are the one piece of source the package writes itself, and a
+# phi coefficient is the only text in it that comes from outside.
+KERNEL_NODES = (
+    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
+    ast.Name, ast.Load, ast.Store, ast.BinOp, ast.Add, ast.Mult, ast.USub, ast.Return,
+)
+
+
+def foreign_kernel_nodes(source):
+    """Nodes outside defs, assignments, tuples, names, int constants, + and * and return."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.UnaryOp):
+            # a negative coefficient: -<int>, and nothing else under a sign
+            if not (isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant)):
+                found.append(ast.dump(node))
+        elif isinstance(node, ast.Constant):
+            if type(node.value) is not int:
+                found.append(ast.dump(node))
+        elif isinstance(node, ast.FunctionDef):
+            if node.name not in ("sqr", "mul") or node.decorator_list:
+                found.append(node.name)
+        elif not isinstance(node, KERNEL_NODES):
+            found.append(ast.dump(node))
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=16",
+     "generic:phi=-3," + "9" * 300 + ",0,-7"],
+    ids=["quadratic", "cyclotomic5", "cyclotomic16", "generic"],
+)
+def test_kernel_source_is_straight_line_arithmetic(spec):
+    phi = parse_field_spec(spec).ring.phi_coeffs
+    source = ring._kernel_source(phi)
+    assert foreign_kernel_nodes(source) == []
+    assert float_uses(source) == []
+    assert [n.name for n in ast.parse(source).body] == ["sqr", "mul"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["def sqr(a):\n    return a - 1", "def sqr(a):\n    return a.b",
+     "def sqr(a):\n    return f(a)", "def sqr(a):\n    return -a",
+     "def sqr(a):\n    return '1'", "import os", "def g(a):\n    return a"],
+)
+def test_kernel_detector_flags(source):
+    assert foreign_kernel_nodes(source)

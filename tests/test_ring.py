@@ -1,5 +1,8 @@
 """Ring construction, convolution products, ideal matrices, norms."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from ringrsa import (
     RingElement,
     conv_mul,
     conv_pow,
+    cyclotomic_field,
     hnf,
     ideal_matrix,
     make_ring,
@@ -24,6 +28,7 @@ from support import (
     companion_matrix,
     mat_pow,
     mat_vec,
+    rand_coeffs,
     scaled_identity,
     trace,
 )
@@ -193,19 +198,39 @@ class TestConvolution:
         assert conv_mul(ctx, ef, ctx.one()) == ef
 
 
-class TestSquaring:
-    """The dedicated squaring kernel against the general product."""
+class TestKernels:
+    """The generated straight-line kernels against the schoolbook product."""
 
-    # degree 1, then a generic quintic x^5 - 2x^4 - 3 with zero coefficients
-    RINGS = [make_ring((7,)), *TEST_RINGS.values(), make_ring((3, 0, 0, 0, 2))]
+    # degree 1, the test rings, a generic quintic x^5 - 2x^4 - 3 with zero
+    # coefficients, and a dense generic sextic with negative coefficients
+    RINGS = [
+        make_ring((7,)),
+        *TEST_RINGS.values(),
+        make_ring((3, 0, 0, 0, 2)),
+        make_ring((-3, 5, -7, 2, -1, 4)),
+    ]
 
     @given(st.data(), st.sampled_from(RINGS))
-    def test_matches_conv(self, data, ctx):
+    def test_match_schoolbook(self, data, ctx):
         coeff = st.one_of(small_ints, st.integers(min_value=-(1 << 600), max_value=1 << 600))
-        a = data.draw(st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree))
+        vector = st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree).map(tuple)
+        a, b = data.draw(vector), data.draw(vector)
         phi = ctx.phi_coeffs
-        assert ring._sqr(phi, a) == ring._conv(phi, a, a)
+        sqr, mul = ring._kernels(phi)
+        assert sqr(a) == tuple(ring._conv(phi, a, a))
+        assert mul(a, b) == tuple(ring._conv(phi, a, b))
 
+    def test_degree_cap_builds_in_budget(self):
+        # cyclotomic:m=256 is the largest degree a field spec may have;
+        # __wrapped__ builds afresh, past the cache
+        phi = cyclotomic_field(256).ring.phi_coeffs
+        start = time.monotonic()
+        sqr, mul = ring._kernels.__wrapped__(phi)
+        assert time.monotonic() - start < 5
+        rng = random.Random(256)
+        a, b = rand_coeffs(rng, 128, 1 << 64), rand_coeffs(rng, 128, 1 << 64)
+        assert sqr(a) == tuple(ring._conv(phi, a, a))
+        assert mul(a, b) == tuple(ring._conv(phi, a, b))
 
 
 class TestConvPow:
@@ -332,7 +357,7 @@ class TestConvMultiPow:
 
     def test_e_65537_is_a_plain_ladder(self, ring_products):
         conv_pow(ZETA5, ZETA5.element((3, -1, 4, 1)), 65537, scaled_identity(4, 1009))
-        assert ring_products == {"_sqr": 16, "_conv": 1}
+        assert ring_products == {"sqr": 16, "mul": 1}
 
     def test_single_base_is_conv_pow(self):
         f = ZETA5.element((3, -1, 4, 1))
