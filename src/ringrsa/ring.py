@@ -181,7 +181,7 @@ def _fold_source(phi: Sequence[int], terms: list[list[str]]) -> list[str]:
         lines.append(f"    h{k} = {' + '.join(terms[k])}")
         for j, c in enumerate(phi):
             if c:
-                terms[k - n + j].append(f"h{k}" if c == 1 else f"h{k} * {c:d}")
+                terms[k - n + j].append(f"h{k}" if c == 1 else f"h{k} * {c:#x}")
     lines.append(f"    return ({', '.join(' + '.join(t) for t in terms[:n])},)")
     return lines
 
@@ -194,6 +194,7 @@ def _kernel_source(phi_coeffs: Sequence[int]) -> str:
     the cross terms doubled through d<i> = a<i> + a<i>.  The only text
     not made here is the phi coefficients, formatted as exact ints after
     operator.index, because field specs come from untrusted key files.
+    They are written in hex, which has no digit limit, unlike decimal.
     """
     phi = [operator.index(c) for c in phi_coeffs]
     n = len(phi)
@@ -284,10 +285,9 @@ def conv_multi_pow(
     w from the exponent's bit length (_window_width).  Each base gets a
     table of the odd powers it needs, f, f^3, ..., at most 16 of them,
     and one squaring chain from the highest window down to bit 0
-    multiplies in a table entry wherever a window ends.  Every table
-    entry, square and product goes through the kernels _kernels builds
-    for phi.  With w = 1 this
-    is the plain binary ladder.  Every square and product is reduced into
+    multiplies in a table entry wherever a window ends.  With w = 1 this
+    is the plain binary ladder.  Every table entry, square and product
+    runs through the kernels _kernels builds for phi, and is reduced into
     the coset box.  basis must span an ideal (an ideal matrix's HNF, or
     p * I): then each reduction changes a factor by a lattice point whose
     products stay in the lattice, so the result equals the unreduced

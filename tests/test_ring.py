@@ -220,6 +220,14 @@ class TestKernels:
         assert sqr(a) == tuple(ring._conv(phi, a, a))
         assert mul(a, b) == tuple(ring._conv(phi, a, b))
 
+    def test_coefficients_past_the_decimal_digit_limit(self):
+        # str() refuses ints above 4300 digits; the kernel source must not
+        phi = (3, 10**5000)
+        sqr, mul = ring._kernels(phi)
+        a, b = (5, -7), (10**4999, 2)
+        assert sqr(a) == tuple(ring._conv(phi, a, a))
+        assert mul(a, b) == tuple(ring._conv(phi, a, b))
+
     def test_degree_cap_builds_in_budget(self):
         # cyclotomic:m=256 is the largest degree a field spec may have;
         # __wrapped__ builds afresh, past the cache
