@@ -13,10 +13,12 @@ as columns, which equals f(H).  H is never stored: multiplying by x is a
 shift plus one substitution of x^n, which costs O(n).  All arithmetic is
 exact over the integers; no floating point anywhere.
 
-Powers are taken modulo a lattice given by its HNF basis and reduced into
-its coset box after every step.  The lattices used (ideal matrices, and
-p * I) are ideals, closed under multiplication by x, so congruence mod
-the lattice survives every product and reducing per step gives the same
+Powers are taken modulo a lattice L given by its HNF basis.  The lattices
+used (ideal matrices, and p * I) are ideals, closed under multiplication
+by x, so congruence mod L survives every product.  The HNF corner
+m = b[0][0] generates the integers in L, so L contains mR: every step
+takes each coefficient % m, which keeps the numbers small without leaving
+the coset, and one reduction into the coset box at the end gives the same
 point as reducing the full power once.  One square-and-multiply loop,
 conv_multi_pow, raises several bases to their own exponents at once by
 interleaved sliding windows over one shared squaring chain; conv_pow is
@@ -173,7 +175,7 @@ def _fold_source(phi: Sequence[int], terms: list[list[str]]) -> list[str]:
 
     From the top down, each high coefficient is summed into a temporary
     h<k> once and added, times phi_j, to the terms of x^(k-n+j); the last
-    line returns the n folded coefficients as a tuple.
+    line returns the n folded coefficients, each taken % m, as a tuple.
     """
     n = len(phi)
     lines = []
@@ -182,12 +184,14 @@ def _fold_source(phi: Sequence[int], terms: list[list[str]]) -> list[str]:
         for j, c in enumerate(phi):
             if c:
                 terms[k - n + j].append(f"h{k}" if c == 1 else f"h{k} * {c:#x}")
-    lines.append(f"    return ({', '.join(' + '.join(t) for t in terms[:n])},)")
+    sums = (" + ".join(t) for t in terms[:n])
+    lines.append(f"    return ({', '.join(f'({c}) % m' for c in sums)},)")
     return lines
 
 
 def _kernel_source(phi_coeffs: Sequence[int]) -> str:
-    """Source of sqr(a) and mul(a, b), straight-line products in Z[x]/(phi).
+    """Source of sqr(a, m) and mul(a, b, m), straight-line products in
+    Z[x]/(phi) with every coefficient reduced mod the integer m.
 
     Both unpack the coefficients into locals a<i> (and b<i>) and write
     every coefficient product; sqr takes the n(n+1)/2 distinct ones, with
@@ -209,12 +213,12 @@ def _kernel_source(phi_coeffs: Sequence[int]) -> str:
         for j in range(n):
             mul_terms[i + j].append(f"a{i} * b{j}")
     return "\n".join([
-        "def sqr(a):",
+        "def sqr(a, m):",
         f"    {a}, = a",
         *(f"    d{i} = a{i} + a{i}" for i in range(n - 1)),
         *_fold_source(phi, sqr_terms),
         "",
-        "def mul(a, b):",
+        "def mul(a, b, m):",
         f"    {a}, = a",
         f"    {b}, = b",
         *_fold_source(phi, mul_terms),
@@ -226,10 +230,11 @@ def _kernel_source(phi_coeffs: Sequence[int]) -> str:
 def _kernels(phi_coeffs: tuple[int, ...]) -> tuple[Callable, Callable]:
     """(sqr, mul) for Z[x]/(phi): _kernel_source compiled once per phi.
 
-    sqr(a) equals _conv(phi, a, a) and mul(a, b) equals _conv(phi, a, b),
-    as tuples, without the loop overhead of the generic kernel.  The
-    functions see no builtins.  A pair holds at most a few MiB at the
-    degree cap of 128, and the build peaks at tens of MiB there.
+    sqr(a, m) and mul(a, b, m) equal _conv(phi, a, a) and _conv(phi, a, b)
+    with every coefficient taken % m, as tuples, without the loop overhead
+    of the generic kernel.  The functions see no builtins.  A pair holds
+    at most a few MiB at the degree cap of 128, and the build peaks at
+    tens of MiB there.
     """
     namespace = {"__builtins__": {}}
     exec(compile(_kernel_source(phi_coeffs), "<ring kernels>", "exec"), namespace)
@@ -286,31 +291,35 @@ def conv_multi_pow(
     table of the odd powers it needs, f, f^3, ..., at most 16 of them,
     and one squaring chain from the highest window down to bit 0
     multiplies in a table entry wherever a window ends.  With w = 1 this
-    is the plain binary ladder.  Every table entry, square and product
-    runs through the kernels _kernels builds for phi, and is reduced into
-    the coset box.  basis must span an ideal (an ideal matrix's HNF, or
-    p * I): then each reduction changes a factor by a lattice point whose
-    products stay in the lattice, so the result equals the unreduced
-    product reduced once.  Bases with exponent 0 are skipped; if every
-    exponent is 0 the result is the reduced identity.
+    is the plain binary ladder.  basis must span an ideal L (an ideal
+    matrix's HNF, or p * I).  Its corner m = basis.diag[0] generates the
+    integers in L (the points (k, 0, ..., 0)), so L contains mR: taking a
+    coefficient % m changes an element by a point of L, and products of
+    elements congruent mod L stay congruent.  So each base is reduced
+    into the coset box once, the kernels _kernels builds for phi take
+    every table entry, square and product % m, and one reduce_mod_lattice
+    of the last product gives the box point of the unreduced product.
+    Bases with exponent 0 are skipped; if every exponent is 0 the result
+    is the reduced identity.
     """
     sqr, mul = _kernels(ctx.phi_coeffs)
+    m = basis.diag[0]
     events = []
-    for f, m in zip(bases, exponents, strict=True):
-        m = operator.index(m)
-        if m < 0:
+    for f, k in zip(bases, exponents, strict=True):
+        k = operator.index(k)
+        if k < 0:
             raise ValueError("negative exponent")
         _claim(ctx, f)
-        if not m:
+        if not k:
             continue
-        windows = _windows(m, _window_width(m.bit_length()))
-        # table[k] is f^(2k + 1), up to the largest window value
+        windows = _windows(k, _window_width(k.bit_length()))
+        # table[j] is f^(2j + 1), up to the largest window value
         table = [reduce_mod_lattice(basis, f.coeffs)]
         size = max(v for _, v in windows) // 2 + 1
         if size > 1:
-            square = reduce_mod_lattice(basis, sqr(table[0]))
+            square = sqr(table[0], m)
             while len(table) < size:
-                table.append(reduce_mod_lattice(basis, mul(table[-1], square)))
+                table.append(mul(table[-1], square, m))
         events += [(pos, table[v >> 1]) for pos, v in windows]
     events.sort(key=lambda event: event[0], reverse=True)
     if not events:
@@ -318,21 +327,22 @@ def conv_multi_pow(
     (at, acc), *rest = events
     for pos, factor in rest:
         for _ in range(at - pos):
-            acc = reduce_mod_lattice(basis, sqr(acc))
+            acc = sqr(acc, m)
         at = pos
-        acc = reduce_mod_lattice(basis, mul(acc, factor))
+        acc = mul(acc, factor, m)
     for _ in range(at):
-        acc = reduce_mod_lattice(basis, sqr(acc))
-    return RingElement(ctx, acc)
+        acc = sqr(acc, m)
+    return RingElement(ctx, reduce_mod_lattice(basis, acc))
 
 
 def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingElement:
     """f to the m-th convolution power modulo the lattice of basis.
 
     The single-base case of conv_multi_pow: a sliding-window power whose
-    base, squares and products are all reduced into the coset box.  At
-    m = 65537 the window is 1 bit wide: 16 squarings and 1 multiply.
-    m = 0 yields the reduced identity even for f = 0.
+    squares and products are taken coefficientwise mod the lattice's
+    corner basis.diag[0], with f and the result reduced into the coset
+    box.  At m = 65537 the window is 1 bit wide: 16 squarings and 1
+    multiply.  m = 0 yields the reduced identity even for f = 0.
     """
     return conv_multi_pow(ctx, (f,), (m,), basis)
 

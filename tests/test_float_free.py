@@ -62,17 +62,36 @@ def test_detector_flags(source):
 # phi coefficient is the only text in it that comes from outside.
 KERNEL_NODES = (
     ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
-    ast.Name, ast.Load, ast.Store, ast.BinOp, ast.Add, ast.Mult, ast.USub, ast.Return,
+    ast.Name, ast.Load, ast.Store, ast.BinOp, ast.Add, ast.Mult, ast.Mod, ast.USub,
+    ast.Return,
 )
 
 
+def _reduced_coordinates(tree):
+    """The `<expr> % m` nodes that are whole coordinates of a returned tuple."""
+    return {
+        id(elt)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+        for elt in node.value.elts
+        if isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Mod)
+        and isinstance(elt.right, ast.Name) and elt.right.id == "m"
+    }
+
+
 def foreign_kernel_nodes(source):
-    """Nodes outside defs, assignments, tuples, names, int constants, + and * and return."""
+    """Nodes outside defs, assignments, tuples, names, int constants, + and *,
+    return, and % m as the outermost operation of a returned coordinate."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    reduced = _reduced_coordinates(tree)
+    for node in ast.walk(tree):
         if isinstance(node, ast.UnaryOp):
             # a negative coefficient: -<int>, and nothing else under a sign
             if not (isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant)):
+                found.append(ast.dump(node))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            if id(node) not in reduced:
                 found.append(ast.dump(node))
         elif isinstance(node, ast.Constant):
             if type(node.value) is not int:
@@ -96,14 +115,21 @@ def test_kernel_source_is_straight_line_arithmetic(spec):
     source = ring._kernel_source(phi)
     assert foreign_kernel_nodes(source) == []
     assert float_uses(source) == []
-    assert [n.name for n in ast.parse(source).body] == ["sqr", "mul"]
+    tree = ast.parse(source)
+    assert [n.name for n in tree.body] == ["sqr", "mul"]
+    # one % m per returned coordinate, n of them in each kernel
+    assert len(_reduced_coordinates(tree)) == 2 * len(phi)
 
 
 @pytest.mark.parametrize(
     "source",
     ["def sqr(a):\n    return a - 1", "def sqr(a):\n    return a.b",
      "def sqr(a):\n    return f(a)", "def sqr(a):\n    return -a",
-     "def sqr(a):\n    return '1'", "import os", "def g(a):\n    return a"],
+     "def sqr(a):\n    return '1'", "import os", "def g(a):\n    return a",
+     "def sqr(a, m):\n    return (a0 % 3,)", "def sqr(a, m):\n    return (a0 % b0,)",
+     "def sqr(a, m):\n    return (a0 % m + a1 % m,)",
+     "def sqr(a, m):\n    return ((a0 % m) * a1 % m,)",
+     "def sqr(a, m):\n    h = a0 % m\n    return (h % m,)"],
 )
 def test_kernel_detector_flags(source):
     assert foreign_kernel_nodes(source)

@@ -1,5 +1,6 @@
 """Ring construction, convolution products, ideal matrices, norms."""
 
+import functools
 import random
 import time
 
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringrsa import (
+    PrimeNormElementMode,
     RingElement,
     conv_mul,
     conv_pow,
     cyclotomic_field,
     hnf,
     ideal_matrix,
+    keygen,
     make_ring,
     norm,
+    parse_field_spec,
     reduce_mod_lattice,
 )
 from ringrsa import ring
@@ -199,7 +203,8 @@ class TestConvolution:
 
 
 class TestKernels:
-    """The generated straight-line kernels against the schoolbook product."""
+    """The generated straight-line kernels against the schoolbook product,
+    every coefficient taken mod m."""
 
     # degree 1, the test rings, a generic quintic x^5 - 2x^4 - 3 with zero
     # coefficients, and a dense generic sextic with negative coefficients
@@ -209,24 +214,27 @@ class TestKernels:
         make_ring((3, 0, 0, 0, 2)),
         make_ring((-3, 5, -7, 2, -1, 4)),
     ]
+    # the whole ring, a small prime, a 600-bit modulus
+    MODULI = [1, 1009, (1 << 600) - 3]
 
-    @given(st.data(), st.sampled_from(RINGS))
-    def test_match_schoolbook(self, data, ctx):
+    @given(st.data(), st.sampled_from(RINGS), st.sampled_from(MODULI))
+    def test_match_schoolbook(self, data, ctx, m):
         coeff = st.one_of(small_ints, st.integers(min_value=-(1 << 600), max_value=1 << 600))
         vector = st.lists(coeff, min_size=ctx.degree, max_size=ctx.degree).map(tuple)
         a, b = data.draw(vector), data.draw(vector)
         phi = ctx.phi_coeffs
         sqr, mul = ring._kernels(phi)
-        assert sqr(a) == tuple(ring._conv(phi, a, a))
-        assert mul(a, b) == tuple(ring._conv(phi, a, b))
+        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
 
     def test_coefficients_past_the_decimal_digit_limit(self):
         # str() refuses ints above 4300 digits; the kernel source must not
         phi = (3, 10**5000)
         sqr, mul = ring._kernels(phi)
         a, b = (5, -7), (10**4999, 2)
-        assert sqr(a) == tuple(ring._conv(phi, a, a))
-        assert mul(a, b) == tuple(ring._conv(phi, a, b))
+        m = 10**6000 + 1
+        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
 
     def test_degree_cap_builds_in_budget(self):
         # cyclotomic:m=256 is the largest degree a field spec may have;
@@ -237,8 +245,9 @@ class TestKernels:
         assert time.monotonic() - start < 5
         rng = random.Random(256)
         a, b = rand_coeffs(rng, 128, 1 << 64), rand_coeffs(rng, 128, 1 << 64)
-        assert sqr(a) == tuple(ring._conv(phi, a, a))
-        assert mul(a, b) == tuple(ring._conv(phi, a, b))
+        m = (1 << 127) - 1
+        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
 
 
 class TestConvPow:
@@ -391,6 +400,111 @@ class TestConvMultiPow:
             conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1], basis)
         with pytest.raises(ValueError, match="context mismatch"):
             conv_multi_pow(SQRT2, [ZETA5.one()], [1], basis)
+
+
+def element_key_lattice(spec, bound, seed):
+    """(ring, HNF of alpha * beta, (alpha, beta)) of a seeded element-mode key."""
+    field = parse_field_spec(spec)
+    _, priv = keygen(field, PrimeNormElementMode(bound), rng=random.Random(seed))
+    return field.ring, priv.lattice, (priv.alpha.coeffs, priv.beta.coeffs)
+
+
+def scalar_lattice(ctx, *primes):
+    """(ring, the product of primes times I, the primes as ring elements)."""
+    pad = (0,) * (ctx.degree - 1)
+    modulus = 1
+    for p in primes:
+        modulus *= p
+    return ctx, scaled_identity(ctx.degree, modulus), tuple((p,) + pad for p in primes)
+
+
+# Every kind of lattice conv_multi_pow reduces by, with generators of its
+# prime factors, so that their multiples give zero divisors.
+IDEAL_LATTICES = {
+    "p-zeta5": lambda: scalar_lattice(ZETA5, 1009),
+    "p-cubic": lambda: scalar_lattice(TEST_RINGS["cubic"], (1 << 89) - 1),
+    "pq-sqrt2": lambda: scalar_lattice(SQRT2, (1 << 61) - 1, 1009),
+    "pq-zeta8": lambda: scalar_lattice(TEST_RINGS["zeta8"], 3, 5),
+    # equal norms 24977: diagonal (24977, 24977, 1, ..., 1), the lattice path
+    "equal-norm-m16": lambda: element_key_lattice("cyclotomic:m=16", 3, 123),
+    "equal-norm-m5": lambda: element_key_lattice("cyclotomic:m=5", 1, 2),
+    "skew-m5": lambda: element_key_lattice("cyclotomic:m=5", 2, 1),
+    "skew-d-5": lambda: element_key_lattice("quadratic:d=-5", 9, 4),
+    "skew-quintic": lambda: element_key_lattice("generic:phi=3,1,0,0,-1", 2, 7),
+}
+
+
+@functools.cache
+def ideal_lattice(name):
+    return IDEAL_LATTICES[name]()
+
+
+def ladder_product(ctx, bases, exps, basis):
+    """The product of binary_ladder powers, reduced once into the box."""
+    product = ctx.one()
+    for f, m in zip(bases, exps):
+        product = conv_mul(ctx, product, binary_ladder(ctx, f, m, basis))
+    return reduce_mod_lattice(basis, product.coeffs)
+
+
+class TestIdealLattices:
+    """conv_multi_pow, whose kernels reduce % basis.diag[0] per step, against
+    products of the binary ladder, which reduces into the box per step."""
+
+    def test_keys_have_the_lattice_shapes(self):
+        _, basis, _ = ideal_lattice("equal-norm-m16")
+        assert basis.diag == (24977, 24977) + (1,) * 6
+        _, basis, _ = ideal_lattice("equal-norm-m5")
+        assert basis.diag == (11, 11, 1, 1)
+        for name in ("skew-m5", "skew-d-5", "skew-quintic"):
+            _, basis, _ = ideal_lattice(name)
+            assert any(basis.entries[0][1:])
+
+    @given(
+        st.sampled_from(sorted(IDEAL_LATTICES)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["random", "zero", "zero divisor"]),
+                st.integers(min_value=0),
+                st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 1 << 160)),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_matches_binary_ladder(self, name, draws):
+        ctx, basis, factors = ideal_lattice(name)
+        bases = []
+        for kind, seed, _ in draws:
+            rng = random.Random(seed)
+            g = ctx.element(rand_coeffs(rng, ctx.degree, 1 << 70))
+            if kind == "zero":
+                g = ctx.zero()
+            elif kind == "zero divisor":
+                g = conv_mul(ctx, ctx.element(rng.choice(factors)), g)
+            bases.append(g)
+        exps = [m for _, _, m in draws]
+        got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+        assert got == ladder_product(ctx, bases, exps, basis)
+
+    @pytest.mark.parametrize("name", sorted(IDEAL_LATTICES))
+    def test_edge_exponents(self, name):
+        ctx, basis, factors = ideal_lattice(name)
+        rng = random.Random(name)
+        f, g = (ctx.element(rand_coeffs(rng, ctx.degree, 1 << 70)) for _ in range(2))
+        zero_divisors = [conv_mul(ctx, ctx.element(a), f) for a in factors]
+        identity = reduce_mod_lattice(basis, ctx.one().coeffs)
+        assert conv_multi_pow(ctx, [], [], basis).coeffs == identity
+        assert conv_multi_pow(ctx, [f, g], [0, 0], basis).coeffs == identity
+        assert conv_pow(ctx, f, 1, basis).coeffs == reduce_mod_lattice(basis, f.coeffs)
+        cases = [
+            ([f, g], [2**100 + 1, 0]),
+            ([f, g, zero_divisors[0]], [0, 65537, 1]),
+            ([zero_divisors[-1], f], [3**50, 1]),
+            ([ctx.zero(), g], [5, 0]),
+        ]
+        for bases, exps in cases:
+            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            assert got == ladder_product(ctx, bases, exps, basis)
 
 
 class TestTraceNorm:

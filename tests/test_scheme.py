@@ -436,6 +436,24 @@ class TestFrobeniusPower:
         assert ring_products["sqr"] and ring_products["mul"]
         assert sum(ring_products.values()) < 1500
 
+    def test_rsa_size_block_reductions(self, record_calls):
+        # the kernels reduce every step % p; reduce_mod_lattice runs per
+        # half on each Frobenius image, on each base with a nonzero digit
+        # as conv_multi_pow takes it, and once on the result: for two
+        # nonzero base-p digits, 2 + 2 + 1 per half
+        pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
+        assert priv.decrypt_path == "crt"
+        rng = random.Random(2)
+        msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
+        ct = encrypt_block(pub, msg).vector.coeffs
+        halves = priv._crt[:2]
+        calls = []
+        record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
+        assert decrypt_block(priv, ct).coeffs == msg
+        expected = sum(len(h.digits) + sum(map(bool, h.digits)) + 1 for h in halves)
+        assert expected == 10
+        assert len(calls) == expected
+
 
 @pytest.fixture
 def hnf_calls(record_calls):
