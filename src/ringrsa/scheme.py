@@ -5,8 +5,8 @@ the public lattice is the HNF of the ideal matrix of alpha * beta, the
 public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
 are points of the public coset box; encryption raises them to the e-th
-convolution power with per-step reduction back into the box, decryption
-applies d the same way.  Two key shapes give the same result more
+convolution power modulo the public lattice, reduced into the box, and
+decryption applies d the same way.  Two key shapes give the same result more
 cheaply: an HNF diagonal (N, 1, ..., 1) makes the box Z/N, so the power is
 an integer pow mod N; and alpha = p, beta = q for distinct unramified
 rational primes let decryption work modulo the lattices pZ^n and qZ^n of
@@ -294,7 +294,7 @@ def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingEle
 
 
 def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
-    """e-th convolution power of a box point, reduced into the box per step.
+    """e-th convolution power of a box point modulo the lattice, in the box.
 
     Raises TypeError for a coordinate that is not an integer (a float,
     Fraction or str) and ValueError for a point outside the box.
@@ -310,7 +310,7 @@ def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
 
 
 def decrypt_block(priv: PrivateKey, block) -> RingElement:
-    """d-th convolution power of a ciphertext point, reduced per step.
+    """d-th convolution power of a ciphertext point modulo the lattice.
 
     The path follows priv.decrypt_path; all three give the same point.
     Raises TypeError for a coordinate that is not an integer (a float,

@@ -1,6 +1,7 @@
 """Ring construction, convolution products, ideal matrices, norms."""
 
 import functools
+import math
 import random
 import time
 
@@ -412,10 +413,8 @@ def element_key_lattice(spec, bound, seed):
 def scalar_lattice(ctx, *primes):
     """(ring, the product of primes times I, the primes as ring elements)."""
     pad = (0,) * (ctx.degree - 1)
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    return ctx, scaled_identity(ctx.degree, modulus), tuple((p,) + pad for p in primes)
+    basis = scaled_identity(ctx.degree, math.prod(primes))
+    return ctx, basis, tuple((p,) + pad for p in primes)
 
 
 # Every kind of lattice conv_multi_pow reduces by, with generators of its

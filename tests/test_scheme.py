@@ -253,7 +253,7 @@ def element_keypair(field, coeff_bound, seed):
 
 
 def lattice_power(ctx, lattice, vec, exponent):
-    """The generic path: convolution power reduced mod the lattice per step."""
+    """The generic path: convolution power modulo the lattice, in the box."""
     return conv_pow(ctx, ctx.element(vec), exponent, lattice).coeffs
 
 
@@ -446,7 +446,7 @@ class TestFrobeniusPower:
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
         ct = encrypt_block(pub, msg).vector.coeffs
-        halves = priv._crt[:2]
+        halves = priv._crt[:2]  # the per-key set-up runs before counting
         calls = []
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
         assert decrypt_block(priv, ct).coeffs == msg
