@@ -112,8 +112,10 @@ def _cmd_keygen(args) -> int:
     else:
         rng = random.SystemRandom()
     pub, priv = keygen(field, mode, e_choice=args.e, rng=rng)
-    _write_text(args.pub, comment + keyfiles.render_public(pub))
-    _write_text(args.priv, comment + keyfiles.render_private(priv, pub.e))
+    pub_text = comment + keyfiles.render_public(pub)
+    priv_text = comment + keyfiles.render_private(priv, pub.e)
+    _write_text(args.pub, pub_text)
+    _write_text(args.priv, priv_text)
     box = coset_box(pub.lattice)
     print(f"degree: {field.ring.degree}")
     print(f"modulus bits: {box.capacity.bit_length()}")

@@ -156,7 +156,7 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
     """
     kind, sep, rest = spec.partition(":")
     name, eq, value = rest.partition("=")
-    bad = ValueError(f"bad field spec: {spec!r}")
+    bad = ValueError(f"bad field spec: {spec[:40]!r}{'...' if len(spec) > 40 else ''}")
     too_large = ValueError(f"field degree above the limit of {_MAX_DEGREE}")
     if not sep or not eq:
         raise bad

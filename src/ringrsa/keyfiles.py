@@ -12,6 +12,7 @@ and matrices are semicolon-separated rows.
 from __future__ import annotations
 
 import hashlib
+import sys
 
 from .errors import CiphertextFormatError, KeyFileError
 from .fields import parse_field_spec
@@ -34,23 +35,33 @@ FORMAT_VERSION = 1
 CIPHERTEXT_MAGIC = "ringrsa-ciphertext-v1"
 
 
+def _render_int(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the int-to-str digit limit, which int() obeys on parse too
+        limit = sys.get_int_max_str_digits()
+        raise KeyFileError(
+            f"key too large for a key file: integers are limited to {limit} decimal digits"
+        ) from None
+
+
 def _render_vector(coeffs) -> str:
-    return ",".join(str(c) for c in coeffs)
+    return ",".join(_render_int(c) for c in coeffs)
 
 
 def _render_matrix(rows) -> str:
     return ";".join(_render_vector(row) for row in rows)
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
+def _parse_vector(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise KeyFileError(f"bad integer vector: {text!r}") from None
+        raise ValueError(f"field {name!r} is not an integer vector") from None
 
 
-def _parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_vector(row) for row in text.split(";"))
+def _parse_matrix(text: str, name: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_parse_vector(row, name) for row in text.split(";"))
 
 
 def _parse_pairs(
@@ -71,7 +82,7 @@ def _parse_pairs(
             rows.append((lineno, value))
             continue
         if name not in expected:
-            raise error(f"{what}: unknown field {name!r}")
+            raise error(f"{what}: unknown field on line {lineno}")
         if name in pairs:
             raise error(f"{what}: duplicate field {name!r}")
         pairs[name] = value
@@ -103,7 +114,7 @@ def render_public(pub: PublicKey) -> str:
         "role = public",
         f"field = {pub.field.spec_string()}",
         f"lattice = {_render_matrix(pub.lattice.entries)}",
-        f"e = {pub.e}",
+        f"e = {_render_int(pub.e)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -115,7 +126,7 @@ def parse_public(text: str) -> PublicKey:
         raise KeyFileError("public key file: wrong role")
     try:
         field = parse_field_spec(pairs["field"])
-        basis = HnfBasis(_parse_matrix(pairs["lattice"]))
+        basis = HnfBasis(_parse_matrix(pairs["lattice"], "lattice"))
         return PublicKey(field, basis, _parse_int(pairs, "e", "public key file"))
     except KeyFileError:
         raise
@@ -135,8 +146,8 @@ def render_private(priv: PrivateKey, e: int) -> str:
         f"field = {priv.field.spec_string()}",
         f"alpha = {_render_vector(priv.alpha.coeffs)}",
         f"beta = {_render_vector(priv.beta.coeffs)}",
-        f"d = {priv.d}",
-        f"e = {e}",
+        f"d = {_render_int(priv.d)}",
+        f"e = {_render_int(e)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -155,8 +166,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     try:
         field = parse_field_spec(pairs["field"])
         ctx = field.ring
-        alpha = ctx.element(_parse_vector(pairs["alpha"]))
-        beta = ctx.element(_parse_vector(pairs["beta"]))
+        alpha = ctx.element(_parse_vector(pairs["alpha"], "alpha"))
+        beta = ctx.element(_parse_vector(pairs["beta"], "beta"))
         d = _parse_int(pairs, "d", "private key file")
         e = _parse_int(pairs, "e", "private key file")
         priv = PrivateKey(field, alpha, beta, d)

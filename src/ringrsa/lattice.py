@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -50,20 +49,6 @@ class HnfBasis:
     @property
     def diag(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.entries))
-
-    @cached_property
-    def _schedule(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """Back substitution steps, last column first: (i, b_ii, above),
-        where above holds the nonzero (r, b_ri) with r < i.
-
-        A cached property, not a field, so equality and hashing still see
-        only the entries.
-        """
-        e = self.entries
-        return tuple(
-            (i, e[i][i], tuple((r, e[r][i]) for r in range(i) if e[r][i]))
-            for i in reversed(range(self.dimension))
-        )
 
 
 @dataclass(frozen=True)
@@ -196,20 +181,17 @@ def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...
     """Canonical coset representative of vector inside the box.
 
     Back substitution from the last coordinate: at row i subtract the
-    floor quotient of the i-th basis column, leaving 0 <= w[i] < b[i][i].
-    A column with nothing above the diagonal costs one %, so a diagonal
-    basis such as p * I reduces every coordinate mod its radix.
+    floor quotient of w[i] by b[i][i] times the i-th basis column, which
+    leaves 0 <= w[i] < b[i][i] and changes only the rows above.
     """
-    if len(vector) != basis.dimension:
+    b = basis.entries
+    if len(vector) != len(b):
         raise ValueError("vector length does not match the lattice dimension")
     w = list(vector)
-    for i, b_ii, above in basis._schedule:
-        if above:
-            q, w[i] = divmod(w[i], b_ii)
-            for r, b_ri in above:
-                w[r] -= q * b_ri
-        else:
-            w[i] %= b_ii
+    for i in reversed(range(len(b))):
+        q, w[i] = divmod(w[i], b[i][i])
+        for r in range(i):
+            w[r] -= q * b[r][i]
     return tuple(w)
 
 

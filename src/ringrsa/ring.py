@@ -18,8 +18,8 @@ used (ideal matrices, and p * I) are ideals, closed under multiplication
 by x, so congruence mod L survives every product.  The HNF corner
 m = b[0][0] generates the integers in L, so L contains mR: every step
 takes each coefficient % m, which keeps the numbers small without leaving
-the coset, and one reduction into the coset box at the end gives the same
-point as reducing the full power once.  One square-and-multiply loop,
+the coset, so the bases need no reduction and one reduction of the result
+into the coset box gives the canonical point.  One square-and-multiply loop,
 conv_multi_pow, raises several bases to their own exponents at once by
 interleaved sliding windows over one shared squaring chain; conv_pow is
 its single-base case.  Its squares and products run through two
@@ -295,8 +295,8 @@ def conv_multi_pow(
     matrix's HNF, or p * I).  Its corner m = basis.diag[0] generates the
     integers in L (the points (k, 0, ..., 0)), so L contains mR: taking a
     coefficient % m changes an element by a point of L, and products of
-    elements congruent mod L stay congruent.  So each base is reduced
-    into the coset box once, the kernels _kernels builds for phi take
+    elements congruent mod L stay congruent.  So the bases are taken as
+    given, in the box or not, the kernels _kernels builds for phi take
     every table entry, square and product % m, and one reduce_mod_lattice
     of the last product gives the box point of the unreduced product.
     Bases with exponent 0 are skipped; if every exponent is 0 the result
@@ -314,7 +314,7 @@ def conv_multi_pow(
             continue
         windows = _windows(k, _window_width(k.bit_length()))
         # table[j] is f^(2j + 1), up to the largest window value
-        table = [reduce_mod_lattice(basis, f.coeffs)]
+        table = [f.coeffs]
         size = max(v for _, v in windows) // 2 + 1
         if size > 1:
             square = sqr(table[0], m)
@@ -322,9 +322,7 @@ def conv_multi_pow(
                 table.append(mul(table[-1], square, m))
         events += [(pos, table[v >> 1]) for pos, v in windows]
     events.sort(key=lambda event: event[0], reverse=True)
-    if not events:
-        return RingElement(ctx, reduce_mod_lattice(basis, (1,) + (0,) * (ctx.degree - 1)))
-    (at, acc), *rest = events
+    (at, acc), *rest = events or [(0, ctx.one().coeffs)]
     for pos, factor in rest:
         for _ in range(at - pos):
             acc = sqr(acc, m)
@@ -340,9 +338,9 @@ def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingE
 
     The single-base case of conv_multi_pow: a sliding-window power whose
     squares and products are taken coefficientwise mod the lattice's
-    corner basis.diag[0], with f and the result reduced into the coset
-    box.  At m = 65537 the window is 1 bit wide: 16 squarings and 1
-    multiply.  m = 0 yields the reduced identity even for f = 0.
+    corner basis.diag[0]; only the result, not f, is reduced into the box.
+    At m = 65537 the window is 1 bit wide: 16 squarings and 1 multiply.
+    m = 0 yields the reduced identity even for f = 0.
     """
     return conv_multi_pow(ctx, (f,), (m,), basis)
 

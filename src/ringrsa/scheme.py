@@ -42,7 +42,7 @@ from .fields import (
     totient_of_product,
     unramified,
 )
-from .lattice import CosetBox, HnfBasis, hnf, reduce_mod_lattice
+from .lattice import CosetBox, HnfBasis, hnf
 from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix
 
@@ -148,9 +148,10 @@ class _PrimeHalf:
 
     digits are those of d_p in base p, least significant first, where
     d_p is d reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
-    divisors still map to 0.  lattice is pZ^n.  frobenius holds the rows
-    of the matrix whose j-th column is (x^p)^j mod p: in characteristic p,
-    a^p = a(x^p), so the matrix maps a block to its p-th power.
+    divisors still map to 0.  lattice is pZ^n, for the box reduction of the
+    power.  frobenius holds the rows of the matrix whose j-th column is
+    (x^p)^j % p: in characteristic p, a^p = a(x^p), so the matrix maps a
+    block to its p-th power.
     """
 
     p: int
@@ -166,12 +167,11 @@ def _prime_half(ctx, p: int, d: int) -> _PrimeHalf:
     while d_p:
         d_p, digit = divmod(d_p, p)
         digits.append(digit)
-    lattice = _scaled_identity(p, n)
+    lattice = HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
     x_p = conv_pow(ctx, ctx.element((0, 1) + (0,) * (n - 2)), p, lattice)
     cols = [ctx.one()]
     while len(cols) < n:
-        col = reduce_mod_lattice(lattice, conv_mul(ctx, cols[-1], x_p).coeffs)
-        cols.append(ctx.element(col))
+        cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
     return _PrimeHalf(p, tuple(digits), lattice, tuple(zip(*(c.coeffs for c in cols))))
 
 
@@ -179,13 +179,14 @@ def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ..
     """vec^(d_p) mod p as the product of Frob^i(vec)^(digit i).
 
     Frob^i(vec) = vec^(p^i), so the exponentiation runs over the bits of
-    one base-p digit instead of all of d_p.
+    one base-p digit instead of all of d_p.  The block and each image are
+    taken % p, into the box of pZ^n; conv_multi_pow reduces the product.
     """
-    images = [reduce_mod_lattice(half.lattice, vec)]
+    p = half.p
+    images = [tuple(c % p for c in vec)]
     for _ in half.digits[1:]:
         prev = images[-1]
-        image = [sum(map(operator.mul, row, prev)) for row in half.frobenius]
-        images.append(reduce_mod_lattice(half.lattice, image))
+        images.append(tuple(sum(map(operator.mul, row, prev)) % p for row in half.frobenius))
     bases = [ctx.element(image) for image in images]
     return conv_multi_pow(ctx, bases, half.digits, half.lattice).coeffs
 
@@ -282,11 +283,6 @@ def _scalar_modulus(basis: HnfBasis) -> int | None:
     """
     first, *rest = basis.diag
     return first if all(b == 1 for b in rest) else None
-
-
-def _scaled_identity(p: int, n: int) -> HnfBasis:
-    """p * I: the lattice pZ^n of the ideal pO, already in HNF."""
-    return HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
 
 
 def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingElement:

@@ -146,6 +146,22 @@ class TestKeygenCommand:
         assert err == "error: public key file: public exponent out of range\n"
 
 
+    def test_key_past_the_digit_limit_writes_neither_file(self, tmp_path, capsys):
+        # d of a 1000-bit inert key in degree 8 has about 4800 decimal
+        # digits, past the interpreter's int-to-str limit
+        pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+        code = main(
+            ["keygen", "--field", "cyclotomic:m=16", "--mode", "inert:bits=1000",
+             "--seed", "0x5", "--pub", str(pub), "--priv", str(priv)]
+        )
+        limit = sys.get_int_max_str_digits()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: key too large for a key file: integers are limited to {limit} decimal digits\n"
+        )
+        assert not pub.exists() and not priv.exists()
+
+
 class TestEncryptDecrypt:
     def roundtrip(self, tmp_path, payload, keygen_args=()):
         code, pub, priv = run_keygen(tmp_path, *keygen_args)
@@ -353,6 +369,34 @@ class TestUntrustedFieldSpecs:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "degree above the limit of 128" in err[0]
         assert elapsed < 1.0
+
+
+HUGE = 100_000
+LONG_ECHOES = {
+    "priv-alpha": ("priv", "alpha = 3,0", "alpha = " + "3," * (HUGE // 2) + "x"),
+    "priv-field": ("priv", "field = quadratic:d=2", "field = quadratic:d=" + "7" * HUGE),
+    "priv-name": ("priv", "role = private", "role = private\n" + "x" * HUGE + " = 1"),
+    "pub-lattice": ("pub", "lattice = 15,0;0,15", "lattice = 15,0;" + "0," * (HUGE // 2) + "x"),
+    "pub-field": ("pub", "field = quadratic:d=2", "field = generic:phi=" + "1," * (HUGE // 2) + "x"),
+    "pub-name": ("pub", "role = public", "role = public\n" + "y" * HUGE + " = 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "role,line,replacement", LONG_ECHOES.values(), ids=LONG_ECHOES.keys()
+)
+def test_error_line_bounds_echoed_input(tmp_path, capsys, role, line, replacement):
+    pub_path, priv_path, _ = toy_key_files(tmp_path)
+    key = pub_path if role == "pub" else priv_path
+    assert line in key.read_text()
+    key.write_text(key.read_text().replace(line, replacement))
+    command = "encrypt" if role == "pub" else "decrypt"
+    code = main([command, f"--{role}", str(key), "--in", str(key),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.encode()) < 300
 
 
 class TestArgumentParsing:

@@ -184,16 +184,6 @@ class TestMembershipAndEquality:
         c = hnf(((6, 4), (2, 6)))
         assert a != c
 
-    def test_cached_schedule_leaves_equality_and_hash(self):
-        m = ((3, 2, 0), (1, 3, 5), (0, 4, 2))
-        used = hnf(m)
-        reduce_mod_lattice(used, (5, -7, 11))
-        assert "_schedule" in vars(used)
-        fresh = hnf(m)
-        assert "_schedule" not in vars(fresh)
-        assert used == fresh
-        assert hash(used) == hash(fresh)
-
     @given(nonsingular_matrices(bound=st.integers(-12, 12)))
     def test_equality_matches_mutual_membership(self, m):
         rng = random.Random(sum(sum(r) for r in m) + len(m))

@@ -437,10 +437,9 @@ class TestFrobeniusPower:
         assert sum(ring_products.values()) < 1500
 
     def test_rsa_size_block_reductions(self, record_calls):
-        # the kernels reduce every step % p; reduce_mod_lattice runs per
-        # half on each Frobenius image, on each base with a nonzero digit
-        # as conv_multi_pow takes it, and once on the result: for two
-        # nonzero base-p digits, 2 + 2 + 1 per half
+        # the kernels reduce every step % p, and each half takes the block
+        # and its Frobenius images % p itself: reduce_mod_lattice runs
+        # once per half, on the result of conv_multi_pow
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
         assert priv.decrypt_path == "crt"
         rng = random.Random(2)
@@ -450,9 +449,8 @@ class TestFrobeniusPower:
         calls = []
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
         assert decrypt_block(priv, ct).coeffs == msg
-        expected = sum(len(h.digits) + sum(map(bool, h.digits)) + 1 for h in halves)
-        assert expected == 10
-        assert len(calls) == expected
+        assert all(len(h.digits) == 2 for h in halves)
+        assert calls == [h.lattice for h in halves]
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""The example scripts run against the current library API."""
+"""The example scripts and the README tour run against the current library API."""
 
 import os
 import pathlib
@@ -10,16 +10,29 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script",
-    [["toy_walkthrough.py"]],
-    ids=["toy_walkthrough"],
-)
-def test_script_exits_zero(script):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+@pytest.mark.parametrize(
+    "script",
+    [["toy_walkthrough.py"], ["bench_record.py", "--help"]],
+    ids=["toy_walkthrough", "bench_record_help"],
+)
+def test_script_exits_zero(script):
+    proc = run_python(str(ROOT / "scripts" / script[0]), *script[1:])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library tour\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "assert" in code
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
