@@ -370,6 +370,23 @@ class TestUntrustedFieldSpecs:
         assert "degree above the limit of 128" in err[0]
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("role", ["pub", "priv"])
+    def test_huge_quadratic_d_refused_quickly(self, tmp_path, capsys, role):
+        # trial division alone costs about 2 s on a 4000-digit d
+        pub_path, priv_path, _ = toy_key_files(tmp_path)
+        key = pub_path if role == "pub" else priv_path
+        key.write_text(key.read_text().replace("quadratic:d=2", "quadratic:d=" + "7" * 4000))
+        command = "encrypt" if role == "pub" else "decrypt"
+        start = time.monotonic()
+        code = main([command, f"--{role}", str(key), "--in", str(key),
+                     "--out", str(tmp_path / "out")])
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "cannot decide whether d is square-free" in err[0]
+        assert elapsed < 0.5
+
 
 HUGE = 100_000
 LONG_ECHOES = {

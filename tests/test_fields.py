@@ -68,6 +68,17 @@ class TestQuadraticField:
         with pytest.raises(ValueError, match="square-free"):
             quadratic_field(d)
 
+    # the digit cap refuses 10**100 before trial division; one below it,
+    # trial division finds the factor 3**2 of 10**100 - 1
+    @pytest.mark.parametrize("d", [10**100, -(10**100), 7 * 10**4000])
+    def test_d_past_the_digit_cap_undecidable(self, d):
+        with pytest.raises(ValueError, match="cannot decide whether d is square-free"):
+            quadratic_field(d)
+
+    def test_d_below_the_digit_cap_is_tested(self):
+        with pytest.raises(ValueError, match="not square-free"):
+            quadratic_field(10**100 - 1)
+
     def test_two_large_primes_below_cofactor_limit_accepted(self):
         d = 2 * 1000003 * 1000033
         assert quadratic_field(d).param == d

@@ -15,6 +15,7 @@ from ringrsa import (
     conv_mul,
     conv_pow,
     cyclotomic_field,
+    determinant,
     hnf,
     ideal_matrix,
     keygen,
@@ -23,7 +24,7 @@ from ringrsa import (
     parse_field_spec,
     reduce_mod_lattice,
 )
-from ringrsa import ring
+from ringrsa import lattice, ring
 from ringrsa.ring import conv_multi_pow
 from oracles import poly_mulmod_naive
 from support import (
@@ -528,6 +529,82 @@ class TestTraceNorm:
         ctx, f, g = data
         ef, eg = ctx.element(f), ctx.element(g)
         assert norm(ctx, conv_mul(ctx, ef, eg)) == norm(ctx, ef) * norm(ctx, eg)
+
+
+def bareiss_norm(ctx, f):
+    return determinant(ideal_matrix(ctx, f).entries)
+
+
+# (field spec, coefficients, expected norm); None leaves the value to the
+# Bareiss determinant alone
+NORM_CASES = [
+    ("quadratic:d=2", (0, 1), -2),
+    ("quadratic:d=2", (3, 1), 7),
+    ("quadratic:d=2", (1, 1), -1),
+    ("quadratic:d=2", (-3, 0), 9),
+    ("quadratic:d=2", (2, 2), -4),
+    ("quadratic:d=-5", (1, 2), 21),
+    ("quadratic:d=-5", (0, -1), 5),
+    ("quadratic:d=-5", (0, 0), 0),
+    ("cyclotomic:m=5", (0, 1, 0, 0), 1),
+    ("cyclotomic:m=5", (3, 0, 0, 0), 81),
+    ("cyclotomic:m=5", (-3, 0, 0, 0), 81),
+    ("cyclotomic:m=5", (1, -1, 0, 0), 5),
+    ("cyclotomic:m=5", (2, 2, 0, 0), None),
+    ("cyclotomic:m=5", (4, -2, 6, 2), None),
+    ("cyclotomic:m=16", (0, 0, 0, 1, 0, 0, 0, 0), 1),
+    ("cyclotomic:m=16", (5, -3, 0, 7, 1, 0, -2, 9), None),
+    ("cyclotomic:m=16", (6, 0, -4, 2, 0, 0, 0, 0), None),
+    ("cyclotomic:m=64", tuple(range(-16, 16)), None),
+    ("generic:phi=3,1,0,0,-1", (0, 1, 0, 0, 0), 3),
+    ("generic:phi=3,1,0,0,-1", (-2, 0, 0, 0, 0), -32),
+    ("generic:phi=3,1,0,0,-1", (1, 2, -1, 0, 3), None),
+    ("generic:phi=3,1,0,0,-1", (4, 0, 2, 0, -6), None),
+    # x^4 + 3x^2 + 2 = (x^2 + 1)(x^2 + 2): a common factor gives norm 0
+    ("generic:phi=-2,0,-3,0", (1, 0, 1, 0), 0),
+    ("generic:phi=-2,0,-3,0", (2, 0, 1, 0), 0),
+    ("generic:phi=-2,0,-3,0", (3, 0, 3, 0), 0),
+    ("generic:phi=-2,0,-3,0", (1, 1, 0, 0), 6),
+]
+
+
+class TestNormResultant:
+    """norm is Res(phi, f); the Bareiss determinant of f(H) is the oracle."""
+
+    @pytest.mark.parametrize("spec,coeffs,expected", NORM_CASES)
+    def test_equals_bareiss(self, spec, coeffs, expected):
+        ctx = parse_field_spec(spec).ring
+        f = ctx.element(coeffs)
+        assert norm(ctx, f) == bareiss_norm(ctx, f)
+        if expected is not None:
+            assert norm(ctx, f) == expected
+
+    def test_degree_128_element(self):
+        ctx = cyclotomic_field(256).ring
+        f = ctx.element(rand_coeffs(random.Random(0x256), 128, 3))
+        assert norm(ctx, f) == bareiss_norm(ctx, f) != 0
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from([
+            "quadratic:d=2", "quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=16",
+            "cyclotomic:m=64", "generic:phi=3,1,0,0,-1", "generic:phi=-2,0,-3,0",
+        ]),
+        st.lists(st.integers(-6, 6), min_size=64, max_size=64),
+        st.integers(1, 4),
+    )
+    def test_random_elements_equal_bareiss(self, spec, pool, scale):
+        ctx = parse_field_spec(spec).ring
+        f = ctx.element([scale * c for c in pool[: ctx.degree]])
+        assert norm(ctx, f) == bareiss_norm(ctx, f)
+
+    def test_builds_no_ideal_matrix(self, record_calls):
+        calls = []
+        record_calls(ring, "ideal_matrix", lambda *args: calls.append("ideal_matrix"))
+        record_calls(lattice, "determinant", lambda *args: calls.append("determinant"))
+        ctx = cyclotomic_field(16).ring
+        assert norm(ctx, ctx.element((5, -3, 0, 7, 1, 0, -2, 9))) != 0
+        assert calls == []
 
 
 class TestElementTypes:

@@ -1,5 +1,7 @@
-"""The example scripts and the README tour run against the current library API."""
+"""The example scripts, the README tour and the traced benchmark replay run
+against the current library API."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -36,3 +38,17 @@ def test_readme_library_tour_runs():
     assert "assert" in code
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_replay_runs():
+    # perfbench/layers.py replays library calls (ring.norm, lattice.hnf, ...)
+    # in process, so a changed signature or result shows up here
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "element-c64-keys",
+         "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
