@@ -37,9 +37,8 @@ __all__ = [
 ]
 
 _SQUARE_FREE_TRIAL_BOUND = 10**6
-# Largest |d| of a quadratic field spec, in decimal digits.  The trial
-# division's cost grows with the size of d (0.12 s at 100 digits, 0.56 s
-# at 1000), and d comes from untrusted key files.
+# Largest |d| of a quadratic field spec, in decimal digits: d comes from
+# untrusted key files, and each trial division costs time in the size of d.
 _MAX_D_DIGITS = 100
 _SEARCH_ATTEMPT_BOUND = 10**5
 # Largest ring degree a field spec may ask for, four times the largest
