@@ -5,16 +5,17 @@ Field Q(sqrt(2)), rational primes 3 and 5, public exponent 5.  Useful for
 checking any reimplementation by hand: all numbers fit on one screen.
 """
 
+import math
+
 from ringrsa import (
     PrimeElement,
-    conv_mul,
     coset_box,
     decrypt_block,
     encrypt_block,
-    ideal_matrix,
     keypair_from_primes,
     quadratic_field,
 )
+from ringrsa.ring import conv_mul, ideal_matrix
 
 
 def show_matrix(name, rows):
@@ -41,7 +42,7 @@ def main():
     pub, priv = keypair_from_primes(field, alpha, beta, e_choice=5)
     show_matrix("public HNF lattice", pub.lattice.entries)
     box = coset_box(pub.lattice)
-    print(f"coset box radices: {box.radices}  ({box.capacity} messages)")
+    print(f"coset box radices: {box}  ({math.prod(box)} messages)")
     print(f"totient = {priv.phi}   e = {pub.e}   d = {priv.d}")
 
     message = (1, 1)

@@ -16,38 +16,14 @@ from .errors import (
     SearchExhaustedError,
 )
 from .fields import (
-    FieldDescriptor,
     PrimeElement,
     cyclotomic_field,
-    find_inert_prime,
-    find_prime_norm_element,
     generic_field,
-    is_inert_prime,
     parse_field_spec,
     quadratic_field,
-    totient_of_product,
 )
-from .lattice import (
-    CosetBox,
-    HnfBasis,
-    contains,
-    coset_box,
-    determinant,
-    hnf,
-    reduce_mod_lattice,
-)
-from .ring import (
-    IdealMatrix,
-    RingContext,
-    RingElement,
-    conv_mul,
-    conv_pow,
-    ideal_matrix,
-    make_ring,
-    norm,
-)
+from .lattice import coset_box
 from .scheme import (
-    CiphertextBlock,
     InertPrimeMode,
     PrimeNormElementMode,
     PrivateKey,
@@ -61,4 +37,15 @@ from .scheme import (
     validate_keypair,
 )
 
-__version__ = "0.1.0"
+__all__ = [
+    # fields and prime elements
+    "quadratic_field", "cyclotomic_field", "generic_field", "parse_field_spec", "PrimeElement",
+    # keys
+    "InertPrimeMode", "PrimeNormElementMode", "PublicKey", "PrivateKey",
+    "keygen", "keypair_from_primes", "validate_keypair",
+    # blocks and the byte codec
+    "encrypt_block", "decrypt_block", "encode_bytes", "decode_blocks", "coset_box",
+    # the exceptions the CLI maps to exit codes
+    "CapacityError", "CiphertextFormatError", "FingerprintMismatchError",
+    "KeyFileError", "SearchExhaustedError",
+]

@@ -9,6 +9,7 @@ All error text goes to stderr with an `error:` prefix.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -118,8 +119,8 @@ def _cmd_keygen(args) -> int:
     _write_text(args.priv, priv_text)
     box = coset_box(pub.lattice)
     print(f"degree: {field.ring.degree}")
-    print(f"modulus bits: {box.capacity.bit_length()}")
-    print(f"box radices: {','.join(str(r) for r in box.radices)}")
+    print(f"modulus bits: {math.prod(box).bit_length()}")
+    print(f"box radices: {','.join(map(str, box))}")
     print(f"fingerprint: {keyfiles.fingerprint(pub)}")
     return EXIT_OK
 
@@ -128,9 +129,9 @@ def _cmd_encrypt(args) -> int:
     pub = keyfiles.parse_public(_read_text(args.pub))
     with open(args.infile, "rb") as fh:
         payload = fh.read()
-    box = coset_box(pub.lattice)
     blocks = [
-        encrypt_block(pub, vec).vector.coeffs for vec in encode_bytes(box, payload)
+        encrypt_block(pub, vec).vector.coeffs
+        for vec in encode_bytes(coset_box(pub.lattice), payload)
     ]
     _write_text(args.outfile, keyfiles.render_ciphertext(keyfiles.fingerprint(pub), blocks))
     return EXIT_OK
@@ -142,25 +143,23 @@ def _cmd_decrypt(args) -> int:
     derived = PublicKey(priv.field, priv.lattice, e)
     if fp != keyfiles.fingerprint(derived):
         raise FingerprintMismatchError("ciphertext fingerprint does not match the key")
-    box = coset_box(priv.lattice)
     try:
         vectors = [decrypt_block(priv, block).coeffs for block in blocks]
     except ValueError as exc:
         raise CiphertextFormatError(str(exc)) from None
-    payload = decode_blocks(box, vectors)
+    payload = decode_blocks(coset_box(priv.lattice), vectors)
     with open(args.outfile, "wb") as fh:
         fh.write(payload)
     return EXIT_OK
 
 
 def _describe_public(pub: PublicKey) -> None:
-    box = coset_box(pub.lattice)
     print("role: public")
     print(f"field: {pub.field.spec_string()}")
     print(f"degree: {pub.field.ring.degree}")
     print(f"e: {pub.e}")
     print(f"hnf basis: {';'.join(','.join(str(x) for x in row) for row in pub.lattice.entries)}")
-    print(f"box radices: {','.join(str(r) for r in box.radices)}")
+    print(f"box radices: {','.join(map(str, coset_box(pub.lattice)))}")
     print(f"fingerprint: {keyfiles.fingerprint(pub)}")
 
 
@@ -173,12 +172,11 @@ def _cmd_inspect(args) -> int:
         _describe_public(pub)
     if args.priv is not None:
         priv, e = keyfiles.parse_private(_read_text(args.priv))
-        box = coset_box(priv.lattice)
         print("role: private")
         print(f"field: {priv.field.spec_string()}")
         print(f"degree: {priv.field.ring.degree}")
         print(f"totient bits: {priv.phi.bit_length()}")
-        print(f"box radices: {','.join(str(r) for r in box.radices)}")
+        print(f"box radices: {','.join(map(str, coset_box(priv.lattice)))}")
         print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
         print(f"decrypt path: {priv.decrypt_path}")
     if args.verify:

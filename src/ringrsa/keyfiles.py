@@ -17,6 +17,7 @@ import sys
 from .errors import CiphertextFormatError, KeyFileError
 from .fields import parse_field_spec
 from .lattice import HnfBasis
+from .ring import norm_bound_bits
 from .scheme import PrivateKey, PublicKey
 
 __all__ = [
@@ -33,6 +34,11 @@ __all__ = [
 
 FORMAT_VERSION = 1
 CIPHERTEXT_MAGIC = "ringrsa-ciphertext-v1"
+# Bits the bound on N(alpha) N(beta) may exceed what a key file carries by.
+# On keys keygen writes, the bound overshoots the product of the norms
+# through the ||phi||^deg terms and the rounding of ||f||^n: by up to 1036
+# bits on cyclotomic:m=255 element keys, the worst field measured.
+_NORM_BOUND_SLACK_BITS = 2048
 
 
 def _render_int(n: int) -> str:
@@ -152,11 +158,27 @@ def render_private(priv: PrivateKey, e: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_norm_budget(ctx, alpha, beta) -> None:
+    """Refuse alpha and beta whose norms may not fit a key file, before any norm.
+
+    keygen refuses a key whose N(alpha) N(beta) (the lattice corner, or
+    about d) has more digits than the int-to-str limit; this bounds the
+    work of the two norms a parse computes.
+    """
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    budget = digits * 3322 // 1000 + _NORM_BOUND_SLACK_BITS  # log2(10) < 3.322
+    if norm_bound_bits(ctx, alpha) + norm_bound_bits(ctx, beta) > budget:
+        raise KeyFileError(
+            f"private key file: alpha and beta too large (norm bound above {budget} bits)"
+        )
+
+
 def parse_private(text: str) -> tuple[PrivateKey, int]:
     """Rebuild the private key; returns it with the recorded public e.
 
     The key derives the totient and the lattice from alpha and beta; a
-    file is checked here, where it comes in, for non-associate non-units
+    file is checked here, where it comes in, for alpha and beta whose
+    norms fit the budget of _check_norm_budget, non-associate non-units
     alpha and beta, 1 <= d < phi and e * d = 1 (mod phi).
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
@@ -168,6 +190,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         ctx = field.ring
         alpha = ctx.element(_parse_vector(pairs["alpha"], "alpha"))
         beta = ctx.element(_parse_vector(pairs["beta"], "beta"))
+        _check_norm_budget(ctx, alpha, beta)
         d = _parse_int(pairs, "d", "private key file")
         e = _parse_int(pairs, "e", "private key file")
         priv = PrivateKey(field, alpha, beta, d)

@@ -11,13 +11,11 @@ reduce_mod_lattice computes that representative by back substitution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
     "HnfBasis",
-    "CosetBox",
     "hnf",
     "determinant",
     "coset_box",
@@ -49,21 +47,6 @@ class HnfBasis:
     @property
     def diag(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.entries))
-
-
-@dataclass(frozen=True)
-class CosetBox:
-    """Half-open integer box holding one point per residue class."""
-
-    radices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.radices or any(r < 1 for r in self.radices):
-            raise ValueError("radices must be positive")
-
-    @property
-    def capacity(self) -> int:
-        return math.prod(self.radices)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -172,9 +155,9 @@ def hnf(matrix: Sequence[Sequence[int]]) -> HnfBasis:
     return HnfBasis(entries)
 
 
-def coset_box(basis: HnfBasis) -> CosetBox:
-    """The box spanned by the diagonal: one point per residue class."""
-    return CosetBox(basis.diag)
+def coset_box(basis: HnfBasis) -> tuple[int, ...]:
+    """Radices of the box spanned by the diagonal: one point per residue class."""
+    return basis.diag
 
 
 def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...]:

@@ -53,6 +53,7 @@ __all__ = [
     "conv_pow",
     "conv_multi_pow",
     "norm",
+    "norm_bound_bits",
 ]
 
 _ROOT_SCREEN_BOUND = 10**6
@@ -416,3 +417,15 @@ def norm(ctx: RingContext, f: RingElement) -> int:
         return 0
     return _resultant([-c for c in ctx.phi_coeffs] + [1], coeffs)
 
+
+def norm_bound_bits(ctx: RingContext, f: RingElement) -> int:
+    """A b with |N(f)| < 2^b, in O(n) integer operations and no norm.
+
+    Hadamard's inequality on the Sylvester matrix of phi and f gives
+    |Res(phi, f)| <= ||phi||_2^deg f * ||f||_2^n; both squared norms are
+    below 2 to their bit lengths.
+    """
+    deg = max((i for i, c in enumerate(f.coeffs) if c), default=0)
+    phi2 = 1 + sum(c * c for c in ctx.phi_coeffs)
+    f2 = sum(c * c for c in f.coeffs)
+    return (deg * phi2.bit_length() + ctx.degree * f2.bit_length() + 1) // 2

@@ -42,7 +42,7 @@ from .fields import (
     totient_of_product,
     unramified,
 )
-from .lattice import CosetBox, HnfBasis, hnf
+from .lattice import HnfBasis, hnf
 from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix
 
@@ -64,6 +64,9 @@ __all__ = [
 _MIN_CODEC_CAPACITY = 1 << 16
 _ASSOCIATE_RETRY_BOUND = 64
 _DEFAULT_E = 65537
+# Largest public exponent, in bits: encryption costs a squaring per bit, and
+# public keys are untrusted (Go's crypto/rsa caps e at 31 bits).
+_MAX_E_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class PublicKey:
     def __post_init__(self):
         if self.lattice.dimension != self.field.ring.degree:
             raise ValueError("lattice dimension does not match the field degree")
+        if self.e.bit_length() > _MAX_E_BITS:
+            raise ValueError(f"public exponent above the limit of {_MAX_E_BITS} bits")
         if not 2 <= self.e < math.prod(self.lattice.diag):
             raise ValueError("public exponent out of range")
 
@@ -265,14 +270,11 @@ def _vector_of(arg, ctx) -> tuple[int, ...]:
         if arg.context != ctx:
             raise ValueError("context mismatch")
         return arg.coeffs
-    vec = tuple(operator.index(c) for c in arg)
-    if len(vec) != ctx.degree:
-        raise ValueError("vector length does not match the field degree")
-    return vec
+    return tuple(operator.index(c) for c in arg)
 
 
-def _in_box(basis: HnfBasis, vec: Sequence[int]) -> bool:
-    return all(0 <= c < b for c, b in zip(vec, basis.diag))
+def _in_box(radices: Sequence[int], vec: Sequence[int]) -> bool:
+    return len(vec) == len(radices) and all(0 <= c < r for c, r in zip(vec, radices))
 
 
 def _scalar_modulus(basis: HnfBasis) -> int | None:
@@ -297,7 +299,7 @@ def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
     """
     ctx = pub.field.ring
     vec = _vector_of(block, ctx)
-    if not _in_box(pub.lattice, vec):
+    if not _in_box(pub.lattice.diag, vec):
         raise ValueError("message outside coset box")
     modulus = _scalar_modulus(pub.lattice)
     if modulus is not None:
@@ -314,7 +316,7 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)
-    if not _in_box(priv.lattice, vec):
+    if not _in_box(priv.lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
     path = priv.decrypt_path
     if path == "scalar":
@@ -331,22 +333,24 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     return conv_pow(ctx, ctx.element(vec), priv.d, priv.lattice)
 
 
-def _chunk_bytes(box: CosetBox) -> int:
-    capacity = box.capacity
+def _chunk_bytes(radices: Sequence[int]) -> int:
+    if any(r < 1 for r in radices):
+        raise ValueError("radices must be positive")
+    capacity = math.prod(radices)
     if capacity < _MIN_CODEC_CAPACITY:
         raise CapacityError("modulus too small for byte encoding")
     return (capacity.bit_length() - 1) // 8
 
 
-def encode_bytes(box: CosetBox, payload: bytes) -> list[tuple[int, ...]]:
-    """Frame payload bytes as box points.
+def encode_bytes(radices: Sequence[int], payload: bytes) -> list[tuple[int, ...]]:
+    """Frame payload bytes as points of the box with the given radices.
 
     The stream is an 8-byte big-endian payload length followed by the
     payload, zero-padded to whole chunks of k = (bitlen(capacity) - 1) // 8
-    bytes; each chunk, read big-endian, is written in the mixed-radix
-    system of the box radices.
+    bytes, where the capacity is the product of the radices; each chunk,
+    read big-endian, is written in that mixed-radix system.
     """
-    k = _chunk_bytes(box)
+    k = _chunk_bytes(radices)
     stream = len(payload).to_bytes(8, "big") + bytes(payload)
     if len(stream) % k:
         stream += b"\x00" * (k - len(stream) % k)
@@ -354,27 +358,25 @@ def encode_bytes(box: CosetBox, payload: bytes) -> list[tuple[int, ...]]:
     for pos in range(0, len(stream), k):
         value = int.from_bytes(stream[pos : pos + k], "big")
         digits = []
-        for radix in box.radices:
+        for radix in radices:
             value, digit = divmod(value, radix)
             digits.append(digit)
         blocks.append(tuple(digits))
     return blocks
 
 
-def decode_blocks(box: CosetBox, blocks: Iterable[Sequence[int]]) -> bytes:
+def decode_blocks(radices: Sequence[int], blocks: Iterable[Sequence[int]]) -> bytes:
     """Invert encode_bytes, validating box membership and the header."""
-    k = _chunk_bytes(box)
+    k = _chunk_bytes(radices)
     out = bytearray()
     count = 0
     for block in blocks:
         count += 1
-        if len(block) != len(box.radices) or any(
-            not 0 <= digit < radix for digit, radix in zip(block, box.radices)
-        ):
+        if not _in_box(radices, block):
             raise CiphertextFormatError("block outside box")
         value = 0
         scale = 1
-        for digit, radix in zip(block, box.radices):
+        for digit, radix in zip(block, radices):
             value += digit * scale
             scale *= radix
         if value >> (8 * k):

@@ -1,14 +1,7 @@
 """Helpers shared across test modules."""
 
-from ringrsa import (
-    CosetBox,
-    HnfBasis,
-    conv_mul,
-    determinant,
-    ideal_matrix,
-    make_ring,
-    reduce_mod_lattice,
-)
+from ringrsa.lattice import HnfBasis, determinant, reduce_mod_lattice
+from ringrsa.ring import conv_mul, ideal_matrix, make_ring
 from ringrsa.primes import is_probable_prime
 
 # Rings the identity batches run over: two quadratics, a cubic, two
@@ -90,7 +83,7 @@ def coset_box_naive(field, p, q):
         raise ValueError("p and q must be distinct")
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ValueError("p and q must be prime")
-    return CosetBox((p * q,) * field.ring.degree)
+    return (p * q,) * field.ring.degree
 
 
 def mat_mul(a, b):

@@ -370,21 +370,39 @@ class TestUntrustedFieldSpecs:
         assert "degree above the limit of 128" in err[0]
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("role", ["pub", "priv"])
-    def test_huge_quadratic_d_refused_quickly(self, tmp_path, capsys, role):
-        # trial division alone costs about 2 s on a 4000-digit d
+    @staticmethod
+    def run_with_field(tmp_path, capsys, role, spec):
+        """Exit code, stderr lines and seconds of encrypt/decrypt on a key with this field."""
         pub_path, priv_path, _ = toy_key_files(tmp_path)
         key = pub_path if role == "pub" else priv_path
-        key.write_text(key.read_text().replace("quadratic:d=2", "quadratic:d=" + "7" * 4000))
+        key.write_text(key.read_text().replace("quadratic:d=2", spec))
         command = "encrypt" if role == "pub" else "decrypt"
         start = time.monotonic()
         code = main([command, f"--{role}", str(key), "--in", str(key),
                      "--out", str(tmp_path / "out")])
         elapsed = time.monotonic() - start
-        err = capsys.readouterr().err.splitlines()
+        return code, capsys.readouterr().err.splitlines(), elapsed
+
+    @pytest.mark.parametrize("role", ["pub", "priv"])
+    def test_huge_quadratic_d_refused_quickly(self, tmp_path, capsys, role):
+        # trial division alone costs about 2 s on a 4000-digit d
+        code, err, elapsed = self.run_with_field(
+            tmp_path, capsys, role, "quadratic:d=" + "7" * 4000
+        )
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "cannot decide whether d is square-free" in err[0]
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("role", ["pub", "priv"])
+    def test_huge_generic_phi_refused_quickly(self, tmp_path, capsys, role):
+        # the root screen alone costs about 3.7 s on a 4000-digit phi_0
+        code, err, elapsed = self.run_with_field(
+            tmp_path, capsys, role, "generic:phi=1" + "0" * 3998 + "7,1,1"
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "generic phi coefficient above the limit of 100 digits" in err[0]
         assert elapsed < 0.5
 
 

@@ -1,15 +1,15 @@
-"""Byte framing over coset boxes: mixed-radix blocks with a length header."""
+"""Byte framing over coset boxes, given by their radices: mixed-radix blocks with a length header."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringrsa import CapacityError, CosetBox, decode_blocks, encode_bytes
+from ringrsa import CapacityError, decode_blocks, encode_bytes
 from ringrsa.errors import CiphertextFormatError
 
-BOX = CosetBox((300, 300))          # capacity 90000, 2 bytes per block
-WIDE = CosetBox((17, 23, 29, 31))   # capacity 351509, uneven radices
-BIG = CosetBox((1 << 40, 1 << 40))  # 10 bytes per block
+BOX = (300, 300)          # capacity 90000, 2 bytes per block
+WIDE = (17, 23, 29, 31)   # capacity 351509, uneven radices
+BIG = (1 << 40, 1 << 40)  # 10 bytes per block
 
 
 class TestFraming:
@@ -34,7 +34,7 @@ class TestFraming:
     def test_every_block_is_in_the_box(self):
         blocks = encode_bytes(WIDE, bytes(range(256)))
         for block in blocks:
-            assert all(0 <= d < r for d, r in zip(block, WIDE.radices))
+            assert all(0 <= d < r for d, r in zip(block, WIDE))
 
     @given(st.binary(max_size=600))
     def test_roundtrip(self, payload):
@@ -43,12 +43,31 @@ class TestFraming:
 
     def test_capacity_floor(self):
         with pytest.raises(CapacityError, match="modulus too small"):
-            encode_bytes(CosetBox((255, 255)), b"hi")  # capacity 65025
+            encode_bytes((255, 255), b"hi")  # capacity 65025
         with pytest.raises(CapacityError, match="modulus too small"):
-            decode_blocks(CosetBox((255, 255)), [(0, 0)])
+            decode_blocks((255, 255), [(0, 0)])
         # capacity 65536 = 2^16 is exactly enough for 2-byte chunks
-        edge = CosetBox((256, 256))
+        edge = (256, 256)
         assert decode_blocks(edge, encode_bytes(edge, b"ok")) == b"ok"
+
+
+class TestRadices:
+    def test_capacity_is_product(self):
+        # sixteen radices of 2 hold 2-byte chunks; with one radix 1 the product is too small
+        bits = (2,) * 16
+        assert len(encode_bytes(bits, b"")) == 4
+        assert decode_blocks(bits, encode_bytes(bits, b"ok")) == b"ok"
+        with pytest.raises(CapacityError):
+            encode_bytes((2,) * 15 + (1,), b"")
+
+    def test_invalid_radices_rejected(self):
+        # a plain ValueError, not the CapacityError a product <= 0 would give
+        for radices in ((15, 0), (1 << 20, -3)):
+            with pytest.raises(ValueError, match="radices must be positive") as info:
+                encode_bytes(radices, b"hi")
+            assert not isinstance(info.value, CapacityError)
+            with pytest.raises(ValueError, match="radices must be positive"):
+                decode_blocks(radices, [(0, 0)])
 
 
 class TestDecodeValidation:

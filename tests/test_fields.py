@@ -9,19 +9,21 @@ from ringrsa import (
     PrimeElement,
     SearchExhaustedError,
     cyclotomic_field,
-    find_inert_prime,
-    find_prime_norm_element,
     generic_field,
-    is_inert_prime,
     keypair_from_primes,
-    norm,
     parse_field_spec,
     quadratic_field,
-    totient_of_product,
 )
 from ringrsa import fields, primes, ring
 from ringrsa.errors import AssociatePrimesError
-from ringrsa.fields import unramified
+from ringrsa.fields import (
+    find_inert_prime,
+    find_prime_norm_element,
+    is_inert_prime,
+    totient_of_product,
+    unramified,
+)
+from ringrsa.ring import norm
 from ringrsa.primes import (
     carmichael_lambda,
     euler_phi,
@@ -142,6 +144,14 @@ class TestParseFieldSpec:
     def test_constructor_errors_surface(self):
         with pytest.raises(ValueError, match="NC-property"):
             parse_field_spec("quadratic:d=5")
+
+    def test_generic_phi_digit_cap(self):
+        # 100 digits pass (the root screen then takes about 0.15 s); 101 are refused
+        at_cap = parse_field_spec("generic:phi=" + "9" * 100 + ",1,1")
+        assert at_cap.ring.phi_coeffs[0] == 10**100 - 1
+        for c in ("1" + "0" * 100, "-" + "9" * 101, "1" + "0" * 3998 + "7"):
+            with pytest.raises(ValueError, match="above the limit of 100 digits"):
+                parse_field_spec(f"generic:phi=1,{c},1")
 
 
 class TestInertPrimes:
@@ -336,12 +346,12 @@ class TestTotientOfProduct:
 class TestNaiveCosetBox:
     def test_radices(self):
         box = coset_box_naive(quadratic_field(2), 3, 5)
-        assert box.radices == (15, 15)
-        assert box.capacity == 225
+        assert box == (15, 15)
+        assert math.prod(box) == 225
 
     def test_degree_sets_length(self):
         box = coset_box_naive(cyclotomic_field(5), 2, 3)
-        assert box.radices == (6, 6, 6, 6)
+        assert box == (6, 6, 6, 6)
 
     def test_equal_primes_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -107,7 +107,7 @@ def foreign_kernel_nodes(source):
 @pytest.mark.parametrize(
     "spec",
     ["quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=16",
-     "generic:phi=-3," + "9" * 300 + ",0,-7"],
+     "generic:phi=-3," + "9" * 100 + ",0,-7"],  # a field spec's longest coefficient
     ids=["quadratic", "cyclotomic5", "cyclotomic16", "generic"],
 )
 def test_kernel_source_is_straight_line_arithmetic(spec):

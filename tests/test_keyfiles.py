@@ -1,11 +1,21 @@
 """Text key and ciphertext files: determinism, roundtrips, rejection."""
 
 import random
+import time
 
 import pytest
 
-from ringrsa import InertPrimeMode, PrimeNormElementMode, keygen, quadratic_field
+from ringrsa import (
+    InertPrimeMode,
+    PrimeNormElementMode,
+    PrivateKey,
+    cyclotomic_field,
+    keygen,
+    parse_field_spec,
+    quadratic_field,
+)
 from ringrsa.errors import CiphertextFormatError, KeyFileError
+from ringrsa.fields import find_inert_prime, find_prime_norm_element, totient_of_product
 from ringrsa.keyfiles import (
     CIPHERTEXT_MAGIC,
     fingerprint,
@@ -166,6 +176,71 @@ class TestPrivateFiles:
         pub, _ = keypair
         with pytest.raises(KeyFileError):
             parse_private(render_public(pub))
+
+
+def private_text(field, alpha, beta):
+    """A private key file for two prime elements, with e = 65537, and no HNF built."""
+    phi = totient_of_product(field.ring, alpha, beta)
+    priv = PrivateKey(field, alpha.element, beta.element, pow(65537, -1, phi))
+    return priv, render_private(priv, 65537)
+
+
+class TestNormBudget:
+    """parse_private bounds N(alpha) N(beta) before it computes a norm."""
+
+    @pytest.mark.parametrize(
+        "field,mode,seed",
+        [
+            ("quadratic:d=2", InertPrimeMode(bits=512), 0x101),
+            ("cyclotomic:m=16", PrimeNormElementMode(coeff_bound=100), 0x201),
+            ("cyclotomic:m=64", PrimeNormElementMode(coeff_bound=4), 0x301),
+        ],
+        ids=["inert-q512", "element-c16", "element-c64"],
+    )
+    def test_workload_keys_parse(self, field, mode, seed):
+        pub, priv = keygen(parse_field_spec(field), mode, rng=random.Random(seed))
+        assert parse_private(render_private(priv, pub.e)) == (priv, pub.e)
+
+    def test_degree_128_element_key_parses(self):
+        # seed 38 finds both prime-norm elements within 34 candidates
+        field, rng = cyclotomic_field(256), random.Random(38)
+        alpha = find_prime_norm_element(field, 4, rng)
+        beta = find_prime_norm_element(field, 4, rng)
+        priv, text = private_text(field, alpha, beta)
+        assert parse_private(text) == (priv, 65537)
+
+    def test_inert_key_near_the_digit_limit_parses(self):
+        # N(alpha) N(beta) = (pq)^128 with 55-bit p and q: 4200 of the 4300 digits
+        field, rng = cyclotomic_field(256), random.Random(55)
+        alpha = find_inert_prime(field, 55, rng)
+        beta = find_inert_prime(field, 55, rng, exclude=alpha.element.coeffs[0])
+        priv, text = private_text(field, alpha, beta)
+        assert len(str(alpha.norm_abs * beta.norm_abs)) >= 4200
+        assert parse_private(text) == (priv, 65537)
+
+    def test_large_coefficients_refused_before_any_norm(self):
+        # one norm of these 512-bit coefficients takes about 45 s
+        rng = random.Random(512)
+        big = ",".join(str(rng.getrandbits(512)) for _ in range(128))
+        text = "".join([
+            "format_version = 1\n", "role = private\n", "field = cyclotomic:m=256\n",
+            f"alpha = {big}\n", f"beta = {big[::-1]}\n", "d = 3\n", "e = 3\n",
+        ])
+        start = time.monotonic()
+        with pytest.raises(KeyFileError, match="alpha and beta too large"):
+            parse_private(text)
+        assert time.monotonic() - start < 1.0
+
+    def test_scalar_pair_past_the_budget_refused(self):
+        # (pq)^128 with 64-bit p and q has 16384 bits, past 14284 + 2048
+        p, q = (1 << 64) - 59, (1 << 64) - 83
+        zeros = ",0" * 127
+        text = "".join([
+            "format_version = 1\n", "role = private\n", "field = cyclotomic:m=256\n",
+            f"alpha = {p}{zeros}\n", f"beta = {q}{zeros}\n", "d = 3\n", "e = 3\n",
+        ])
+        with pytest.raises(KeyFileError, match="alpha and beta too large"):
+            parse_private(text)
 
 
 class TestFingerprint:

@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringrsa import (
-    CosetBox,
-    HnfBasis,
-    contains,
-    coset_box,
-    determinant,
-    hnf,
-    reduce_mod_lattice,
-)
+from ringrsa import coset_box
+from ringrsa.lattice import HnfBasis, contains, determinant, hnf, reduce_mod_lattice
 from ringrsa.primes import is_probable_prime
 from oracles import is_lattice_member, laplace_determinant
 from support import mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
@@ -195,16 +188,7 @@ class TestMembershipAndEquality:
         assert a != doubled
 
 
-class TestCosetBox:
+class TestBoxRadices:
     def test_radices_are_diagonal(self):
         b = hnf(((3, 2), (1, 3)))
-        box = coset_box(b)
-        assert box.radices == (7, 1)
-        assert box.capacity == 7
-
-    def test_capacity_is_product(self):
-        assert CosetBox((15, 15)).capacity == 225
-
-    def test_invalid_radices_rejected(self):
-        with pytest.raises(ValueError):
-            CosetBox((15, 0))
+        assert coset_box(b) == b.diag == (7, 1)

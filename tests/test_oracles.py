@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ringrsa import make_ring, norm
+from ringrsa.ring import make_ring, norm
 import oracles
 from oracles import (
     adjugate,

@@ -9,23 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringrsa import (
-    PrimeNormElementMode,
+from ringrsa import PrimeNormElementMode, cyclotomic_field, keygen, parse_field_spec
+from ringrsa import lattice, ring
+from ringrsa.lattice import determinant, hnf, reduce_mod_lattice
+from ringrsa.ring import (
     RingElement,
     conv_mul,
+    conv_multi_pow,
     conv_pow,
-    cyclotomic_field,
-    determinant,
-    hnf,
     ideal_matrix,
-    keygen,
     make_ring,
     norm,
-    parse_field_spec,
-    reduce_mod_lattice,
+    norm_bound_bits,
 )
-from ringrsa import lattice, ring
-from ringrsa.ring import conv_multi_pow
 from oracles import poly_mulmod_naive
 from support import (
     TEST_RINGS,
@@ -597,6 +593,22 @@ class TestNormResultant:
         ctx = parse_field_spec(spec).ring
         f = ctx.element([scale * c for c in pool[: ctx.degree]])
         assert norm(ctx, f) == bareiss_norm(ctx, f)
+
+    @pytest.mark.parametrize("spec,coeffs,expected", NORM_CASES)
+    def test_bound_holds(self, spec, coeffs, expected):
+        ctx = parse_field_spec(spec).ring
+        assert abs(norm(ctx, ctx.element(coeffs))) < 2 ** norm_bound_bits(ctx, ctx.element(coeffs))
+
+    @given(ring_and_vectors(bound=st.integers(-(1 << 80), 1 << 80)))
+    def test_bound_holds_on_random_elements(self, data):
+        ctx, f = data
+        assert abs(norm(ctx, ctx.element(f))) < 2 ** norm_bound_bits(ctx, ctx.element(f))
+
+    def test_scalar_bound_overshoots_by_the_rounding(self):
+        # deg f = 0 leaves ||f||^n = |c|^n; (c^2).bit_length() rounds 2 log2|c| up by 1
+        ctx = cyclotomic_field(256).ring
+        f = ctx.element((1 << 54,) + (0,) * 127)
+        assert norm_bound_bits(ctx, f) == 54 * 128 + 64 == norm(ctx, f).bit_length() + 63
 
     def test_builds_no_ideal_matrix(self, record_calls):
         calls = []

@@ -1,6 +1,7 @@
 """Key generation, block encryption, and key pair validation."""
 
 import collections
+import importlib
 import itertools
 import math
 import random
@@ -9,16 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+import ringrsa
 from ringrsa import (
-    CiphertextBlock,
-    HnfBasis,
     InertPrimeMode,
     PrimeElement,
     PrimeNormElementMode,
     PrivateKey,
     PublicKey,
     SearchExhaustedError,
-    conv_pow,
     coset_box,
     cyclotomic_field,
     decrypt_block,
@@ -26,13 +25,15 @@ from ringrsa import (
     generic_field,
     keygen,
     keypair_from_primes,
-    norm,
     quadratic_field,
     validate_keypair,
 )
 from ringrsa import lattice, primes
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.keyfiles import parse_private, render_private
+from ringrsa.lattice import HnfBasis
+from ringrsa.ring import conv_pow, norm
+from ringrsa.scheme import CiphertextBlock
 from support import scaled_identity
 
 FIELD = quadratic_field(2)
@@ -83,6 +84,12 @@ class TestExponentSelection:
         # phi = (2-1)(3-1) = 2 leaves no candidate e
         with pytest.raises(ValueError, match="no valid e"):
             keypair_from_primes(field, alpha, beta)
+
+    def test_exponent_capped_at_32_bits(self):
+        pub, _ = keygen(FIELD, InertPrimeMode(bits=48), rng=random.Random(4))
+        assert PublicKey(FIELD, pub.lattice, (1 << 32) - 1).e == (1 << 32) - 1
+        with pytest.raises(ValueError, match="above the limit of 32 bits"):
+            PublicKey(FIELD, pub.lattice, (1 << 32) + 15)
 
     def test_default_is_65537_when_totient_allows(self):
         rng = random.Random(3)
@@ -177,9 +184,11 @@ class TestBlockOperations:
             decrypt_block(priv, (15, 3))
 
     def test_wrong_length_rejected(self):
-        pub, _ = toy_keypair()
-        with pytest.raises(ValueError):
+        pub, priv = toy_keypair()
+        with pytest.raises(ValueError, match="message outside coset box"):
             encrypt_block(pub, (1, 1, 1))
+        with pytest.raises(ValueError, match="ciphertext outside coset box"):
+            decrypt_block(priv, (1,))
 
     @pytest.mark.parametrize(
         "block",
@@ -204,7 +213,7 @@ class TestBlockOperations:
         pub, priv = keygen(FIELD, mode, rng=rng)
         box = coset_box(pub.lattice)
         for _ in range(25):
-            msg = tuple(rng.randrange(r) for r in box.radices)
+            msg = tuple(rng.randrange(r) for r in box)
             assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
 
 
@@ -319,6 +328,11 @@ class TestDecryptPaths:
             assert decrypt_block(priv, msg).coeffs == lattice_power(
                 ctx, priv.lattice, msg, priv.d
             )
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_coset_box_is_the_lattice_diagonal(self, key):
+        pub, priv = PATH_KEYS[key][0]()
+        assert coset_box(pub.lattice) == pub.lattice.diag == coset_box(priv.lattice)
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_out_of_box_ciphertext_rejected_on_every_path(self, key):
@@ -504,3 +518,37 @@ def test_inert_keygen_tests_each_integer_for_primality_once(primality_calls, fie
     assert primality_calls[priv.alpha.coeffs[0]] == 1
     assert primality_calls[priv.beta.coeffs[0]] == 1
     assert max(primality_calls.values()) == 1
+
+
+ROOT_EXPORTS = {
+    "quadratic_field", "cyclotomic_field", "generic_field", "parse_field_spec", "PrimeElement",
+    "InertPrimeMode", "PrimeNormElementMode", "PublicKey", "PrivateKey",
+    "keygen", "keypair_from_primes", "validate_keypair",
+    "encrypt_block", "decrypt_block", "encode_bytes", "decode_blocks", "coset_box",
+    "CapacityError", "CiphertextFormatError", "FingerprintMismatchError",
+    "KeyFileError", "SearchExhaustedError",
+}
+# names the package root no longer exports, by the module that still holds them
+MODULE_ONLY = {
+    "fields": ["FieldDescriptor", "find_inert_prime", "find_prime_norm_element",
+               "is_inert_prime", "totient_of_product"],
+    "lattice": ["HnfBasis", "contains", "determinant", "hnf", "reduce_mod_lattice"],
+    "ring": ["IdealMatrix", "RingContext", "RingElement", "conv_mul", "conv_pow",
+             "ideal_matrix", "make_ring", "norm"],
+    "scheme": ["CiphertextBlock"],
+}
+
+
+class TestPackageRoot:
+    def test_exports_the_scheme_api(self):
+        assert len(ringrsa.__all__) == 22
+        assert set(ringrsa.__all__) == ROOT_EXPORTS
+        assert all(hasattr(ringrsa, name) for name in ROOT_EXPORTS)
+
+    def test_lower_level_names_import_from_their_modules(self):
+        assert sum(map(len, MODULE_ONLY.values())) == 19
+        for module, names in MODULE_ONLY.items():
+            mod = importlib.import_module(f"ringrsa.{module}")
+            for name in names:
+                assert hasattr(mod, name), f"ringrsa.{module}.{name}"
+                assert not hasattr(ringrsa, name), name
