@@ -178,6 +178,7 @@ def _cmd_inspect(args) -> int:
         print(f"totient bits: {priv.phi.bit_length()}")
         print(f"box radices: {','.join(map(str, coset_box(priv.lattice)))}")
         print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
+        print(f"key class: {priv.key_class}")
         print(f"decrypt path: {priv.decrypt_path}")
     if args.verify:
         if pub is None or priv is None:

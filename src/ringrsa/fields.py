@@ -7,7 +7,10 @@ fields Q(zeta_m).  A generic descriptor wraps an arbitrary caller-supplied
 modulus.  Key material comes from either rational primes embedded as
 scalars or from ring elements whose norm is a rational prime; a prime
 norm forces the quotient by the element to be a prime field, so such an
-element generates a prime ideal.
+element generates a prime ideal.  That ideal is (N, x - r), where N is
+the norm and r the root of x modulo the element, so product_lattice
+writes the key lattice down from norms and roots, with no Hermite normal
+form.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import AssociatePrimesError, SearchExhaustedError
-from .lattice import contains, hnf
+from .lattice import HnfBasis
 from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
-from .ring import RingContext, RingElement, ideal_matrix, make_ring, norm
+from .ring import RingContext, RingElement, make_ring, norm
 
 __all__ = [
     "FieldDescriptor",
@@ -34,6 +37,8 @@ __all__ = [
     "find_inert_prime",
     "find_prime_norm_element",
     "totient_of_product",
+    "key_class_of",
+    "product_lattice",
 ]
 
 _SQUARE_FREE_TRIAL_BOUND = 10**6
@@ -43,8 +48,9 @@ _SQUARE_FREE_TRIAL_BOUND = 10**6
 _MAX_SPEC_DIGITS = 100
 _SEARCH_ATTEMPT_BOUND = 10**5
 # Largest ring degree a field spec may ask for, four times the largest
-# benchmarked degree (32): key files are untrusted, and the HNF work of
-# parsing a key grows at least as n^3.
+# benchmarked degree (32): key files are untrusted, and parsing a key takes
+# two norms and two root searches, each O(n^2) big-integer steps (at this
+# cap and the norm budget of a key file, one norm takes up to 4 s).
 _MAX_DEGREE = 128
 
 
@@ -70,8 +76,8 @@ class FieldDescriptor:
 class PrimeElement:
     """An element meant to generate a prime ideal; totient_of_product refuses units.
 
-    norm_abs is computed on first read and kept; equality and hashing see
-    only the element.
+    norm_abs and root are computed on first read and kept; equality and
+    hashing see only the element.
     """
 
     element: RingElement
@@ -79,6 +85,53 @@ class PrimeElement:
     @cached_property
     def norm_abs(self) -> int:
         return abs(norm(self.element.context, self.element))
+
+    @cached_property
+    def root(self) -> int | None:
+        """The r in [0, N) with x = r modulo the element, N = norm_abs; None for a scalar.
+
+        Euclid on phi and the element over Z/N must meet a unit leading
+        coefficient at every step and end at a linear polynomial, else
+        ValueError: R/(element) is not Z/N.  N lies in (element), so when
+        it succeeds, (element) = (N, x - r) exactly; no primality test is
+        needed.
+        """
+        if _is_scalar(self):
+            return None
+        n_abs = self.norm_abs
+        if n_abs <= 1:
+            raise ValueError("norm at most 1: a unit or zero is not a prime element")
+        a = _poly_mod([-c for c in self.element.context.phi_coeffs] + [1], n_abs)
+        b = _poly_mod(self.element.coeffs, n_abs)
+        not_cyclic = ValueError("the quotient by an element is not Z/N(element)")
+        while b:
+            try:
+                inv = pow(b[-1], -1, n_abs)
+            except ValueError:
+                raise not_cyclic from None
+            while len(a) >= len(b):
+                c = a.pop() * inv % n_abs
+                shift = len(a) + 1 - len(b)
+                for j in range(len(b) - 1):
+                    a[shift + j] = (a[shift + j] - c * b[j]) % n_abs
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if len(a) != 2:
+            raise not_cyclic
+        return -a[0] * pow(a[1], -1, n_abs) % n_abs
+
+
+def _is_scalar(elem: PrimeElement) -> bool:
+    return not any(elem.element.coeffs[1:])
+
+
+def _poly_mod(coeffs: Sequence[int], modulus: int) -> list[int]:
+    """Coefficients % modulus, with the zero leading ones dropped."""
+    out = [c % modulus for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _is_square_free(d: int) -> bool:
@@ -283,18 +336,74 @@ def find_prime_norm_element(
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
 
 
-def totient_of_product(ctx: RingContext, alpha: PrimeElement, beta: PrimeElement) -> int:
+def totient_of_product(alpha: PrimeElement, beta: PrimeElement) -> int:
     """(|N(alpha)| - 1) * (|N(beta)| - 1) for non-associate prime elements.
 
-    Units and zero (norm at most 1) are refused.  Associates have equal
-    norms; with equal norms, (beta) is inside (alpha) exactly when the
-    two ideals are equal, since both have index |N(alpha)| in the ring.
+    Units and zero (norm at most 1) are refused, and so are associates,
+    which generate the same ideal: two scalars of equal absolute value,
+    or two elements of equal norm N and equal root, since (alpha) is
+    (N, x - r).  A scalar a has (a) = aR, whose quotient (Z/a)^n is not
+    cyclic, so it is never an associate of an element with a root.
     """
     if alpha.norm_abs <= 1 or beta.norm_abs <= 1:
         raise ValueError("norm at most 1: a unit or zero is not a prime element")
-    if alpha.norm_abs == beta.norm_abs and contains(
-        hnf(ideal_matrix(ctx, alpha.element).entries), beta.element.coeffs
-    ):
+    if alpha.norm_abs == beta.norm_abs and alpha.root == beta.root:
         raise AssociatePrimesError("associate prime elements generate the same ideal")
     return (alpha.norm_abs - 1) * (beta.norm_abs - 1)
 
+
+def key_class_of(alpha: PrimeElement, beta: PrimeElement) -> str:
+    """"scalar" (both rational integers), "mixed" (one of each) or "prime-norm" (neither)."""
+    return ("prime-norm", "mixed", "scalar")[_is_scalar(alpha) + _is_scalar(beta)]
+
+
+def _ideal_basis(n: int, m: int, rule: Sequence[int], scale: int = 1) -> HnfBasis:
+    """scale times the Hermite normal form of the ideal (m, g) of Z[x]/(phi).
+
+    g = x^k - (rule_0 + rule_1 x + ... + rule_{k-1} x^{k-1}) divides phi
+    modulo m.  The diagonal is m (k times), then 1; column j >= k is
+    x^j - (x^j mod g), which lies in the ideal, with its top k rows % m.
+    """
+    k = len(rule)
+    rows = [[m * (i == j) for j in range(k)] for i in range(k)]
+    power = [0] * (k - 1) + [1]  # x^(k-1) mod g
+    for _ in range(k, n):
+        top = power[-1]
+        power = [(low + top * c) % m for low, c in zip([0] + power[:-1], rule)]
+        for row, c in zip(rows, power):
+            row.append(-c % m)
+    rows += [[int(i == j) for j in range(n)] for i in range(k, n)]
+    return HnfBasis(tuple(tuple(scale * c for c in row) for row in rows))
+
+
+def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
+    """The Hermite normal form of the ideal (alpha * beta), from norms and roots.
+
+    - two scalars a, b: (ab, phi) = |ab| R, so |ab| I;
+    - a scalar s and an element: s (p, x - r);
+    - elements of coprime norms p != q: (pq, x - r), r the CRT of the roots;
+    - elements of equal norm p and roots r_a, r_b whose difference is a unit
+      mod p: (p, (x - r_a)(x - r_b)), of diagonal (p, p, 1, ..., 1).
+
+    Equal roots (associates) raise AssociatePrimesError; norms that share
+    a factor without being equal, and roots whose difference is not a unit,
+    raise ValueError.
+    """
+    ctx = alpha.element.context
+    n = ctx.degree
+    kind = key_class_of(alpha, beta)
+    if kind == "scalar":
+        return _ideal_basis(n, abs(alpha.element.coeffs[0] * beta.element.coeffs[0]), ctx.phi_coeffs)
+    if kind == "mixed":
+        scalar, elem = (alpha, beta) if _is_scalar(alpha) else (beta, alpha)
+        return _ideal_basis(n, elem.norm_abs, (elem.root,), abs(scalar.element.coeffs[0]))
+    p, q, r_a, r_b = alpha.norm_abs, beta.norm_abs, alpha.root, beta.root
+    if p != q:
+        if math.gcd(p, q) != 1:
+            raise ValueError("element norms share a factor")
+        return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
+    if r_a == r_b:
+        raise AssociatePrimesError("associate prime elements generate the same ideal")
+    if math.gcd(r_a - r_b, p) != 1:
+        raise ValueError("roots of equal-norm elements differ by a non-unit")
+    return _ideal_basis(n, p, (-r_a * r_b % p, (r_a + r_b) % p))

@@ -179,7 +179,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     The key derives the totient and the lattice from alpha and beta; a
     file is checked here, where it comes in, for alpha and beta whose
     norms fit the budget of _check_norm_budget, non-associate non-units
-    alpha and beta, 1 <= d < phi and e * d = 1 (mod phi).
+    alpha and beta, a lattice product_lattice can build (each non-scalar
+    alpha or beta has quotient Z/N), 1 <= d < phi and e * d = 1 (mod phi).
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -198,6 +199,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
             raise KeyFileError("private key file: private exponent out of range")
         if e * d % priv.phi != 1:
             raise KeyFileError("private key file: e does not invert d modulo the totient")
+        priv.lattice  # product_lattice refuses alpha and beta it cannot build from
         return priv, e
     except KeyFileError:
         raise

@@ -7,6 +7,11 @@ to 0 <= b[i][j] < b[i][i].  It is unique per lattice, so basis equality is
 lattice equality.  The box {x : 0 <= x[i] < b[i][i]} then holds exactly
 one representative of every coset of Z^n modulo the lattice, and
 reduce_mod_lattice computes that representative by back substitution.
+
+Key lattices are ideals whose canonical basis fields.product_lattice
+writes down directly.  hnf, its Bareiss determinant and _xgcd compute
+the form for any matrix; no command calls them, and they stay for the
+benchmark's per-layer replay and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ __all__ = [
     "determinant",
     "coset_box",
     "reduce_mod_lattice",
-    "contains",
 ]
 
 
@@ -177,7 +181,3 @@ def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...
             w[r] -= q * b[r][i]
     return tuple(w)
 
-
-def contains(basis: HnfBasis, vector: Sequence[int]) -> bool:
-    """True when the vector is a lattice point."""
-    return not any(reduce_mod_lattice(basis, vector))

@@ -1,8 +1,9 @@
 """Key generation, block encryption, and the byte codec.
 
 A key pair is built from two non-associate prime elements alpha, beta:
-the public lattice is the HNF of the ideal matrix of alpha * beta, the
-public exponent e is invertible modulo
+the public lattice is the Hermite normal form of the ideal (alpha * beta),
+which fields.product_lattice writes down from the norms and the roots of
+x modulo alpha and beta, the public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
 are points of the public coset box; encryption raises them to the e-th
 convolution power modulo the public lattice, reduced into the box, and
@@ -39,12 +40,14 @@ from .fields import (
     PrimeElement,
     find_inert_prime,
     find_prime_norm_element,
+    key_class_of,
+    product_lattice,
     totient_of_product,
     unramified,
 )
-from .lattice import HnfBasis, hnf
+from .lattice import HnfBasis
 from .primes import is_probable_prime
-from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow, ideal_matrix
+from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
 
 __all__ = [
     "InertPrimeMode",
@@ -107,17 +110,24 @@ class PrivateKey:
     d: int
 
     @cached_property
+    def _primes(self) -> tuple[PrimeElement, PrimeElement]:
+        """alpha and beta, each with its norm and root computed once."""
+        return PrimeElement(self.alpha), PrimeElement(self.beta)
+
+    @cached_property
     def phi(self) -> int:
         """totient_of_product of alpha and beta; refuses units, zero and associates."""
-        return totient_of_product(
-            self.field.ring, PrimeElement(self.alpha), PrimeElement(self.beta)
-        )
+        return totient_of_product(*self._primes)
 
     @cached_property
     def lattice(self) -> HnfBasis:
-        """HNF of the ideal matrix of alpha * beta: the public modulus."""
-        ctx = self.field.ring
-        return hnf(ideal_matrix(ctx, conv_mul(ctx, self.alpha, self.beta)).entries)
+        """product_lattice of alpha and beta: the public modulus."""
+        return product_lattice(*self._primes)
+
+    @property
+    def key_class(self) -> str:
+        """"scalar", "mixed" or "prime-norm", as product_lattice classifies the key."""
+        return key_class_of(*self._primes)
 
     @cached_property
     def decrypt_path(self) -> str:
@@ -224,11 +234,15 @@ def keypair_from_primes(
     beta: PrimeElement,
     e_choice: int | None = None,
 ) -> tuple[PublicKey, PrivateKey]:
-    """Assemble a key pair from two already-found prime elements."""
-    phi = totient_of_product(field.ring, alpha, beta)
+    """Assemble a key pair from two already-found prime elements.
+
+    The totient and the public lattice come from the norms and roots that
+    alpha and beta cache, so a search that has read the norms pays for none.
+    """
+    phi = totient_of_product(alpha, beta)
     e = _select_e(phi, e_choice)
     priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
-    return PublicKey(field, priv.lattice, e), priv
+    return PublicKey(field, product_lattice(alpha, beta), e), priv
 
 
 def keygen(
@@ -394,7 +408,8 @@ def validate_keypair(pub: PublicKey, priv: PrivateKey) -> bool:
     """Consistency of a key pair: field, exponents, and lattice.
 
     The lattice determinant needs no check of its own: priv.lattice is
-    the HNF of alpha * beta, whose determinant is N(alpha) N(beta).
+    product_lattice of alpha and beta, the canonical basis of the ideal
+    (alpha * beta), whose determinant is N(alpha) N(beta).
     """
     return (
         pub.field == priv.field

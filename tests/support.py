@@ -52,6 +52,11 @@ def add(f, g):
     return f.context.element(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
 
 
+def contains(basis, vector):
+    """True when the vector is a lattice point: it reduces to the zero point."""
+    return not any(reduce_mod_lattice(basis, vector))
+
+
 def scaled_identity(n, k):
     """k * I as an HnfBasis: the lattice of the ideal generated by k."""
     return HnfBasis(tuple(tuple(k * (i == j) for j in range(n)) for i in range(n)))

@@ -302,6 +302,52 @@ class TestInspect:
         assert main(["inspect", "--priv", str(priv_path)]) == 0
         assert f"decrypt path: {path}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "mode,seed,key_class",
+        [("inert:bits=16", "0x2a", "scalar"), ("element:bound=5", "0x0", "prime-norm")],
+    )
+    def test_private_report_names_key_class(self, tmp_path, capsys, mode, seed, key_class):
+        code, _, priv_path = run_keygen(tmp_path, "--mode", mode, seed=seed)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["inspect", "--priv", str(priv_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("key class: " + key_class) + 1].startswith("decrypt path: ")
+
+    def test_private_report_names_mixed_key_class(self, tmp_path, capsys):
+        # alpha = 3 + sqrt(2) of norm 7, beta = 3: no keygen mode writes this
+        field = quadratic_field(2)
+        alpha = PrimeElement(field.ring.element((3, 1)))
+        pub, priv = keypair_from_primes(field, alpha, PrimeElement(field.ring.element((3, 0))))
+        priv_path = tmp_path / "mixed.priv"
+        priv_path.write_text(render_private(priv, pub.e))
+        assert main(["inspect", "--priv", str(priv_path)]) == 0
+        out = capsys.readouterr().out
+        assert "key class: mixed\ndecrypt path: lattice\n" in out
+        assert "box radices: 21,3\n" in out
+
+    @pytest.mark.parametrize("command", ["decrypt", "inspect"])
+    def test_quotient_not_cyclic_refused(self, tmp_path, capsys, command):
+        # alpha = 3 + 3i has norm 18, and Z[i]/(3 + 3i) is not Z/18
+        priv_path = tmp_path / "bad.priv"
+        priv_path.write_text(
+            "format_version = 1\nrole = private\nfield = quadratic:d=-1\n"
+            "alpha = 3,3\nbeta = 7,0\nd = 653\ne = 5\n"
+        )
+        ct_path = tmp_path / "ct.txt"
+        ct_path.write_text("")
+        argv = {
+            "decrypt": ["decrypt", "--priv", str(priv_path), "--in", str(ct_path),
+                        "--out", str(tmp_path / "out.bin")],
+            "inspect": ["inspect", "--priv", str(priv_path)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: private key file: the quotient by an element is not Z/N(element)\n"
+        )
+
     def test_verify_matched(self, tmp_path, capsys):
         pub_path, priv_path, _ = toy_key_files(tmp_path)
         assert main(["inspect", "--pub", str(pub_path), "--priv",

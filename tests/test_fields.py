@@ -1,5 +1,6 @@
-"""Field descriptors, prime searches, and the naive coset box."""
+"""Field descriptors, prime searches, key lattices, and the naive coset box."""
 
+import collections
 import math
 import random
 
@@ -20,10 +21,13 @@ from ringrsa.fields import (
     find_inert_prime,
     find_prime_norm_element,
     is_inert_prime,
+    key_class_of,
+    product_lattice,
     totient_of_product,
     unramified,
 )
-from ringrsa.ring import norm
+from ringrsa.lattice import hnf
+from ringrsa.ring import conv_mul, ideal_matrix, norm
 from ringrsa.primes import (
     carmichael_lambda,
     euler_phi,
@@ -307,7 +311,7 @@ class TestPrimeElement:
         prime = PrimeElement(field.ring.element((3, 0)))
         for alpha, beta in ((unit, prime), (prime, unit)):
             with pytest.raises(ValueError, match="norm at most 1"):
-                totient_of_product(field.ring, alpha, beta)
+                totient_of_product(alpha, beta)
 
 
 class TestTotientOfProduct:
@@ -315,7 +319,7 @@ class TestTotientOfProduct:
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((3, 0)))
         beta = PrimeElement(field.ring.element((5, 0)))
-        assert totient_of_product(field.ring, alpha, beta) == 192
+        assert totient_of_product(alpha, beta) == 192
 
     def test_associates_rejected(self):
         field = quadratic_field(2)
@@ -323,24 +327,163 @@ class TestTotientOfProduct:
         # sqrt(2) * (1 + sqrt(2)) = 2 + sqrt(2), an associate
         beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(ValueError, match="associate"):
-            totient_of_product(field.ring, alpha, beta)
+            totient_of_product(alpha, beta)
 
     def test_equal_norm_non_associates_accepted(self):
         # 2 + i and 2 - i both have norm 5 but generate different ideals
         field = quadratic_field(-1)
         alpha = PrimeElement(field.ring.element((2, 1)))
         beta = PrimeElement(field.ring.element((2, -1)))
-        assert totient_of_product(field.ring, alpha, beta) == 16
+        assert totient_of_product(alpha, beta) == 16
         # i * (2 + i) = -1 + 2i is an associate of alpha
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(field.ring, alpha, PrimeElement(field.ring.element((-1, 2))))
+            totient_of_product(alpha, PrimeElement(field.ring.element((-1, 2))))
 
     def test_associates_raise_typed_error(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((0, 1)))
         beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(field.ring, alpha, beta)
+            totient_of_product(alpha, beta)
+
+
+    def test_scalar_associates_rejected(self):
+        field = quadratic_field(2)
+        alpha = PrimeElement(field.ring.element((3, 0)))
+        with pytest.raises(AssociatePrimesError):
+            totient_of_product(alpha, PrimeElement(field.ring.element((-3, 0))))
+
+
+def hnf_oracle(alpha, beta):
+    """The Hermite normal form of the ideal matrix of alpha * beta."""
+    ctx = alpha.element.context
+    return hnf(ideal_matrix(ctx, conv_mul(ctx, alpha.element, beta.element)).entries)
+
+
+def scalar(field, k):
+    return PrimeElement(field.ring.element((k,) + (0,) * (field.ring.degree - 1)))
+
+
+# field spec: (coefficient bound, prime-norm elements to draw)
+ORACLE_FIELDS = {
+    "cyclotomic:m=5": (3, 10),
+    "cyclotomic:m=12": (3, 10),
+    "cyclotomic:m=16": (2, 10),
+    "quadratic:d=2": (3, 10),
+    "quadratic:d=-5": (3, 10),
+    "generic:phi=3,1,0,0,-1": (3, 10),
+    "cyclotomic:m=64": (2, 3),
+}
+
+
+class TestRoot:
+    def test_root_of_x_modulo_the_element(self):
+        # 1 + 8i: x = i = -1/8 = 8 (mod 65), and 1 + 8 * 8 = 65
+        field = quadratic_field(-1)
+        elem = PrimeElement(field.ring.element((1, 8)))
+        assert (elem.norm_abs, elem.root) == (65, 8)
+
+    def test_scalar_has_no_root(self, norm_calls):
+        assert scalar(cyclotomic_field(5), 7).root is None
+        assert norm_calls == []
+
+    @pytest.mark.parametrize("spec", ORACLE_FIELDS)
+    def test_root_is_a_root_of_phi_and_the_element(self, spec):
+        field = parse_field_spec(spec)
+        elem = find_prime_norm_element(field, 3, random.Random(spec))
+        n_abs, r = elem.norm_abs, elem.root
+        assert 0 <= r < n_abs
+        phi = (-c for c in field.ring.phi_coeffs)
+        assert (sum(c * r**k for k, c in enumerate(phi)) + r**field.ring.degree) % n_abs == 0
+        assert sum(c * r**k for k, c in enumerate(elem.element.coeffs)) % n_abs == 0
+
+    def test_quotient_not_cyclic_refused(self):
+        # N(3 + 3i) = 18 and (3 + 3i) = (1 + i) * 3: Z[i]/(3 + 3i) is not Z/18
+        elem = PrimeElement(quadratic_field(-1).ring.element((3, 3)))
+        assert elem.norm_abs == 18
+        with pytest.raises(ValueError, match="not Z/N"):
+            elem.root
+
+
+class TestProductLattice:
+    """product_lattice equals the HNF of the ideal matrix of alpha * beta."""
+
+    @pytest.mark.parametrize("spec", ORACLE_FIELDS)
+    def test_every_key_kind_matches_the_hnf(self, spec):
+        field = parse_field_spec(spec)
+        bound, count = ORACLE_FIELDS[spec]
+        rng = random.Random(spec)
+        elements = [find_prime_norm_element(field, bound, rng) for _ in range(count)]
+        primes = elements + [scalar(field, 7), scalar(field, -3)]
+        seen = collections.Counter()
+        for alpha in primes:
+            for beta in primes:
+                kind = key_class_of(alpha, beta)
+                if kind == "prime-norm" and alpha.norm_abs == beta.norm_abs:
+                    if alpha.root == beta.root:
+                        with pytest.raises(AssociatePrimesError):
+                            product_lattice(alpha, beta)
+                        with pytest.raises(AssociatePrimesError):
+                            totient_of_product(alpha, beta)
+                        seen["associates"] += 1
+                        continue
+                    kind = "equal-norm"
+                assert product_lattice(alpha, beta) == hnf_oracle(alpha, beta), (kind, spec)
+                seen[kind] += 1
+        # each element with itself and with its negative is an associate pair
+        negatives = [PrimeElement(field.ring.element(-c for c in e.element.coeffs)) for e in elements]
+        for alpha, beta in zip(elements, negatives):
+            with pytest.raises(AssociatePrimesError):
+                product_lattice(alpha, beta)
+        assert seen["scalar"] == 4 and seen["mixed"] == 4 * count
+        assert seen["prime-norm"] and seen["associates"] >= count
+
+    def test_equal_norms_match_the_hnf(self):
+        # norm 11 splits into four prime ideals of Z[zeta_5], norm 5 in Z[i]
+        cases = [
+            ("cyclotomic:m=5", (1, 2, 0, 0), (2, 1, 0, 0)),
+            ("quadratic:d=-1", (2, 1), (2, -1)),
+            ("cyclotomic:m=12", (2, 1, 0, 0), (1, 2, 0, 0)),
+        ]
+        for spec, a, b in cases:
+            ctx = parse_field_spec(spec).ring
+            alpha, beta = PrimeElement(ctx.element(a)), PrimeElement(ctx.element(b))
+            assert alpha.norm_abs == beta.norm_abs and alpha.root != beta.root, spec
+            basis = product_lattice(alpha, beta)
+            assert basis.diag[:2] == (alpha.norm_abs,) * 2
+            assert basis == hnf_oracle(alpha, beta), spec
+
+    def test_scalar_pair_is_scaled_identity(self):
+        field = cyclotomic_field(16)
+        basis = product_lattice(scalar(field, 3), scalar(field, -5))
+        assert basis.entries == tuple(tuple(15 * (i == j) for j in range(8)) for i in range(8))
+
+    def test_non_unit_root_difference_refused(self):
+        # 1 + 8i and 4 + 7i have norm 65 = 5 * 13 and share the prime over 5:
+        # their roots 8 and 18 agree mod 5, so (alpha * beta) is not (65, g)
+        ctx = quadratic_field(-1).ring
+        alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((4, 7)))
+        assert (alpha.norm_abs, alpha.root, beta.norm_abs, beta.root) == (65, 8, 65, 18)
+        assert totient_of_product(alpha, beta) == 64 * 64
+        with pytest.raises(ValueError, match="non-unit") as refused:
+            product_lattice(alpha, beta)
+        assert not isinstance(refused.value, AssociatePrimesError)
+
+    def test_norms_sharing_a_factor_refused(self):
+        # N(1 + 8i) = 65 and N(2 + i) = 5
+        ctx = quadratic_field(-1).ring
+        alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((2, 1)))
+        with pytest.raises(ValueError, match="share a factor"):
+            product_lattice(alpha, beta)
+
+    @pytest.mark.parametrize(
+        "a,b,kind",
+        [((3, 0), (5, 0), "scalar"), ((3, 1), (3, 0), "mixed"), ((3, 0), (3, 1), "mixed"),
+         ((3, 1), (1, 2), "prime-norm")],
+    )
+    def test_key_class(self, a, b, kind):
+        ctx = quadratic_field(2).ring
+        assert key_class_of(PrimeElement(ctx.element(a)), PrimeElement(ctx.element(b))) == kind
 
 
 class TestNaiveCosetBox:

@@ -179,10 +179,35 @@ class TestPrivateFiles:
 
 
 def private_text(field, alpha, beta):
-    """A private key file for two prime elements, with e = 65537, and no HNF built."""
-    phi = totient_of_product(field.ring, alpha, beta)
+    """A private key file for two prime elements, with e = 65537, and no lattice built."""
+    phi = totient_of_product(alpha, beta)
     priv = PrivateKey(field, alpha.element, beta.element, pow(65537, -1, phi))
     return priv, render_private(priv, 65537)
+
+
+# field, alpha, beta, d, e: each passes every check but the lattice's
+UNBUILDABLE_KEYS = {
+    # N(3 + 3i) = 18, and Z[i]/(3 + 3i) = F_2 x F_9 is not Z/18
+    "quotient-not-cyclic": ("quadratic:d=-1", "3,3", "7,0", 653, 5),
+    # 1 + 8i and 4 + 7i have norm 65 and roots 8 and 18, equal mod 5
+    "root-difference-not-a-unit": ("quadratic:d=-1", "1,8", "4,7", 2731, 3),
+}
+
+
+def unbuildable_key_text(key):
+    field, alpha, beta, d, e = UNBUILDABLE_KEYS[key]
+    return "".join([
+        "format_version = 1\n", "role = private\n", f"field = {field}\n",
+        f"alpha = {alpha}\n", f"beta = {beta}\n", f"d = {d}\n", f"e = {e}\n",
+    ])
+
+
+@pytest.mark.parametrize(
+    "key,message", [("quotient-not-cyclic", "not Z/N"), ("root-difference-not-a-unit", "non-unit")]
+)
+def test_unbuildable_lattice_refused(key, message):
+    with pytest.raises(KeyFileError, match=message):
+        parse_private(unbuildable_key_text(key))
 
 
 class TestNormBudget:

@@ -1,5 +1,7 @@
 """Hermite normal form, coset boxes, and lattice reduction."""
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -7,10 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringrsa import coset_box
-from ringrsa.lattice import HnfBasis, contains, determinant, hnf, reduce_mod_lattice
+from ringrsa.lattice import HnfBasis, determinant, hnf, reduce_mod_lattice
 from ringrsa.primes import is_probable_prime
 from oracles import is_lattice_member, laplace_determinant
-from support import mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
+from support import contains, mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringrsa"
+# computed for any matrix; key lattices come from fields.product_lattice
+ORACLE_ONLY = {"hnf", "determinant", "contains"}
 
 dims = st.integers(min_value=1, max_value=4)
 entries = st.integers(min_value=-40, max_value=40)
@@ -192,3 +198,46 @@ class TestBoxRadices:
     def test_radices_are_diagonal(self):
         b = hnf(((3, 2), (1, 3)))
         assert coset_box(b) == b.diag == (7, 1)
+
+
+def oracle_uses(source):
+    """(scope, name) for each call or import of an ORACLE_ONLY name.
+
+    The scope is the top-level function or class the use sits in, or None
+    at module level.
+    """
+    found = set()
+    for stmt in ast.parse(source).body:
+        scope = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ORACLE_ONLY:
+                    found.add((scope, name))
+            elif isinstance(node, ast.ImportFrom):
+                found |= {(scope, a.name) for a in node.names if a.name in ORACLE_ONLY}
+    return found
+
+
+class TestNoHnfInProduction:
+    def test_only_hnf_calls_determinant(self):
+        uses = {
+            (path.name, scope, name)
+            for path in sorted(SRC.glob("*.py"))
+            for scope, name in oracle_uses(path.read_text(encoding="utf-8"))
+        }
+        assert uses == {("lattice.py", "hnf", "determinant")}
+
+    def test_contains_left_the_package(self):
+        from ringrsa import lattice
+
+        assert not hasattr(lattice, "contains")
+
+    @pytest.mark.parametrize(
+        "source,use",
+        [("x = hnf(m)", (None, "hnf")), ("def f():\n    lattice.determinant(m)", ("f", "determinant")),
+         ("from .lattice import contains", (None, "contains"))],
+    )
+    def test_detector_flags(self, source, use):
+        assert use in oracle_uses(source)

@@ -28,8 +28,9 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import lattice, primes
+from ringrsa import lattice, primes, ring
 from ringrsa.errors import AssociatePrimesError
+from ringrsa.fields import find_prime_norm_element
 from ringrsa.keyfiles import parse_private, render_private
 from ringrsa.lattice import HnfBasis
 from ringrsa.ring import conv_pow, norm
@@ -475,31 +476,72 @@ def hnf_calls(record_calls):
     return calls
 
 
+@pytest.fixture
+def norm_calls(record_calls):
+    """Counts ring.norm calls made through any ringrsa module."""
+    calls = []
+    record_calls(ring, "norm", lambda ctx, f: calls.append(f.coeffs))
+    return calls
+
+
 class TestHnfPerKey:
-    """The public lattice is computed once per key, not re-proved."""
+    """The public lattice comes from norms and roots: no HNF, each norm once."""
 
     def test_inert_keygen(self, hnf_calls):
         keygen(FIELD, InertPrimeMode(bits=16), rng=random.Random(3))
-        assert len(hnf_calls) == 1
+        assert len(hnf_calls) == 0
 
     def test_element_keygen_with_distinct_norms(self, hnf_calls):
         pub, priv = keygen(cyclotomic_field(5), PrimeNormElementMode(3), rng=random.Random(1))
         ctx = pub.field.ring
         assert abs(norm(ctx, priv.alpha)) != abs(norm(ctx, priv.beta))
-        assert len(hnf_calls) == 1
+        assert pub.lattice.diag[1] == 1
+        assert len(hnf_calls) == 0
 
     @pytest.mark.parametrize(
         "mode", [InertPrimeMode(bits=16), PrimeNormElementMode(30)], ids=["inert", "element"]
     )
-    def test_parse_private_then_decrypt(self, hnf_calls, mode):
+    def test_parse_private_then_decrypt(self, hnf_calls, norm_calls, mode):
         pub, priv = keygen(FIELD, mode, rng=random.Random(5))
         text = render_private(priv, pub.e)
         ct = encrypt_block(pub, (1, 0))
         hnf_calls.clear()
+        norm_calls.clear()
         parsed, _ = parse_private(text)
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
-        assert len(hnf_calls) == 1
+        assert len(hnf_calls) == 0
+        assert sorted(norm_calls) == sorted((priv.alpha.coeffs, priv.beta.coeffs))
+
+    def test_keypair_from_read_norms_takes_no_norm(self, norm_calls):
+        field = cyclotomic_field(16)
+        rng = random.Random(7)
+        alpha = find_prime_norm_element(field, 2, rng)
+        beta = find_prime_norm_element(field, 2, rng)
+        assert alpha.norm_abs != beta.norm_abs
+        norm_calls.clear()
+        pub, priv = keypair_from_primes(field, alpha, beta)
+        assert norm_calls == []
+        assert pub.lattice.diag[0] == alpha.norm_abs * beta.norm_abs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degree_128_key_lattice_is_bounded(seed):
+    # the HNF of this lattice took 40 s; the roots take one norm and one
+    # Euclid over Z/N(alpha), which either ends linear or is refused
+    field = cyclotomic_field(256)
+    ctx = field.ring
+    rng = random.Random(seed)
+    alpha = ctx.element(tuple(rng.randrange(-(2**15), 2**15) for _ in range(ctx.degree)))
+    priv = PrivateKey(field, alpha, ctx.element((2,) + (0,) * (ctx.degree - 1)), 1)
+    start = time.monotonic()
+    try:
+        basis = priv.lattice
+    except ValueError as exc:
+        assert "not Z/N" in str(exc)
+    else:
+        assert basis.diag == (2 * abs(norm(ctx, alpha)),) + (2,) * (ctx.degree - 1)
+    assert time.monotonic() - start < 5.0
 
 
 @pytest.fixture
@@ -532,7 +574,7 @@ ROOT_EXPORTS = {
 MODULE_ONLY = {
     "fields": ["FieldDescriptor", "find_inert_prime", "find_prime_norm_element",
                "is_inert_prime", "totient_of_product"],
-    "lattice": ["HnfBasis", "contains", "determinant", "hnf", "reduce_mod_lattice"],
+    "lattice": ["HnfBasis", "determinant", "hnf", "reduce_mod_lattice"],
     "ring": ["IdealMatrix", "RingContext", "RingElement", "conv_mul", "conv_pow",
              "ideal_matrix", "make_ring", "norm"],
     "scheme": ["CiphertextBlock"],
@@ -546,7 +588,7 @@ class TestPackageRoot:
         assert all(hasattr(ringrsa, name) for name in ROOT_EXPORTS)
 
     def test_lower_level_names_import_from_their_modules(self):
-        assert sum(map(len, MODULE_ONLY.values())) == 19
+        assert sum(map(len, MODULE_ONLY.values())) == 18
         for module, names in MODULE_ONLY.items():
             mod = importlib.import_module(f"ringrsa.{module}")
             for name in names:
