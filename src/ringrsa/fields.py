@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import AssociatePrimesError, SearchExhaustedError
 from .lattice import HnfBasis
 from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
-from .ring import RingContext, RingElement, make_ring, norm
+from .ring import RingContext, RingElement, make_ring, norm_and_linear
 
 __all__ = [
     "FieldDescriptor",
@@ -49,7 +49,7 @@ _MAX_SPEC_DIGITS = 100
 _SEARCH_ATTEMPT_BOUND = 10**5
 # Largest ring degree a field spec may ask for, four times the largest
 # benchmarked degree (32): key files are untrusted, and parsing a key takes
-# two norms and two root searches, each O(n^2) big-integer steps (at this
+# two norms, each O(n^2) big-integer steps that also yield the root (at this
 # cap and the norm budget of a key file, one norm takes up to 4 s).
 _MAX_DEGREE = 128
 
@@ -76,62 +76,58 @@ class FieldDescriptor:
 class PrimeElement:
     """An element meant to generate a prime ideal; totient_of_product refuses units.
 
-    norm_abs and root are computed on first read and kept; equality and
-    hashing see only the element.
+    norm_abs and root come from one resultant, computed on first read and
+    kept; equality and hashing see only the element.
     """
 
     element: RingElement
 
     @cached_property
+    def _norm_and_linear(self) -> tuple[int, list[int] | None]:
+        return norm_and_linear(self.element.context, self.element)
+
+    @cached_property
     def norm_abs(self) -> int:
-        return abs(norm(self.element.context, self.element))
+        return abs(self._norm_and_linear[0])
 
     @cached_property
     def root(self) -> int | None:
         """The r in [0, N) with x = r modulo the element, N = norm_abs; None for a scalar.
 
-        Euclid on phi and the element over Z/N must meet a unit leading
-        coefficient at every step and end at a linear polynomial, else
-        ValueError: R/(element) is not Z/N.  N lies in (element), so when
-        it succeeds, (element) = (N, x - r) exactly; no primality test is
-        needed.
+        Raises ValueError when there is none, that is when R/(element) is
+        not Z/N.  If it is, then for every prime p | N the gcd of phi and
+        the element mod p is x - r, so the first subresultant is
+        s1 (x - r) mod N with s1 a unit; the resultant's member of degree
+        1 is a rational multiple of it, which gives r.  r is kept only if
+        phi(r) = element(r) = 0 (mod N): then (N, x - r) is an ideal of
+        index N holding the element, so (element) = (N, x - r) exactly.
         """
         if _is_scalar(self):
             return None
-        n_abs = self.norm_abs
-        if n_abs <= 1:
-            raise ValueError("norm at most 1: a unit or zero is not a prime element")
-        a = _poly_mod([-c for c in self.element.context.phi_coeffs] + [1], n_abs)
-        b = _poly_mod(self.element.coeffs, n_abs)
+        n_abs, linear = self.norm_abs, self._norm_and_linear[1]
         not_cyclic = ValueError("the quotient by an element is not Z/N(element)")
-        while b:
-            try:
-                inv = pow(b[-1], -1, n_abs)
-            except ValueError:
-                raise not_cyclic from None
-            while len(a) >= len(b):
-                c = a.pop() * inv % n_abs
-                shift = len(a) + 1 - len(b)
-                for j in range(len(b) - 1):
-                    a[shift + j] = (a[shift + j] - c * b[j]) % n_abs
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
-        if len(a) != 2:
+        if linear is None:
             raise not_cyclic
-        return -a[0] * pow(a[1], -1, n_abs) % n_abs
+        c0, c1 = (c // math.gcd(*linear) for c in linear)
+        try:
+            r = -c0 * pow(c1, -1, n_abs) % n_abs
+        except ValueError:
+            raise not_cyclic from None
+        phi = [-c for c in self.element.context.phi_coeffs] + [1]
+        if _eval_mod(phi, r, n_abs) or _eval_mod(self.element.coeffs, r, n_abs):
+            raise not_cyclic
+        return r
+
+
+def _eval_mod(coeffs: Sequence[int], t: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * t + c) % modulus
+    return acc
 
 
 def _is_scalar(elem: PrimeElement) -> bool:
     return not any(elem.element.coeffs[1:])
-
-
-def _poly_mod(coeffs: Sequence[int], modulus: int) -> list[int]:
-    """Coefficients % modulus, with the zero leading ones dropped."""
-    out = [c % modulus for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _is_square_free(d: int) -> bool:
@@ -393,7 +389,8 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     n = ctx.degree
     kind = key_class_of(alpha, beta)
     if kind == "scalar":
-        return _ideal_basis(n, abs(alpha.element.coeffs[0] * beta.element.coeffs[0]), ctx.phi_coeffs)
+        product = abs(alpha.element.coeffs[0] * beta.element.coeffs[0])
+        return _ideal_basis(n, product, ctx.phi_coeffs)
     if kind == "mixed":
         scalar, elem = (alpha, beta) if _is_scalar(alpha) else (beta, alpha)
         return _ideal_basis(n, elem.norm_abs, (elem.root,), abs(scalar.element.coeffs[0]))

@@ -30,7 +30,9 @@ One-off products (conv_mul) stay with _conv, which costs nothing to set up.
 
 The norm of f is det f(H); since phi is monic it equals the resultant
 Res(phi, f), which the subresultant PRS gives exactly over Z in O(n^2)
-integer steps, against the O(n^3) of an n x n determinant.
+integer steps, against the O(n^3) of an n x n determinant.  The same PRS
+yields its member of degree 1, from which fields reads the integer that x
+is congruent to modulo f.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "conv_pow",
     "conv_multi_pow",
     "norm",
+    "norm_and_linear",
     "norm_bound_bits",
 ]
 
@@ -371,34 +374,40 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _resultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) by the subresultant PRS, exact over Z.
+def _resultant(a: list[int], b: list[int]) -> tuple[int, list[int] | None]:
+    """Res(a, b) by the subresultant PRS, exact over Z, and its member of degree 1.
 
     a and b are coefficient lists, lowest degree first, with nonzero
     leading coefficients and deg a > deg b >= 0.  Content is divided out
     once; every later division is an exact // (Collins 1967; Brown and
     Traub 1971; Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 3.3.7).  Returns 0 when a and b share a factor.
+    Alg. 3.3.7).  The resultant is 0 when a and b share a factor.  Every
+    member is a rational multiple of the subresultant of its degree, so
+    the one of degree 1, if any, is a multiple of S_1(a, b); None when
+    the sequence has none.
     """
     ca, cb = math.gcd(*a), math.gcd(*b)
     a = [c // ca for c in a]
     b = [c // cb for c in b]
     sign, g, h = 1, 1, 1
     scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    linear = None
     while len(b) > 1:
+        if len(b) == 2:
+            linear = b
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da & db & 1:
             sign = -sign
         r = _prem(a, b)
         if not r:
-            return 0
+            return 0, linear
         div = g * h**delta
         a, b = b, [c // div for c in r]
         g = a[-1]
         h = g**delta // h ** (delta - 1)
     da = len(a) - 1
-    return sign * scale * (b[0] ** da // h ** (da - 1))
+    return sign * scale * (b[0] ** da // h ** (da - 1)), linear
 
 
 def norm(ctx: RingContext, f: RingElement) -> int:
@@ -409,12 +418,21 @@ def norm(ctx: RingContext, f: RingElement) -> int:
     matrix is built.  It is 0 for f = 0 and when f shares a factor with
     phi.
     """
+    return norm_and_linear(ctx, f)[0]
+
+
+def norm_and_linear(ctx: RingContext, f: RingElement) -> tuple[int, list[int] | None]:
+    """N(f) and, from the same PRS, its member c0 + c1 x of degree 1 as [c0, c1].
+
+    That member is a rational multiple of the subresultant S_1(phi, f),
+    which lies in the ideal (phi, f) of Z[x]; None when there is none.
+    """
     _claim(ctx, f)
     coeffs = list(f.coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
-        return 0
+        return 0, None
     return _resultant([-c for c in ctx.phi_coeffs] + [1], coeffs)
 
 

@@ -34,14 +34,17 @@ from ringrsa.primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from support import coset_box_naive
+from support import contains, coset_box_naive
 
 
 @pytest.fixture
 def norm_calls(record_calls):
-    """The coefficients of every element whose norm a ringrsa module takes."""
+    """The coefficients of every element whose norm a ringrsa module takes.
+
+    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
+    """
     calls = []
-    record_calls(ring, "norm", lambda ctx, elem: calls.append(elem.coeffs))
+    record_calls(ring, "norm_and_linear", lambda ctx, elem: calls.append(elem.coeffs))
     return calls
 
 
@@ -397,6 +400,29 @@ class TestRoot:
         assert (sum(c * r**k for k, c in enumerate(phi)) + r**field.ring.degree) % n_abs == 0
         assert sum(c * r**k for k, c in enumerate(elem.element.coeffs)) % n_abs == 0
 
+    @pytest.mark.parametrize("spec", ["quadratic:d=-1", "cyclotomic:m=8", "generic:phi=1,1,0"])
+    def test_root_exists_exactly_when_x_is_an_integer_mod_the_ideal(self, spec):
+        # the oracle tries every r in [0, N) for x - r in the HNF lattice of
+        # (element); composite norms included
+        ctx = parse_field_spec(spec).ring
+        rng = random.Random(spec)
+        outcomes = collections.Counter()
+        while sum(outcomes.values()) < 40:
+            coeffs = tuple(rng.randrange(-4, 5) for _ in range(ctx.degree))
+            elem = PrimeElement(ctx.element(coeffs))
+            if not any(coeffs[1:]) or not 1 < elem.norm_abs < 500:
+                continue
+            basis = hnf(ideal_matrix(ctx, elem.element).entries)
+            x_minus = [(-r, 1) + (0,) * (ctx.degree - 2) for r in range(elem.norm_abs)]
+            roots = [r for r, v in enumerate(x_minus) if contains(basis, v)]
+            try:
+                got = elem.root
+            except ValueError:
+                got = None
+            assert got == (roots[0] if roots else None), coeffs
+            outcomes[got is None] += 1
+        assert outcomes[True] and outcomes[False]
+
     def test_quotient_not_cyclic_refused(self):
         # N(3 + 3i) = 18 and (3 + 3i) = (1 + i) * 3: Z[i]/(3 + 3i) is not Z/18
         elem = PrimeElement(quadratic_field(-1).ring.element((3, 3)))
@@ -431,10 +457,10 @@ class TestProductLattice:
                 assert product_lattice(alpha, beta) == hnf_oracle(alpha, beta), (kind, spec)
                 seen[kind] += 1
         # each element with itself and with its negative is an associate pair
-        negatives = [PrimeElement(field.ring.element(-c for c in e.element.coeffs)) for e in elements]
-        for alpha, beta in zip(elements, negatives):
+        for alpha in elements:
+            negative = PrimeElement(field.ring.element(-c for c in alpha.element.coeffs))
             with pytest.raises(AssociatePrimesError):
-                product_lattice(alpha, beta)
+                product_lattice(alpha, negative)
         assert seen["scalar"] == 4 and seen["mixed"] == 4 * count
         assert seen["prime-norm"] and seen["associates"] >= count
 

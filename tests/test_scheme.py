@@ -478,9 +478,12 @@ def hnf_calls(record_calls):
 
 @pytest.fixture
 def norm_calls(record_calls):
-    """Counts ring.norm calls made through any ringrsa module."""
+    """Counts norms taken through any ringrsa module.
+
+    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
+    """
     calls = []
-    record_calls(ring, "norm", lambda ctx, f: calls.append(f.coeffs))
+    record_calls(ring, "norm_and_linear", lambda ctx, f: calls.append(f.coeffs))
     return calls
 
 
