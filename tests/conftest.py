@@ -92,6 +92,17 @@ def record_calls(monkeypatch):
     return wrap
 
 
+@pytest.fixture
+def norm_calls(record_calls):
+    """The coefficients of every element whose norm a ringrsa module takes.
+
+    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
+    """
+    calls = []
+    record_calls(ring, "norm_and_linear", lambda ctx, elem: calls.append(elem.coeffs))
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_RESULTS:
         return

@@ -15,7 +15,7 @@ from ringrsa import (
     parse_field_spec,
     quadratic_field,
 )
-from ringrsa import fields, primes, ring
+from ringrsa import fields, primes
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import (
     find_inert_prime,
@@ -35,17 +35,6 @@ from ringrsa.primes import (
     multiplicative_order,
 )
 from support import contains, coset_box_naive
-
-
-@pytest.fixture
-def norm_calls(record_calls):
-    """The coefficients of every element whose norm a ringrsa module takes.
-
-    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
-    """
-    calls = []
-    record_calls(ring, "norm_and_linear", lambda ctx, elem: calls.append(elem.coeffs))
-    return calls
 
 
 class TestQuadraticField:

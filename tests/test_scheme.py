@@ -28,7 +28,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import lattice, primes, ring
+from ringrsa import lattice, primes
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import find_prime_norm_element
 from ringrsa.keyfiles import parse_private, render_private
@@ -476,17 +476,6 @@ def hnf_calls(record_calls):
     return calls
 
 
-@pytest.fixture
-def norm_calls(record_calls):
-    """Counts norms taken through any ringrsa module.
-
-    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
-    """
-    calls = []
-    record_calls(ring, "norm_and_linear", lambda ctx, f: calls.append(f.coeffs))
-    return calls
-
-
 class TestHnfPerKey:
     """The public lattice comes from norms and roots: no HNF, each norm once."""
 
@@ -530,8 +519,9 @@ class TestHnfPerKey:
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_degree_128_key_lattice_is_bounded(seed):
-    # the HNF of this lattice took 40 s; the roots take one norm and one
-    # Euclid over Z/N(alpha), which either ends linear or is refused
+    # the HNF of this lattice took 40 s; the root takes the norm's resultant
+    # and two evaluations mod N(alpha), and either gives the lattice or
+    # refuses the key
     field = cyclotomic_field(256)
     ctx = field.ring
     rng = random.Random(seed)
