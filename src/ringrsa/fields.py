@@ -32,7 +32,6 @@ __all__ = [
     "cyclotomic_field",
     "generic_field",
     "parse_field_spec",
-    "unramified",
     "is_inert_prime",
     "find_inert_prime",
     "find_prime_norm_element",
@@ -245,29 +244,14 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
     raise bad
 
 
-def unramified(field: FieldDescriptor, p: int) -> bool:
-    """p is coprime to 4d (quadratic) or to m (cyclotomic).
-
-    For a prime p this says p does not ramify in the ring.  A generic
-    field has no known discriminant, so no p counts as unramified there.
-    """
-    if field.kind == "quadratic":
-        return math.gcd(p, 4 * field.param) == 1
-    if field.kind == "cyclotomic":
-        return math.gcd(p, field.param) == 1
-    return False
-
-
 def _inert(field: FieldDescriptor, p: int) -> bool:
     """is_inert_prime for a p already known to be prime."""
-    if field.kind == "generic":
-        raise ValueError("no inert-prime criterion for generic fields")
-    if not unramified(field, p):
-        return False
     if field.kind == "quadratic":
-        return pow(field.param % p, (p - 1) // 2, p) == p - 1
-    m = field.param
-    return multiplicative_order(p, m) == carmichael_lambda(m)
+        return p != 2 and pow(field.param % p, (p - 1) // 2, p) == p - 1
+    if field.kind == "cyclotomic":
+        m = field.param
+        return math.gcd(p, m) == 1 and multiplicative_order(p, m) == carmichael_lambda(m)
+    raise ValueError("no inert-prime criterion for generic fields")
 
 
 def is_inert_prime(field: FieldDescriptor, p: int) -> bool:

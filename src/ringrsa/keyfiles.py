@@ -176,11 +176,12 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
 def parse_private(text: str) -> tuple[PrivateKey, int]:
     """Rebuild the private key; returns it with the recorded public e.
 
-    The key derives the totient and the lattice from alpha and beta; a
-    file is checked here, where it comes in, for alpha and beta whose
-    norms fit the budget of _check_norm_budget, non-associate non-units
-    alpha and beta, a lattice product_lattice can build (each non-scalar
-    alpha or beta has quotient Z/N), 1 <= d < phi and e * d = 1 (mod phi).
+    The key derives the totient, the lattice and the halves from alpha
+    and beta; a file is checked here, where it comes in, for alpha and
+    beta whose norms fit the budget of _check_norm_budget, non-associate
+    non-units alpha and beta, a lattice product_lattice can build (each
+    non-scalar alpha or beta has quotient Z/N), 1 <= d < phi,
+    e * d = 1 (mod phi), and the admission rule of PrivateKey._crt.
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -200,6 +201,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         if e * d % priv.phi != 1:
             raise KeyFileError("private key file: e does not invert d modulo the totient")
         priv.lattice  # product_lattice refuses alpha and beta it cannot build from
+        priv._crt  # the admission rule: two distinct prime ideals
         return priv, e
     except KeyFileError:
         raise

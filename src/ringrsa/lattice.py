@@ -177,7 +177,8 @@ def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...
     w = list(vector)
     for i in reversed(range(len(b))):
         q, w[i] = divmod(w[i], b[i][i])
-        for r in range(i):
-            w[r] -= q * b[r][i]
+        if q:
+            for r in range(i):
+                w[r] -= q * b[r][i]
     return tuple(w)
 

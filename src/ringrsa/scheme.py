@@ -5,17 +5,11 @@ the public lattice is the Hermite normal form of the ideal (alpha * beta),
 which fields.product_lattice writes down from the norms and the roots of
 x modulo alpha and beta, the public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
-are points of the public coset box; encryption raises them to the e-th
-convolution power modulo the public lattice, reduced into the box, and
-decryption applies d the same way.  Two key shapes give the same result more
-cheaply: an HNF diagonal (N, 1, ..., 1) makes the box Z/N, so the power is
-an integer pow mod N; and alpha = p, beta = q for distinct unramified
-rational primes let decryption work modulo the lattices pZ^n and qZ^n of
-the two prime ideals and recombine by CRT.  Modulo p the block is raised
-to d_p with the Frobenius map a -> a^p = a(x^p), a linear map cached per
-prime: with d_p = sum d_i p^i in base p, the power is the product of the
-images Frob^i(block)^(d_i), taken by interleaved sliding windows over one
-squaring chain as long as a single digit.
+are points of the public coset box.  Encryption raises them to the e-th
+convolution power modulo the public lattice, reduced into the box.
+Decryption raises a block to d in each factor, or half, of
+R/(alpha beta) = R/(alpha) x R/(beta), and recombines the two powers by
+the idempotent of (alpha).  Building the halves admits the key.
 The byte codec frames a payload with an 8-byte big-endian length header
 and packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -38,14 +32,14 @@ from .errors import (
 from .fields import (
     FieldDescriptor,
     PrimeElement,
+    _eval_mod,
     find_inert_prime,
     find_prime_norm_element,
     key_class_of,
     product_lattice,
     totient_of_product,
-    unramified,
 )
-from .lattice import HnfBasis
+from .lattice import HnfBasis, reduce_mod_lattice
 from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
 
@@ -102,7 +96,11 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """The secret primes and exponent, unchecked; the totient and lattice follow."""
+    """The secret primes and exponent, unchecked; the totient, lattice and halves follow.
+
+    parse_private and validate_keypair read phi, lattice and _crt, which
+    refuse alpha and beta that are not two distinct prime ideals.
+    """
 
     field: FieldDescriptor
     alpha: RingElement
@@ -130,78 +128,105 @@ class PrivateKey:
         return key_class_of(*self._primes)
 
     @cached_property
-    def decrypt_path(self) -> str:
-        """Exponentiation decrypt_block runs: "scalar", "crt" or "lattice"."""
-        if _scalar_modulus(self.lattice) is not None:
-            return "scalar"
-        if self._crt is not None:
-            return "crt"
-        return "lattice"
+    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, tuple[int, ...]]:
+        """The halves of (alpha) and (beta), and eps = 1 mod (alpha), 0 mod (beta).
 
-    @cached_property
-    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, int] | None:
-        """(the half for p, the half for q, q^-1 mod p) for alpha = p, beta = q.
-
-        Needs p != q prime and unramified, so that O/pO is a product of
-        fields F_{p^f} with f | n and x^(p^n) = x on it.  None for any
-        other key.
+        Over rational primes p != q, eps is the integer q (q^-1 mod p); for
+        elements of one prime norm p and roots r_a != r_b it is
+        (x - r_b) (r_a - r_b)^-1 mod p.  This is the admission rule of a
+        key: ValueError unless _prime_half builds both halves and the two
+        ideals are coprime (not so for a scalar p beside a norm p).
         """
-        (p, *a_rest), (q, *b_rest) = self.alpha.coeffs, self.beta.coeffs
-        if any(a_rest) or any(b_rest) or p == q:
-            return None
-        if not (unramified(self.field, p) and unramified(self.field, q)):
-            return None
-        if not (is_probable_prime(p) and is_probable_prime(q)):
-            return None
         ctx = self.field.ring
-        return _prime_half(ctx, p, self.d), _prime_half(ctx, q, self.d), pow(q, -1, p)
+        half_a, half_b = (_prime_half(ctx, prime, self.d) for prime in self._primes)
+        (p, r_a), (q, r_b) = (half_a.p, half_a.root), (half_b.p, half_b.root)
+        pad = (0,) * ctx.degree
+        if p != q:
+            return half_a, half_b, (q * pow(q, -1, p),) + pad[1:]
+        if r_a is None or r_b is None or r_a == r_b:
+            raise ValueError("alpha and beta lie over one prime and are not coprime")
+        inv = pow(r_a - r_b, -1, p)
+        return half_a, half_b, (-r_b * inv % p, inv) + pad[2:]
 
 
 @dataclass(frozen=True)
 class _PrimeHalf:
-    """Decryption modulo one unramified prime p, in O/pO = (Z/p)[x]/(phi).
+    """R/P for a prime ideal P of a key, over the rational prime p.
 
-    digits are those of d_p in base p, least significant first, where
-    d_p is d reduced mod p^n - 1 into [1, p^n - 1], never 0, so that zero
-    divisors still map to 0.  lattice is pZ^n, for the box reduction of the
-    power.  frobenius holds the rows of the matrix whose j-th column is
-    (x^p)^j % p: in characteristic p, a^p = a(x^p), so the matrix maps a
-    block to its p-th power.
+    An element of prime norm p and root r gives R/P = F_p, where a block
+    is its value at r.  A scalar p (root None) gives (Z/p)[x]/(phi), a
+    product of fields F_{p^f}, f | n; lattice is pZ^n and frobenius the
+    matrix of a -> a^p.  digits are the base-p digits of d_p, d reduced
+    mod p^f - 1 into [1, p^f - 1] (never 0, so zero divisors map to 0),
+    least significant first: a^d = a^d_p on every a of R/P.
     """
 
     p: int
+    root: int | None
     digits: tuple[int, ...]
-    lattice: HnfBasis
-    frobenius: tuple[tuple[int, ...], ...]
+    lattice: HnfBasis | None = None
+    frobenius: tuple[tuple[int, ...], ...] = ()
 
 
-def _prime_half(ctx, p: int, d: int) -> _PrimeHalf:
-    n = ctx.degree
+def _prime_half(ctx, prime: PrimeElement, d: int) -> _PrimeHalf:
+    """The half of the ideal prime generates; ValueError unless p is prime."""
+    root = prime.root
+    p = abs(prime.element.coeffs[0]) if root is None else prime.norm_abs
+    if not is_probable_prime(p):
+        raise ValueError("alpha or beta is not prime (a composite scalar or element norm)")
+    n = ctx.degree if root is None else 1
     d_p = (d - 1) % (p**n - 1) + 1
     digits = []
     while d_p:
         d_p, digit = divmod(d_p, p)
         digits.append(digit)
+    if root is not None:
+        return _PrimeHalf(p, root, tuple(digits))
     lattice = HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
-    x_p = conv_pow(ctx, ctx.element((0, 1) + (0,) * (n - 2)), p, lattice)
+    return _PrimeHalf(p, None, tuple(digits), lattice, _frobenius(ctx, p, lattice))
+
+
+def _frobenius(ctx, p: int, lattice: HnfBasis) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi), lattice = pZ^n.
+
+    ValueError unless x^(p^n) = x, that is unless phi is square-free mod p
+    with every irreducible factor of a degree f | n, so that the ring is a
+    product of fields F_{p^f}.  The matrix applied n times to x tells.
+    """
+    n = ctx.degree
+    x = (0, 1) + (0,) * (n - 2) if n > 1 else ctx.phi_coeffs
+    x_p = conv_pow(ctx, ctx.element(x), p, lattice)
     cols = [ctx.one()]
     while len(cols) < n:
         cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
-    return _PrimeHalf(p, tuple(digits), lattice, tuple(zip(*(c.coeffs for c in cols))))
+    rows = tuple(zip(*(c.coeffs for c in cols)))
+    image = x = tuple(c % p for c in x)
+    for _ in range(n):
+        image = _mat_vec_mod(rows, image, p)
+    if image != x:
+        raise ValueError("for a scalar p, R/pR is not a product of fields of degree dividing n")
+    return rows
+
+
+def _mat_vec_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, vec)) % p for row in rows)
 
 
 def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ...]:
-    """vec^(d_p) mod p as the product of Frob^i(vec)^(digit i).
+    """vec^d in R/P, lifted to a coefficient vector.
 
-    Frob^i(vec) = vec^(p^i), so the exponentiation runs over the bits of
-    one base-p digit instead of all of d_p.  The block and each image are
-    taken % p, into the box of pZ^n; conv_multi_pow reduces the product.
+    For an element, the constant (w, 0, ..., 0), w = vec(root)^d_p % p.
+    For a scalar, the product of the Frobenius images vec^(p^i) % p to
+    the i-th digits, so the squaring chain is one digit long;
+    conv_multi_pow reduces it into the box of pZ^n.
     """
     p = half.p
+    if half.root is not None:
+        w = pow(_eval_mod(vec, half.root, p), half.digits[0], p)
+        return (w,) + (0,) * (len(vec) - 1)
     images = [tuple(c % p for c in vec)]
     for _ in half.digits[1:]:
-        prev = images[-1]
-        images.append(tuple(sum(map(operator.mul, row, prev)) % p for row in half.frobenius))
+        images.append(_mat_vec_mod(half.frobenius, images[-1], p))
     bases = [ctx.element(image) for image in images]
     return conv_multi_pow(ctx, bases, half.digits, half.lattice).coeffs
 
@@ -236,12 +261,14 @@ def keypair_from_primes(
 ) -> tuple[PublicKey, PrivateKey]:
     """Assemble a key pair from two already-found prime elements.
 
-    The totient and the public lattice come from the norms and roots that
-    alpha and beta cache, so a search that has read the norms pays for none.
+    The totient and the lattice come from the norms and roots that alpha
+    and beta cache, and the private key keeps them, so a search that has
+    read the norms pays for none.
     """
     phi = totient_of_product(alpha, beta)
     e = _select_e(phi, e_choice)
     priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
+    vars(priv)["_primes"] = alpha, beta
     return PublicKey(field, product_lattice(alpha, beta), e), priv
 
 
@@ -291,20 +318,6 @@ def _in_box(radices: Sequence[int], vec: Sequence[int]) -> bool:
     return len(vec) == len(radices) and all(0 <= c < r for c, r in zip(vec, radices))
 
 
-def _scalar_modulus(basis: HnfBasis) -> int | None:
-    """N when the HNF diagonal is (N, 1, ..., 1), else None.
-
-    HNF reduction then forces every off-diagonal entry to 0, so the box
-    points are (m, 0, ..., 0), and they multiply as the integers m mod N.
-    """
-    first, *rest = basis.diag
-    return first if all(b == 1 for b in rest) else None
-
-
-def _scalar_pow(ctx, modulus: int, vec: Sequence[int], exponent: int) -> RingElement:
-    return ctx.element((pow(vec[0], exponent, modulus),) + (0,) * (ctx.degree - 1))
-
-
 def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
     """e-th convolution power of a box point modulo the lattice, in the box.
 
@@ -315,36 +328,30 @@ def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
     vec = _vector_of(block, ctx)
     if not _in_box(pub.lattice.diag, vec):
         raise ValueError("message outside coset box")
-    modulus = _scalar_modulus(pub.lattice)
-    if modulus is not None:
-        return CiphertextBlock(_scalar_pow(ctx, modulus, vec, pub.e))
+    modulus, *rest = pub.lattice.diag
+    if all(b == 1 for b in rest):  # box points (m, 0, ..., 0) multiply as m mod N
+        return CiphertextBlock(ctx.element((pow(vec[0], pub.e, modulus),) + vec[1:]))
     return CiphertextBlock(conv_pow(ctx, ctx.element(vec), pub.e, pub.lattice))
 
 
 def decrypt_block(priv: PrivateKey, block) -> RingElement:
     """d-th convolution power of a ciphertext point modulo the lattice.
 
-    The path follows priv.decrypt_path; all three give the same point.
-    Raises TypeError for a coordinate that is not an integer (a float,
-    Fraction or str) and ValueError for a point outside the box.
+    The powers a and b in the halves R/(alpha) and R/(beta) recombine as
+    b + eps (a - b), reduced into the box.  Raises TypeError for a
+    coordinate that is not an integer (a float, Fraction or str), and
+    ValueError for a point outside the box or a key _crt refuses.
     """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)
     if not _in_box(priv.lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
-    path = priv.decrypt_path
-    if path == "scalar":
-        return _scalar_pow(ctx, priv.lattice.diag[0], vec, priv.d)
-    if path == "crt":
-        p_half, q_half, q_inv = priv._crt
-        p, q = p_half.p, q_half.p
-        by_p = _power_mod_prime(ctx, p_half, vec)
-        by_q = _power_mod_prime(ctx, q_half, vec)
-        # Garner: the unique c in [0, pq) with c = c_p mod p and c = c_q mod q
-        return ctx.element(
-            tuple(cq + q * ((cp - cq) * q_inv % p) for cp, cq in zip(by_p, by_q))
-        )
-    return conv_pow(ctx, ctx.element(vec), priv.d, priv.lattice)
+    half_a, half_b, eps = priv._crt
+    a = _power_mod_prime(ctx, half_a, vec)
+    b = _power_mod_prime(ctx, half_b, vec)
+    # eps is an integer unless both halves are F_p, and then a - b is one
+    k, v = (eps[0], map(operator.sub, a, b)) if half_a.p != half_b.p else (a[0] - b[0], eps)
+    return ctx.element(reduce_mod_lattice(priv.lattice, [y + k * c for y, c in zip(b, v)]))
 
 
 def _chunk_bytes(radices: Sequence[int]) -> int:
@@ -409,11 +416,10 @@ def validate_keypair(pub: PublicKey, priv: PrivateKey) -> bool:
 
     The lattice determinant needs no check of its own: priv.lattice is
     product_lattice of alpha and beta, the canonical basis of the ideal
-    (alpha * beta), whose determinant is N(alpha) N(beta).
+    (alpha * beta), whose determinant is N(alpha) N(beta).  Raises
+    ValueError for a key parse_private refuses (priv.phi, then priv._crt).
     """
-    return (
-        pub.field == priv.field
-        and 1 <= priv.d < priv.phi
-        and pub.e * priv.d % priv.phi == 1
-        and pub.lattice == priv.lattice
-    )
+    if pub.field != priv.field or not 1 <= priv.d < priv.phi:
+        return False
+    priv._crt  # the admission rule
+    return pub.e * priv.d % priv.phi == 1 and pub.lattice == priv.lattice

@@ -24,7 +24,6 @@ from ringrsa.fields import (
     key_class_of,
     product_lattice,
     totient_of_product,
-    unramified,
 )
 from ringrsa.lattice import hnf
 from ringrsa.ring import conv_mul, ideal_matrix, norm
@@ -34,7 +33,8 @@ from ringrsa.primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from support import contains, coset_box_naive
+from ringrsa.scheme import _frobenius
+from support import contains, coset_box_naive, scaled_identity
 
 
 class TestQuadraticField:
@@ -189,7 +189,25 @@ class TestInertPrimes:
             is_inert_prime(generic_field((1, 1, 0)), 3)
 
 
+def frobenius_rule(field, p):
+    """x^(p^n) = x mod (p, phi): the rule that admits a scalar prime p."""
+    n = field.ring.degree
+    try:
+        _frobenius(field.ring, p, scaled_identity(n, p))
+    except ValueError:
+        return False
+    return True
+
+
+def discriminant_rule(field, p):
+    """p is coprime to 4d (quadratic) or to m (cyclotomic): p does not ramify."""
+    return math.gcd(p, 4 * field.param if field.kind == "quadratic" else field.param) == 1
+
+
 class TestUnramified:
+    """The Frobenius rule, which holds when phi is square-free mod p with
+    every irreducible factor of a degree dividing n."""
+
     @pytest.mark.parametrize(
         "field, p, expected",
         [
@@ -199,14 +217,35 @@ class TestUnramified:
             (cyclotomic_field(12), 2, False),
             (cyclotomic_field(12), 3, False),
             (cyclotomic_field(12), 5, True),
-            (generic_field((1, 1, 0)), 3, False),
+            # x^3 - x - 1 is irreducible mod 3, a linear times a quadratic mod 5
+            (generic_field((1, 1, 0)), 3, True),
             (generic_field((1, 1, 0)), 5, False),
+            # x^3 - 2 is square-free mod 5 and 11, but a linear times a
+            # quadratic; 2 is no cube mod 7 or 13, so it is irreducible there
+            (generic_field((2, 0, 0)), 5, False),
+            (generic_field((2, 0, 0)), 11, False),
+            (generic_field((2, 0, 0)), 7, True),
+            (generic_field((2, 0, 0)), 13, True),
+            (generic_field((2, 0, 0)), 3, False),  # x^3 - 2 = (x + 1)^3 mod 3
         ],
         ids=["d=2,p=2", "d=2,p=3", "d=-1,p=2", "m=12,p=2", "m=12,p=3", "m=12,p=5",
-             "generic,p=3", "generic,p=5"],
+             "generic,p=3", "generic,p=5", "cube-root-2,p=5", "cube-root-2,p=11",
+             "cube-root-2,p=7", "cube-root-2,p=13", "cube-root-2,p=3"],
     )
     def test_table(self, field, p, expected):
-        assert unramified(field, p) is expected
+        assert frobenius_rule(field, p) is expected
+
+    @pytest.mark.parametrize(
+        "field",
+        [quadratic_field(d) for d in (2, 3, -1, -2, 6, -5)]
+        + [cyclotomic_field(m) for m in (5, 7, 8, 12, 16)],
+        ids=lambda field: field.spec_string(),
+    )
+    def test_matches_the_discriminant_rule_on_presets(self, field):
+        # on quadratic and cyclotomic fields every unramified p has all its
+        # residue degrees equal to some f dividing n
+        for p in (p for p in range(2, 200) if is_probable_prime(p)):
+            assert frobenius_rule(field, p) is discriminant_rule(field, p), p
 
 
 class TestFindInertPrime:

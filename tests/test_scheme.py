@@ -30,10 +30,10 @@ from ringrsa import (
 )
 from ringrsa import lattice, primes
 from ringrsa.errors import AssociatePrimesError
-from ringrsa.fields import find_prime_norm_element
+from ringrsa.fields import find_inert_prime, find_prime_norm_element
 from ringrsa.keyfiles import parse_private, render_private
 from ringrsa.lattice import HnfBasis
-from ringrsa.ring import conv_pow, norm
+from ringrsa.ring import conv_mul, conv_pow, norm
 from ringrsa.scheme import CiphertextBlock
 from support import scaled_identity
 
@@ -262,6 +262,34 @@ def element_keypair(field, coeff_bound, seed):
     return keygen(field, PrimeNormElementMode(coeff_bound), rng=random.Random(seed))
 
 
+def conjugate_keypair(field, coeff_bound, seed):
+    """alpha and its conjugate alpha(x^3): equal norms p, two roots mod p.
+
+    Tries seeds from the given one until the two generate distinct ideals.
+    """
+    ctx = field.ring
+    x = ctx.element((0, 1) + (0,) * (ctx.degree - 2))
+    x_3 = conv_mul(ctx, conv_mul(ctx, x, x), x)
+    for s in itertools.count(seed):
+        alpha = find_prime_norm_element(field, coeff_bound, random.Random(s))
+        conjugate = ctx.zero()
+        for c in reversed(alpha.element.coeffs):  # Horner in x^3
+            conjugate = conv_mul(ctx, conjugate, x_3)
+            conjugate = ctx.element((conjugate.coeffs[0] + c,) + conjugate.coeffs[1:])
+        try:
+            return keypair_from_primes(field, alpha, PrimeElement(conjugate))
+        except AssociatePrimesError:
+            continue
+
+
+def mixed_keypair(field, coeff_bound, bits, seed):
+    """An element of prime norm p beside an inert scalar prime q != p."""
+    rng = random.Random(seed)
+    alpha = find_prime_norm_element(field, coeff_bound, rng)
+    beta = find_inert_prime(field, bits, rng, exclude=alpha.norm_abs)
+    return keypair_from_primes(field, alpha, beta)
+
+
 def lattice_power(ctx, lattice, vec, exponent):
     """The generic path: convolution power modulo the lattice, in the box."""
     return conv_pow(ctx, ctx.element(vec), exponent, lattice).coeffs
@@ -284,42 +312,42 @@ def box_points(radices, rng, limit=2000):
     return points
 
 
-# id: (key pair builder, decryption path the key must take)
+# id: key pair builder.  The ids name the path each key took when
+# decryption had three (an integer pow mod N, CRT over two scalar primes,
+# and the power modulo the lattice); now every key takes the one CRT path.
 PATH_KEYS = {
-    "scalar-m5": (lambda: element_keypair(cyclotomic_field(5), 1, 0), "scalar"),
-    "scalar-d2": (lambda: element_keypair(quadratic_field(2), 5, 0), "scalar"),
-    "crt-d2": (lambda: scalar_prime_keypair(quadratic_field(2), 3, 5), "crt"),
-    "crt-d-1": (lambda: scalar_prime_keypair(quadratic_field(-1), 3, 7), "crt"),
-    "crt-m5": (lambda: scalar_prime_keypair(cyclotomic_field(5), 2, 3), "crt"),
-    "crt-m8": (lambda: scalar_prime_keypair(cyclotomic_field(8), 3, 5), "crt"),
-    "crt-m12": (lambda: scalar_prime_keypair(cyclotomic_field(12), 5, 7), "crt"),
+    "scalar-m5": lambda: element_keypair(cyclotomic_field(5), 1, 0),
+    "scalar-d2": lambda: element_keypair(quadratic_field(2), 5, 0),
+    "crt-d2": lambda: scalar_prime_keypair(quadratic_field(2), 3, 5),
+    "crt-d-1": lambda: scalar_prime_keypair(quadratic_field(-1), 3, 7),
+    "crt-m5": lambda: scalar_prime_keypair(cyclotomic_field(5), 2, 3),
+    "crt-m8": lambda: scalar_prime_keypair(cyclotomic_field(8), 3, 5),
+    "crt-m12": lambda: scalar_prime_keypair(cyclotomic_field(12), 5, 7),
     # 5 = (2 + i)(2 - i) splits in Z[i]: Z[i]/5 is F_5 x F_5, with zero divisors
-    "crt-d-1-split": (lambda: scalar_prime_keypair(quadratic_field(-1), 5, 3), "crt"),
-    "lattice-generic": (
-        lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
-        "lattice",
+    "crt-d-1-split": lambda: scalar_prime_keypair(quadratic_field(-1), 5, 3),
+    # x^3 - x - 1 is irreducible mod 2 and mod 3
+    "lattice-generic": lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
+    # equal norms 11 give the diagonal (11, 11, 1, 1) and a linear eps
+    "lattice-equal-norm": lambda: element_keypair(cyclotomic_field(5), 1, 2),
+    # 3 + sqrt(2) of norm 7 beside the inert scalar 3
+    "lattice-skew": lambda: keypair_from_primes(
+        FIELD,
+        PrimeElement(FIELD.ring.element((3, 1))),
+        PrimeElement(FIELD.ring.element((3, 0))),
     ),
-    # element mode, but equal norms 11 give the diagonal (11, 11, 1, 1)
-    "lattice-equal-norm": (lambda: element_keypair(cyclotomic_field(5), 1, 2), "lattice"),
-    "lattice-skew": (
-        lambda: keypair_from_primes(
-            FIELD,
-            PrimeElement(FIELD.ring.element((3, 1))),
-            PrimeElement(FIELD.ring.element((3, 0))),
-        ),
-        "lattice",
-    ),
+    "equal-norm-m16": lambda: conjugate_keypair(cyclotomic_field(16), 1, 0),
+    "mixed-m16": lambda: mixed_keypair(cyclotomic_field(16), 1, 5, 0),
+    # Z[x]/(x - 5) is Z, and the Frobenius half of a scalar p is F_p
+    "degree-1": lambda: scalar_prime_keypair(generic_field((5,)), 3, 7),
 }
 
 
 class TestDecryptPaths:
-    """Every exponentiation path equals the generic lattice-reduced power."""
+    """Decryption by CRT equals the generic lattice-reduced power on every key class."""
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_paths_match_lattice_power_on_box(self, key):
-        build, path = PATH_KEYS[key]
-        pub, priv = build()
-        assert priv.decrypt_path == path
+        pub, priv = PATH_KEYS[key]()
         ctx = pub.field.ring
         rng = random.Random(key)
         for msg in box_points(pub.lattice.diag, rng):
@@ -332,30 +360,34 @@ class TestDecryptPaths:
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_coset_box_is_the_lattice_diagonal(self, key):
-        pub, priv = PATH_KEYS[key][0]()
+        pub, priv = PATH_KEYS[key]()
         assert coset_box(pub.lattice) == pub.lattice.diag == coset_box(priv.lattice)
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_out_of_box_ciphertext_rejected_on_every_path(self, key):
-        _, priv = PATH_KEYS[key][0]()
+        _, priv = PATH_KEYS[key]()
         bad = (priv.lattice.diag[0],) + (0,) * (priv.lattice.dimension - 1)
         with pytest.raises(ValueError, match="ciphertext outside coset box"):
             decrypt_block(priv, bad)
 
     @pytest.mark.parametrize(
-        "field,p,q",
+        "field,p,q,refused",
         [
-            (quadratic_field(2), 2, 3),  # 2 | 4d: ramified
-            (quadratic_field(3), 3, 5),  # 3 | 4d: ramified
-            (quadratic_field(2), 3, 3),
-            (generic_field((1, 1, 0)), 2, 3),
-            (quadratic_field(2), 15, 11),  # composite alpha
+            (quadratic_field(2), 2, 3, True),  # 2 | 4d: ramified
+            (quadratic_field(3), 3, 5, True),  # 3 | 4d: ramified
+            (quadratic_field(2), 3, 3, True),
+            (generic_field((1, 1, 0)), 2, 3, False),
+            (quadratic_field(2), 15, 11, True),  # composite alpha
         ],
         ids=["p=2-d=2", "p=3-d=3", "p=q", "generic", "composite"],
     )
-    def test_hand_built_scalar_keys_take_lattice_path(self, field, p, q):
+    def test_hand_built_scalar_keys_take_lattice_path(self, field, p, q, refused):
+        """The scalar keys the old lattice path took: refused, but for the generic one."""
         priv = hand_built_private_key(field, p, q, d=7)
-        assert priv.decrypt_path == "lattice"
+        if refused:
+            with pytest.raises(ValueError):
+                decrypt_block(priv, (0,) * field.ring.degree)
+            return
         rng = random.Random(p * q)
         for _ in range(20):
             ct = tuple(rng.randrange(r) for r in priv.lattice.diag)
@@ -363,11 +395,27 @@ class TestDecryptPaths:
                 field.ring, priv.lattice, ct, priv.d
             )
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: conjugate_keypair(cyclotomic_field(64), 1, 0),
+         lambda: mixed_keypair(cyclotomic_field(64), 1, 4, 0)],
+        ids=["equal-norm", "mixed"],
+    )
+    def test_degree_32_keys_match_lattice_power(self, build):
+        pub, priv = build()
+        ctx = pub.field.ring
+        rng = random.Random(32)
+        for _ in range(4):
+            msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
+            ct = encrypt_block(pub, msg).vector.coeffs
+            assert decrypt_block(priv, ct).coeffs == msg
+            assert lattice_power(ctx, priv.lattice, ct, priv.d) == msg
+
     def test_crt_exponent_divisible_by_p_group_order(self):
         # d = 40 = 0 mod 3^2 - 1: the reduced exponent must be 8, not 0,
         # or the zero divisors mod 3 would map to 1
         priv = hand_built_private_key(FIELD, 3, 5, d=40)
-        assert priv.decrypt_path == "crt"
+        assert priv._crt[0].digits == (2, 2)
         for ct in box_points(priv.lattice.diag, random.Random(0)):
             assert decrypt_block(priv, ct).coeffs == lattice_power(
                 FIELD.ring, priv.lattice, ct, 40
@@ -384,7 +432,6 @@ class TestFrobeniusPower:
     )
     def test_matrix_columns_are_pth_powers_of_basis(self, field, p, q):
         priv = hand_built_private_key(field, p, q, d=7)
-        assert priv.decrypt_path == "crt"
         ctx = field.ring
         n = ctx.degree
         p_half, q_half, _ = priv._crt
@@ -421,8 +468,7 @@ class TestFrobeniusPower:
         # q = 5): (1 + 32 * 1) + (2 + 32 * 2) = 99.
         field = cyclotomic_field(64)
         pub, priv = scalar_prime_keypair(field, 3, 5)
-        assert priv.decrypt_path == "crt"
-        assert len(priv._crt[0].digits) == 32
+        assert len(priv._crt[0].digits) == 32  # the per-key set-up runs before counting
         rng = random.Random(64)
         start = time.monotonic()
         for _ in range(3):
@@ -442,7 +488,7 @@ class TestFrobeniusPower:
         # base-p digits of about 512 bits, so w = 5: 511 squarings, two
         # 16-entry tables and about 2 * 512 / 6 window products per half
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
-        assert priv.decrypt_path == "crt"
+        assert all(len(h.digits) == 2 for h in priv._crt[:2])  # set up before counting
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
         ct = encrypt_block(pub, msg).vector.coeffs
@@ -454,9 +500,9 @@ class TestFrobeniusPower:
     def test_rsa_size_block_reductions(self, record_calls):
         # the kernels reduce every step % p, and each half takes the block
         # and its Frobenius images % p itself: reduce_mod_lattice runs
-        # once per half, on the result of conv_multi_pow
+        # once per half, on the result of conv_multi_pow, and once on the
+        # recombined point, by the key lattice
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
-        assert priv.decrypt_path == "crt"
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
         ct = encrypt_block(pub, msg).vector.coeffs
@@ -465,7 +511,7 @@ class TestFrobeniusPower:
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
         assert decrypt_block(priv, ct).coeffs == msg
         assert all(len(h.digits) == 2 for h in halves)
-        assert calls == [h.lattice for h in halves]
+        assert calls == [h.lattice for h in halves] + [priv.lattice]
 
 
 @pytest.fixture
@@ -515,6 +561,16 @@ class TestHnfPerKey:
         pub, priv = keypair_from_primes(field, alpha, beta)
         assert norm_calls == []
         assert pub.lattice.diag[0] == alpha.norm_abs * beta.norm_abs
+
+    def test_keygen_then_validate_and_decrypt_take_no_norm(self, norm_calls):
+        # the private key keeps the PrimeElements the search read
+        field = cyclotomic_field(64)
+        pub, priv = keygen(field, PrimeNormElementMode(4), rng=random.Random(0x301))
+        norm_calls.clear()
+        assert validate_keypair(pub, priv)
+        msg = (1,) + (0,) * (field.ring.degree - 1)
+        assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+        assert norm_calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
