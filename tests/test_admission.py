@@ -48,16 +48,21 @@ def candidates(field):
     return found
 
 
+def key_pair(spec, alpha, beta):
+    field = parse_field_spec(spec)
+    ctx = field.ring
+    return keypair_from_primes(
+        field, PrimeElement(ctx.element(alpha)), PrimeElement(ctx.element(beta))
+    )
+
+
 @pytest.mark.parametrize("spec", SWEEP)
 def test_every_admitted_small_key_decrypts_its_whole_box(spec):
     field = parse_field_spec(spec)
-    ctx = field.ring
     admitted = 0
     for va, vb in itertools.combinations(candidates(field), 2):
         try:
-            pub, priv = keypair_from_primes(
-                field, PrimeElement(ctx.element(va)), PrimeElement(ctx.element(vb))
-            )
+            pub, priv = key_pair(spec, va, vb)
         except ValueError:  # associates, a non-cyclic quotient, or no e
             continue
         if math.prod(pub.lattice.diag) > BOX_LIMIT:
@@ -70,7 +75,7 @@ def test_every_admitted_small_key_decrypts_its_whole_box(spec):
         for msg in itertools.product(*(range(r) for r in pub.lattice.diag)):
             ct = encrypt_block(pub, msg).vector
             assert decrypt_block(parsed, ct).coeffs == msg, (va, vb, msg)
-            assert conv_pow(ctx, ct, parsed.d, parsed.lattice).coeffs == msg, (va, vb, msg)
+            assert conv_pow(field.ring, ct, parsed.d, parsed.lattice).coeffs == msg, (va, vb, msg)
     assert admitted == SWEEP[spec]
 
 
@@ -89,25 +94,13 @@ REFUSED = {
 }
 
 
-def private_key_text(spec, alpha, beta):
-    """A key file for alpha and beta with the smallest e coprime to the totient."""
-    ctx = parse_field_spec(spec).ring
-    norms = [PrimeElement(ctx.element(v)).norm_abs for v in (alpha, beta)]
-    phi = (norms[0] - 1) * (norms[1] - 1)
-    e = next(e for e in itertools.count(3) if math.gcd(e, phi) == 1)
-    return (
-        f"format_version = 1\nrole = private\nfield = {spec}\n"
-        f"alpha = {','.join(map(str, alpha))}\nbeta = {','.join(map(str, beta))}\n"
-        f"d = {pow(e, -1, phi)}\ne = {e}\n"
-    )
-
-
 @pytest.mark.parametrize("command", ["decrypt", "inspect"])
 @pytest.mark.parametrize("key", REFUSED)
 def test_cli_refuses_keys_that_decrypt_wrongly(tmp_path, capsys, key, command):
     spec, alpha, beta, reason = REFUSED[key]
     priv_path = tmp_path / "bad.priv"
-    priv_path.write_text(private_key_text(spec, alpha, beta))
+    pub, priv = key_pair(spec, alpha, beta)
+    priv_path.write_text(render_private(priv, pub.e))
     ct_path = tmp_path / "ct.txt"
     ct_path.write_text("")
     argv = {
@@ -125,11 +118,7 @@ def test_cli_refuses_keys_that_decrypt_wrongly(tmp_path, capsys, key, command):
 
 def test_generic_key_over_inert_primes_roundtrips(tmp_path, capsys):
     # 2 is no cube mod 7 or mod 13, so x^3 - 2 is irreducible mod both
-    field = parse_field_spec("generic:phi=2,0,0")
-    ctx = field.ring
-    pub, priv = keypair_from_primes(
-        field, PrimeElement(ctx.element((7, 0, 0))), PrimeElement(ctx.element((13, 0, 0)))
-    )
+    pub, priv = key_pair("generic:phi=2,0,0", (7, 0, 0), (13, 0, 0))
     pub_path, priv_path = tmp_path / "k.pub", tmp_path / "k.priv"
     pub_path.write_text(render_public(pub))
     priv_path.write_text(render_private(priv, pub.e))
