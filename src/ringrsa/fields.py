@@ -32,7 +32,6 @@ __all__ = [
     "cyclotomic_field",
     "generic_field",
     "parse_field_spec",
-    "is_inert_prime",
     "find_inert_prime",
     "find_prime_norm_element",
     "totient_of_product",
@@ -58,10 +57,6 @@ class FieldDescriptor:
     kind: str
     ring: RingContext
     param: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("quadratic", "cyclotomic", "generic"):
-            raise ValueError("unknown field kind")
 
     def spec_string(self) -> str:
         if self.kind == "quadratic":
@@ -245,17 +240,7 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
 
 
 def _inert(field: FieldDescriptor, p: int) -> bool:
-    """is_inert_prime for a p already known to be prime."""
-    if field.kind == "quadratic":
-        return p != 2 and pow(field.param % p, (p - 1) // 2, p) == p - 1
-    if field.kind == "cyclotomic":
-        m = field.param
-        return math.gcd(p, m) == 1 and multiplicative_order(p, m) == carmichael_lambda(m)
-    raise ValueError("no inert-prime criterion for generic fields")
-
-
-def is_inert_prime(field: FieldDescriptor, p: int) -> bool:
-    """Test whether the rational prime p stays prime-like in the field.
+    """Test whether p, already known to be prime, stays prime-like in the field.
 
     Quadratic: p is unramified and d is a quadratic non-residue mod p.
     Cyclotomic: p is unramified and the multiplicative order of p mod m
@@ -264,9 +249,12 @@ def is_inert_prime(field: FieldDescriptor, p: int) -> bool:
     in every case p*q generates a square-free ideal whose totient
     divides (p^n - 1)(q^n - 1), which is what key generation needs.
     """
-    if not is_probable_prime(p):
-        raise ValueError("p must be prime")
-    return _inert(field, p)
+    if field.kind == "quadratic":
+        return p != 2 and pow(field.param % p, (p - 1) // 2, p) == p - 1
+    if field.kind == "cyclotomic":
+        m = field.param
+        return math.gcd(p, m) == 1 and multiplicative_order(p, m) == carmichael_lambda(m)
+    raise ValueError("no inert-prime criterion for generic fields")
 
 
 def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
@@ -361,13 +349,13 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
 
     - two scalars a, b: (ab, phi) = |ab| R, so |ab| I;
     - a scalar s and an element: s (p, x - r);
-    - elements of coprime norms p != q: (pq, x - r), r the CRT of the roots;
-    - elements of equal norm p and roots r_a, r_b whose difference is a unit
-      mod p: (p, (x - r_a)(x - r_b)), of diagonal (p, p, 1, ..., 1).
+    - elements of norms p != q: (pq, x - r), r the CRT of the roots;
+    - elements of one norm p and roots r_a != r_b: (p, (x - r_a)(x - r_b)),
+      of diagonal (p, p, 1, ..., 1).
 
-    Equal roots (associates) raise AssociatePrimesError; norms that share
-    a factor without being equal, and roots whose difference is not a unit,
-    raise ValueError.
+    alpha and beta must generate two distinct prime ideals: found by
+    keygen, or admitted by PrivateKey._crt.  Then p and q are primes, and
+    r_a - r_b is a unit mod p; nothing here checks it.
     """
     ctx = alpha.element.context
     n = ctx.degree
@@ -380,11 +368,5 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
         return _ideal_basis(n, elem.norm_abs, (elem.root,), abs(scalar.element.coeffs[0]))
     p, q, r_a, r_b = alpha.norm_abs, beta.norm_abs, alpha.root, beta.root
     if p != q:
-        if math.gcd(p, q) != 1:
-            raise ValueError("element norms share a factor")
         return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
-    if r_a == r_b:
-        raise AssociatePrimesError("associate prime elements generate the same ideal")
-    if math.gcd(r_a - r_b, p) != 1:
-        raise ValueError("roots of equal-norm elements differ by a non-unit")
     return _ideal_basis(n, p, (-r_a * r_b % p, (r_a + r_b) % p))

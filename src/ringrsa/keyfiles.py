@@ -179,9 +179,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     The key derives the totient, the lattice and the halves from alpha
     and beta; a file is checked here, where it comes in, for alpha and
     beta whose norms fit the budget of _check_norm_budget, non-associate
-    non-units alpha and beta, a lattice product_lattice can build (each
-    non-scalar alpha or beta has quotient Z/N), 1 <= d < phi,
-    e * d = 1 (mod phi), and the admission rule of PrivateKey._crt.
+    non-units alpha and beta (priv.phi), 1 <= d < phi, e * d = 1 (mod phi),
+    and the admission rule of PrivateKey._crt.  No lattice is built.
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -200,7 +199,6 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
             raise KeyFileError("private key file: private exponent out of range")
         if e * d % priv.phi != 1:
             raise KeyFileError("private key file: e does not invert d modulo the totient")
-        priv.lattice  # product_lattice refuses alpha and beta it cannot build from
         priv._crt  # the admission rule: two distinct prime ideals
         return priv, e
     except KeyFileError:

@@ -98,8 +98,9 @@ class PublicKey:
 class PrivateKey:
     """The secret primes and exponent, unchecked; the totient, lattice and halves follow.
 
-    parse_private and validate_keypair read phi, lattice and _crt, which
-    refuse alpha and beta that are not two distinct prime ideals.
+    parse_private and validate_keypair read phi, then _crt, which refuses
+    alpha and beta that are not two distinct prime ideals; lattice is read
+    only after that.
     """
 
     field: FieldDescriptor
@@ -119,7 +120,7 @@ class PrivateKey:
 
     @cached_property
     def lattice(self) -> HnfBasis:
-        """product_lattice of alpha and beta: the public modulus."""
+        """product_lattice of alpha and beta: the public modulus, once _crt admits them."""
         return product_lattice(*self._primes)
 
     @property
@@ -134,8 +135,9 @@ class PrivateKey:
         Over rational primes p != q, eps is the integer q (q^-1 mod p); for
         elements of one prime norm p and roots r_a != r_b it is
         (x - r_b) (r_a - r_b)^-1 mod p.  This is the admission rule of a
-        key: ValueError unless _prime_half builds both halves and the two
-        ideals are coprime (not so for a scalar p beside a norm p).
+        key, and the only refusal besides phi's: ValueError unless
+        _prime_half builds both halves and the two ideals are coprime (not so
+        for a scalar p beside a norm p, nor for equal roots).
         """
         ctx = self.field.ring
         half_a, half_b = (_prime_half(ctx, prime, self.d) for prime in self._primes)
@@ -344,9 +346,9 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)
+    half_a, half_b, eps = priv._crt  # admits the key before its lattice is built
     if not _in_box(priv.lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
-    half_a, half_b, eps = priv._crt
     a = _power_mod_prime(ctx, half_a, vec)
     b = _power_mod_prime(ctx, half_b, vec)
     # eps is an integer unless both halves are F_p, and then a - b is one

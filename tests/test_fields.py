@@ -8,23 +8,28 @@ import pytest
 
 from ringrsa import (
     PrimeElement,
+    PrivateKey,
+    PublicKey,
     SearchExhaustedError,
     cyclotomic_field,
     generic_field,
     keypair_from_primes,
     parse_field_spec,
     quadratic_field,
+    validate_keypair,
 )
 from ringrsa import fields, primes
-from ringrsa.errors import AssociatePrimesError
+from ringrsa.cli import main
+from ringrsa.errors import AssociatePrimesError, KeyFileError
 from ringrsa.fields import (
+    _inert,
     find_inert_prime,
     find_prime_norm_element,
-    is_inert_prime,
     key_class_of,
     product_lattice,
     totient_of_product,
 )
+from ringrsa.keyfiles import parse_private, render_private
 from ringrsa.lattice import hnf
 from ringrsa.ring import conv_mul, ideal_matrix, norm
 from ringrsa.primes import (
@@ -153,40 +158,36 @@ class TestParseFieldSpec:
 class TestInertPrimes:
     def test_quadratic_known_cases(self):
         field = quadratic_field(2)
-        assert is_inert_prime(field, 3)
-        assert is_inert_prime(field, 5)
-        assert not is_inert_prime(field, 7)   # 3*3 = 2 mod 7
-        assert not is_inert_prime(field, 2)   # ramified
+        assert _inert(field, 3)
+        assert _inert(field, 5)
+        assert not _inert(field, 7)   # 3*3 = 2 mod 7
+        assert not _inert(field, 2)   # ramified
 
     def test_quadratic_negative_d(self):
         field = quadratic_field(-1)
-        assert is_inert_prime(field, 3)
-        assert not is_inert_prime(field, 5)   # 2*2 = -1 mod 5
+        assert _inert(field, 3)
+        assert not _inert(field, 5)   # 2*2 = -1 mod 5
 
     def test_cyclotomic_known_cases(self):
         field = cyclotomic_field(5)
-        assert is_inert_prime(field, 2)
-        assert is_inert_prime(field, 7)
-        assert not is_inert_prime(field, 11)  # 11 = 1 mod 5
-        assert not is_inert_prime(field, 19)  # order 2 only
-        assert not is_inert_prime(field, 5)   # divides m
+        assert _inert(field, 2)
+        assert _inert(field, 7)
+        assert not _inert(field, 11)  # 11 = 1 mod 5
+        assert not _inert(field, 19)  # order 2 only
+        assert not _inert(field, 5)   # divides m
 
     def test_cyclotomic_non_cyclic_unit_group(self):
         # mod 8 no residue has order phi(8)=4; the attainable maximum is
         # lambda(8)=2 and any odd prime that reaches it qualifies
         field = cyclotomic_field(8)
-        assert is_inert_prime(field, 3)
-        assert is_inert_prime(field, 5)
-        assert is_inert_prime(field, 7)
-        assert not is_inert_prime(field, 17)  # 17 = 1 mod 8
-
-    def test_composite_rejected(self):
-        with pytest.raises(ValueError, match="must be prime"):
-            is_inert_prime(quadratic_field(2), 15)
+        assert _inert(field, 3)
+        assert _inert(field, 5)
+        assert _inert(field, 7)
+        assert not _inert(field, 17)  # 17 = 1 mod 8
 
     def test_generic_has_no_criterion(self):
         with pytest.raises(ValueError, match="no inert-prime criterion"):
-            is_inert_prime(generic_field((1, 1, 0)), 3)
+            _inert(generic_field((1, 1, 0)), 3)
 
 
 def frobenius_rule(field, p):
@@ -274,7 +275,7 @@ class TestFindInertPrime:
             got = find_inert_prime(field, 9, random.Random(seed))
             p = got.element.coeffs[0]
             assert p.bit_length() == 9
-            assert is_inert_prime(field, p)
+            assert _inert(field, p)
             assert got.norm_abs == p**4
 
 
@@ -459,6 +460,31 @@ class TestRoot:
             elem.root
 
 
+def refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, reason):
+    """The quadratic:d=-1 key (alpha, beta) with e = 3 is refused by
+    PrivateKey._crt alone: parse_private raises KeyFileError, CLI decrypt
+    exits 2 with one error line, and validate_keypair, against the public
+    lattice of (alpha * beta), raises the ValueError it returns.
+    """
+    field = quadratic_field(-1)
+    priv = PrivateKey(field, alpha.element, beta.element, pow(3, -1, totient_of_product(alpha, beta)))
+    text = render_private(priv, 3)
+    with pytest.raises(KeyFileError, match=reason):
+        parse_private(text)
+    priv_path, ct_path = tmp_path / "bad.priv", tmp_path / "ct.txt"
+    priv_path.write_text(text)
+    ct_path.write_text("")
+    argv = ["decrypt", "--priv", str(priv_path), "--in", str(ct_path),
+            "--out", str(tmp_path / "out.bin")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: private key file: ") and err.count("\n") == 1
+    assert reason in err
+    with pytest.raises(ValueError, match=reason) as refused:
+        validate_keypair(PublicKey(field, hnf_oracle(alpha, beta), 3), priv)
+    return refused.value
+
+
 class TestProductLattice:
     """product_lattice equals the HNF of the ideal matrix of alpha * beta."""
 
@@ -476,8 +502,6 @@ class TestProductLattice:
                 if kind == "prime-norm" and alpha.norm_abs == beta.norm_abs:
                     if alpha.root == beta.root:
                         with pytest.raises(AssociatePrimesError):
-                            product_lattice(alpha, beta)
-                        with pytest.raises(AssociatePrimesError):
                             totient_of_product(alpha, beta)
                         seen["associates"] += 1
                         continue
@@ -488,7 +512,7 @@ class TestProductLattice:
         for alpha in elements:
             negative = PrimeElement(field.ring.element(-c for c in alpha.element.coeffs))
             with pytest.raises(AssociatePrimesError):
-                product_lattice(alpha, negative)
+                totient_of_product(alpha, negative)
         assert seen["scalar"] == 4 and seen["mixed"] == 4 * count
         assert seen["prime-norm"] and seen["associates"] >= count
 
@@ -512,23 +536,21 @@ class TestProductLattice:
         basis = product_lattice(scalar(field, 3), scalar(field, -5))
         assert basis.entries == tuple(tuple(15 * (i == j) for j in range(8)) for i in range(8))
 
-    def test_non_unit_root_difference_refused(self):
+    def test_non_unit_root_difference_refused(self, tmp_path, capsys):
         # 1 + 8i and 4 + 7i have norm 65 = 5 * 13 and share the prime over 5:
         # their roots 8 and 18 agree mod 5, so (alpha * beta) is not (65, g)
         ctx = quadratic_field(-1).ring
         alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((4, 7)))
         assert (alpha.norm_abs, alpha.root, beta.norm_abs, beta.root) == (65, 8, 65, 18)
         assert totient_of_product(alpha, beta) == 64 * 64
-        with pytest.raises(ValueError, match="non-unit") as refused:
-            product_lattice(alpha, beta)
-        assert not isinstance(refused.value, AssociatePrimesError)
+        refused = refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, "is not prime")
+        assert not isinstance(refused, AssociatePrimesError)
 
-    def test_norms_sharing_a_factor_refused(self):
+    def test_norms_sharing_a_factor_refused(self, tmp_path, capsys):
         # N(1 + 8i) = 65 and N(2 + i) = 5
         ctx = quadratic_field(-1).ring
         alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((2, 1)))
-        with pytest.raises(ValueError, match="share a factor"):
-            product_lattice(alpha, beta)
+        refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, "is not prime")
 
     @pytest.mark.parametrize(
         "a,b,kind",

@@ -185,7 +185,8 @@ def private_text(field, alpha, beta):
     return priv, render_private(priv, 65537)
 
 
-# field, alpha, beta, d, e: each passes every check but the lattice's
+# field, alpha, beta, d, e: each passes the totient, d and e checks, and
+# PrivateKey._crt refuses it before any lattice is built
 UNBUILDABLE_KEYS = {
     # N(3 + 3i) = 18, and Z[i]/(3 + 3i) = F_2 x F_9 is not Z/18
     "quotient-not-cyclic": ("quadratic:d=-1", "3,3", "7,0", 653, 5),
@@ -203,7 +204,7 @@ def unbuildable_key_text(key):
 
 
 @pytest.mark.parametrize(
-    "key,message", [("quotient-not-cyclic", "not Z/N"), ("root-difference-not-a-unit", "non-unit")]
+    "key,message", [("quotient-not-cyclic", "not Z/N"), ("root-difference-not-a-unit", "is not prime")]
 )
 def test_unbuildable_lattice_refused(key, message):
     with pytest.raises(KeyFileError, match=message):

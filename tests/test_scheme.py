@@ -28,7 +28,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import lattice, primes
+from ringrsa import fields, lattice, primes
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import find_inert_prime, find_prime_norm_element
 from ringrsa.keyfiles import parse_private, render_private
@@ -573,6 +573,36 @@ class TestHnfPerKey:
         assert norm_calls == []
 
 
+@pytest.fixture
+def lattice_calls(record_calls):
+    """The (alpha, beta) of every fields.product_lattice call through any ringrsa module."""
+    calls = []
+    record_calls(fields, "product_lattice", lambda alpha, beta: calls.append((alpha, beta)))
+    return calls
+
+
+class TestAdmissionBeforeLattice:
+    """PrivateKey._crt is the one refusal of a read key: no lattice is built before it."""
+
+    def test_parse_private_builds_no_lattice(self, lattice_calls):
+        pub, priv = keygen(FIELD, PrimeNormElementMode(30), rng=random.Random(5))
+        text = render_private(priv, pub.e)
+        lattice_calls.clear()
+        parsed, _ = parse_private(text)
+        assert lattice_calls == []
+        assert parsed.lattice == pub.lattice
+        assert len(lattice_calls) == 1
+
+    def test_decrypt_refuses_before_the_lattice(self, lattice_calls):
+        # 1 + 8i and 4 + 7i: one composite norm 65, roots 8 and 18 equal mod 5
+        field = quadratic_field(-1)
+        ctx = field.ring
+        priv = PrivateKey(field, ctx.element((1, 8)), ctx.element((4, 7)), 2731)
+        with pytest.raises(ValueError, match="is not prime"):
+            decrypt_block(priv, (0, 0))
+        assert lattice_calls == []
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_degree_128_key_lattice_is_bounded(seed):
     # the HNF of this lattice took 40 s; the root takes the norm's resultant
@@ -622,7 +652,7 @@ ROOT_EXPORTS = {
 # names the package root no longer exports, by the module that still holds them
 MODULE_ONLY = {
     "fields": ["FieldDescriptor", "find_inert_prime", "find_prime_norm_element",
-               "is_inert_prime", "totient_of_product"],
+               "totient_of_product"],
     "lattice": ["HnfBasis", "determinant", "hnf", "reduce_mod_lattice"],
     "ring": ["IdealMatrix", "RingContext", "RingElement", "conv_mul", "conv_pow",
              "ideal_matrix", "make_ring", "norm"],
@@ -637,7 +667,7 @@ class TestPackageRoot:
         assert all(hasattr(ringrsa, name) for name in ROOT_EXPORTS)
 
     def test_lower_level_names_import_from_their_modules(self):
-        assert sum(map(len, MODULE_ONLY.values())) == 18
+        assert sum(map(len, MODULE_ONLY.values())) == 17
         for module, names in MODULE_ONLY.items():
             mod = importlib.import_module(f"ringrsa.{module}")
             for name in names:
