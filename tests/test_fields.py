@@ -467,7 +467,8 @@ def refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, reason):
     lattice of (alpha * beta), raises the ValueError it returns.
     """
     field = quadratic_field(-1)
-    priv = PrivateKey(field, alpha.element, beta.element, pow(3, -1, totient_of_product(alpha, beta)))
+    d = pow(3, -1, totient_of_product(alpha, beta))
+    priv = PrivateKey(field, alpha.element, beta.element, d)
     text = render_private(priv, 3)
     with pytest.raises(KeyFileError, match=reason):
         parse_private(text)
