@@ -16,10 +16,10 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
+from ._record import record
 from .errors import AssociatePrimesError, SearchExhaustedError
 from .lattice import HnfBasis
 from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
@@ -52,7 +52,7 @@ _SEARCH_ATTEMPT_BOUND = 10**5
 _MAX_DEGREE = 128
 
 
-@dataclass(frozen=True)
+@record
 class FieldDescriptor:
     kind: str
     ring: RingContext
@@ -66,15 +66,25 @@ class FieldDescriptor:
         return "generic:phi=" + ",".join(str(c) for c in self.ring.phi_coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeElement:
     """An element meant to generate a prime ideal; totient_of_product refuses units.
 
     norm_abs and root come from one resultant, computed on first read and
-    kept; equality and hashing see only the element.
+    kept, and so does p_is_prime; equality and hashing see only the element.
     """
 
     element: RingElement
+
+    @property
+    def p(self) -> int:
+        """The rational integer under the ideal: |a| for a scalar a, else norm_abs."""
+        return abs(self.element.coeffs[0]) if _is_scalar(self) else self.norm_abs
+
+    @cached_property
+    def p_is_prime(self) -> bool:
+        """is_probable_prime(p), run once; find_inert_prime seeds it with its own verdict."""
+        return is_probable_prime(self.p)
 
     @cached_property
     def _norm_and_linear(self) -> tuple[int, list[int] | None]:
@@ -276,7 +286,9 @@ def find_inert_prime(
         # primality first: trial division rejects most candidates before
         # the residue test would spend a modexp on them
         if cand != exclude and is_probable_prime(cand) and _inert(field, cand):
-            return _scalar_element(field, cand)
+            prime = _scalar_element(field, cand)
+            vars(prime)["p_is_prime"] = True
+            return prime
     raise SearchExhaustedError("search exhausted: no inert prime found")
 
 
@@ -299,7 +311,7 @@ def find_prime_norm_element(
         if n > 1 and not any(coeffs[1:]):
             continue
         cand = PrimeElement(ctx.element(coeffs))
-        if is_probable_prime(cand.norm_abs):
+        if cand.p_is_prime:
             return cand
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
 

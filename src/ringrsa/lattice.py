@@ -16,8 +16,9 @@ benchmark's per-layer replay and as the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from ._record import record
 
 __all__ = [
     "HnfBasis",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class HnfBasis:
     entries: tuple[tuple[int, ...], ...]
 

@@ -40,9 +40,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import record
 from .lattice import HnfBasis, reduce_mod_lattice
 
 __all__ = [
@@ -81,7 +81,7 @@ def _rational_root_screen(phi_coeffs: tuple[int, ...]) -> None:
             raise ValueError("reducible minimal polynomial (rational root found)")
 
 
-@dataclass(frozen=True)
+@record
 class RingContext:
     """Z[x]/(phi) given by the modulus coefficients; build it with make_ring."""
 
@@ -116,7 +116,7 @@ def make_ring(phi_coeffs: Sequence[int]) -> RingContext:
     return RingContext(coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class RingElement:
     context: RingContext
     coeffs: tuple[int, ...]
@@ -126,7 +126,7 @@ class RingElement:
             raise ValueError("coefficient vector has wrong length")
 
 
-@dataclass(frozen=True)
+@record
 class IdealMatrix:
     """Columns f, Hf, ..., H^{n-1}f of a generator f; equals f(H)."""
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence, Union
 
+from ._record import record
 from .errors import (
     AssociatePrimesError,
     CapacityError,
@@ -40,7 +40,6 @@ from .fields import (
     totient_of_product,
 )
 from .lattice import HnfBasis, reduce_mod_lattice
-from .primes import is_probable_prime
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
 
 __all__ = [
@@ -66,20 +65,20 @@ _DEFAULT_E = 65537
 _MAX_E_BITS = 32
 
 
-@dataclass(frozen=True)
+@record
 class InertPrimeMode:
     bits: int
 
 
-@dataclass(frozen=True)
+@record
 class PrimeNormElementMode:
     coeff_bound: int
 
 
-KeygenMode = Union[InertPrimeMode, PrimeNormElementMode]
+KeygenMode = InertPrimeMode | PrimeNormElementMode
 
 
-@dataclass(frozen=True)
+@record
 class PublicKey:
     field: FieldDescriptor
     lattice: HnfBasis
@@ -94,7 +93,7 @@ class PublicKey:
             raise ValueError("public exponent out of range")
 
 
-@dataclass(frozen=True)
+@record
 class PrivateKey:
     """The secret primes and exponent, unchecked; the totient, lattice and halves follow.
 
@@ -151,7 +150,7 @@ class PrivateKey:
         return half_a, half_b, (-r_b * inv % p, inv) + pad[2:]
 
 
-@dataclass(frozen=True)
+@record
 class _PrimeHalf:
     """R/P for a prime ideal P of a key, over the rational prime p.
 
@@ -172,9 +171,8 @@ class _PrimeHalf:
 
 def _prime_half(ctx, prime: PrimeElement, d: int) -> _PrimeHalf:
     """The half of the ideal prime generates; ValueError unless p is prime."""
-    root = prime.root
-    p = abs(prime.element.coeffs[0]) if root is None else prime.norm_abs
-    if not is_probable_prime(p):
+    root, p = prime.root, prime.p
+    if not prime.p_is_prime:
         raise ValueError("alpha or beta is not prime (a composite scalar or element norm)")
     n = ctx.degree if root is None else 1
     d_p = (d - 1) % (p**n - 1) + 1
@@ -233,7 +231,7 @@ def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ..
     return conv_multi_pow(ctx, bases, half.digits, half.lattice).coeffs
 
 
-@dataclass(frozen=True)
+@record
 class CiphertextBlock:
     vector: RingElement
 

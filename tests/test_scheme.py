@@ -641,6 +641,35 @@ def test_inert_keygen_tests_each_integer_for_primality_once(primality_calls, fie
     assert max(primality_calls.values()) == 1
 
 
+KEYGEN_CASES = [
+    (quadratic_field(2), InertPrimeMode(bits=128), 0x100),
+    (cyclotomic_field(16), PrimeNormElementMode(2), 0x200),
+]
+
+
+@pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
+def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
+    # the searches seed each PrimeElement's verdict, which _crt reads
+    pub, priv = keygen(field, mode, rng=random.Random(seed))
+    primality_calls.clear()
+    assert validate_keypair(pub, priv)
+    msg = (1,) + (0,) * (field.ring.degree - 1)
+    assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+    assert primality_calls == {}
+
+
+@pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
+def test_parsed_key_tests_each_prime_once(primality_calls, field, mode, seed):
+    pub, priv = keygen(field, mode, rng=random.Random(seed))
+    text = render_private(priv, pub.e)
+    primality_calls.clear()
+    parsed, _ = parse_private(text)
+    msg = (1,) + (0,) * (field.ring.degree - 1)
+    for _ in range(2):
+        assert decrypt_block(parsed, encrypt_block(pub, msg)).coeffs == msg
+    assert primality_calls == {PrimeElement(priv.alpha).p: 1, PrimeElement(priv.beta).p: 1}
+
+
 ROOT_EXPORTS = {
     "quadratic_field", "cyclotomic_field", "generic_field", "parse_field_spec", "PrimeElement",
     "InertPrimeMode", "PrimeNormElementMode", "PublicKey", "PrivateKey",
