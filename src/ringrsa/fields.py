@@ -22,7 +22,13 @@ from functools import cached_property
 from ._record import record
 from .errors import AssociatePrimesError, SearchExhaustedError
 from .lattice import HnfBasis
-from .primes import carmichael_lambda, euler_phi, is_probable_prime, multiplicative_order
+from .primes import (
+    _jacobi,
+    carmichael_lambda,
+    euler_phi,
+    is_probable_prime,
+    multiplicative_order,
+)
 from .ring import RingContext, RingElement, make_ring, norm_and_linear
 
 __all__ = [
@@ -250,9 +256,12 @@ def parse_field_spec(spec: str) -> FieldDescriptor:
 
 
 def _inert(field: FieldDescriptor, p: int) -> bool:
-    """Test whether p, already known to be prime, stays prime-like in the field.
+    """Test whether p stays prime-like in the field.
 
-    Quadratic: p is unramified and d is a quadratic non-residue mod p.
+    The answer is meaningful only for a prime p, but it takes no modular
+    exponentiation and raises nothing on any positive integer, so the search
+    runs it before the primality test.  Quadratic: p is odd and the Jacobi symbol (d/p) is -1, which for
+    a prime p is Euler's criterion (d is a non-residue, p is unramified).
     Cyclotomic: p is unramified and the multiplicative order of p mod m
     is the largest attainable (the Carmichael function of m); when the
     unit group mod m is cyclic this is exactly the inert condition, and
@@ -260,7 +269,7 @@ def _inert(field: FieldDescriptor, p: int) -> bool:
     divides (p^n - 1)(q^n - 1), which is what key generation needs.
     """
     if field.kind == "quadratic":
-        return p != 2 and pow(field.param % p, (p - 1) // 2, p) == p - 1
+        return p % 2 == 1 and _jacobi(field.param, p) == -1
     if field.kind == "cyclotomic":
         m = field.param
         return math.gcd(p, m) == 1 and multiplicative_order(p, m) == carmichael_lambda(m)
@@ -283,9 +292,9 @@ def find_inert_prime(
     lo, hi = 1 << (bits - 1), 1 << bits
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
-        # primality first: trial division rejects most candidates before
-        # the residue test would spend a modexp on them
-        if cand != exclude and is_probable_prime(cand) and _inert(field, cand):
+        # the residue test first: it needs no modexp and refuses about half
+        # the candidates, so only those that can still be accepted reach one
+        if cand != exclude and _inert(field, cand) and is_probable_prime(cand):
             prime = _scalar_element(field, cand)
             vars(prime)["p_is_prime"] = True
             return prime

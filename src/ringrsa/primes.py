@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 __all__ = [
@@ -11,7 +12,22 @@ __all__ = [
     "multiplicative_order",
 ]
 
-_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % f for f in range(2, p)))
+_SMALL_PRIME_BOUND = 1000
+
+
+def _sieve(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * bound
+    flags[:2] = b"\0\0"
+    for f in range(2, math.isqrt(bound - 1) + 1):
+        if flags[f]:
+            flags[f * f :: f] = bytes(len(range(f * f, bound, f)))
+    return tuple(itertools.compress(range(bound), flags))
+
+
+_SMALL_PRIMES = _sieve(_SMALL_PRIME_BOUND)
+# trial division by every small prime at once: one gcd with their product
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -95,14 +111,14 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Baillie-PSW: trial division, a strong base-2 test, a strong Lucas test.
 
+    Trial division is one gcd with the product of the primes below 1000.
     Deterministic.  It is exact below 2**64 (checked exhaustively), and no
     composite passing it is known at any size.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n < _SMALL_PRIME_BOUND and n in _SMALL_PRIMES
     if math.isqrt(n) ** 2 == n:
         return False
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)

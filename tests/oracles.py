@@ -11,6 +11,7 @@ numeric.  Tests compare production output against these routes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,6 +26,8 @@ __all__ = [
     "brute_force_cosets",
     "embed_roots",
     "numeric_norm_check",
+    "euler_inert",
+    "inert_search_primality_first",
 ]
 
 _COSET_CAPACITY_BOUND = 2000
@@ -206,3 +209,66 @@ def numeric_norm_check(
         product *= value
     tolerance = _NORM_REL_TOL * max(1.0, abs(exact_det))
     return abs(product - exact_det) <= tolerance
+
+
+# the first 12 primes: Miller-Rabin to these bases is exact below 3.3 * 10**24
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _miller_rabin(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def euler_inert(d: int, p: int) -> bool:
+    """Euler's criterion: d is a quadratic non-residue mod the odd prime p."""
+    return p != 2 and pow(d % p, (p - 1) // 2, p) == p - 1
+
+
+def _largest_unit_order(p: int, m: int) -> bool:
+    """p is a unit mod m whose order is the largest of any unit's, by walking."""
+
+    def order(a: int) -> int:
+        x, k = a % m, 1
+        while x != 1:
+            x, k = x * a % m, k + 1
+        return k
+
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    return math.gcd(p, m) == 1 and order(p) == max(map(order, units))
+
+
+def inert_search_primality_first(
+    kind: str, param: int, bits: int, rng, exclude: int | None = None, attempts: int = 10**5
+) -> int | None:
+    """The inert prime search with the primality test before the residue test.
+
+    Each attempt draws one candidate from rng and keeps it when it is not
+    exclude, is prime (Miller-Rabin) and is inert: Euler's criterion for
+    quadratic:d=param, the largest unit order mod m for cyclotomic:m=param.
+    Returns the prime, or None when the attempts run out.
+    """
+    lo, hi = 1 << (bits - 1), 1 << bits
+    inert = euler_inert if kind == "quadratic" else lambda m, p: _largest_unit_order(p, m)
+    for _ in range(attempts):
+        cand = rng.randrange(lo, hi)
+        if cand != exclude and _miller_rabin(cand) and inert(param, cand):
+            return cand
+    return None

@@ -39,6 +39,7 @@ from ringrsa.primes import (
     multiplicative_order,
 )
 from ringrsa.scheme import _frobenius
+from oracles import euler_inert, inert_search_primality_first
 from support import contains, coset_box_naive, scaled_identity
 
 
@@ -189,6 +190,21 @@ class TestInertPrimes:
         with pytest.raises(ValueError, match="no inert-prime criterion"):
             _inert(generic_field((1, 1, 0)), 3)
 
+    @pytest.mark.parametrize("d", [2, 3, -1, -2, 6, -5, 7])
+    def test_quadratic_is_eulers_criterion_on_odd_primes(self, d):
+        field = quadratic_field(d)
+        odd_primes = [p for p in range(3, 10**4, 2) if is_probable_prime(p)]
+        assert [p for p in odd_primes if _inert(field, p) != euler_inert(d, p)] == []
+
+    @pytest.mark.parametrize(
+        "spec", ["quadratic:d=2", "quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=16"]
+    )
+    def test_any_positive_integer_gives_a_bool(self, spec):
+        # the search runs the residue test before the primality test
+        field = parse_field_spec(spec)
+        for n in (1, 2, 4, 9, 15, 561, 991 * 997, 2**64, 3**40, (2**61 - 1) * (2**89 - 1)):
+            assert isinstance(_inert(field, n), bool), n
+
 
 def frobenius_rule(field, p):
     """x^(p^n) = x mod (p, phi): the rule that admits a scalar prime p."""
@@ -265,6 +281,16 @@ class TestFindInertPrime:
         with pytest.raises(SearchExhaustedError, match="no inert prime"):
             find_inert_prime(field, 3, random.Random(0), exclude=5)
 
+    def test_exhausted_search_draws_as_with_primality_first(self, monkeypatch):
+        monkeypatch.setattr(fields, "_SEARCH_ATTEMPT_BOUND", 400)
+        rng, oracle_rng = random.Random(0), random.Random(0)
+        with pytest.raises(SearchExhaustedError):
+            find_inert_prime(quadratic_field(2), 3, rng, exclude=5)
+        assert inert_search_primality_first(
+            "quadratic", 2, 3, oracle_rng, exclude=5, attempts=400
+        ) is None
+        assert rng.getstate() == oracle_rng.getstate()
+
     def test_tiny_bits_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             find_inert_prime(quadratic_field(2), 1, random.Random(0))
@@ -277,6 +303,43 @@ class TestFindInertPrime:
             assert p.bit_length() == 9
             assert _inert(field, p)
             assert got.norm_abs == p**4
+
+
+# (field spec, bits, seed): the first is the inert benchmark key 0x101
+SEARCH_CASES = [("quadratic:d=2", 512, 0x101), ("cyclotomic:m=16", 128, 0x101)] + [
+    (spec, 64, seed)
+    for spec in ("quadratic:d=-1", "quadratic:d=3", "quadratic:d=-5", "quadratic:d=7",
+                 "cyclotomic:m=5", "cyclotomic:m=9", "cyclotomic:m=12")
+    for seed in range(3)
+]
+
+
+def search_pair(field, bits, rng):
+    """The two primes of an inert keygen: the second excludes the first."""
+    alpha = find_inert_prime(field, bits, rng).element.coeffs[0]
+    return alpha, find_inert_prime(field, bits, rng, exclude=alpha).element.coeffs[0]
+
+
+@pytest.mark.parametrize("spec, bits, seed", SEARCH_CASES[:2], ids=["d=2", "m=16"])
+def test_only_inert_candidates_are_tested_for_primality(record_calls, spec, bits, seed):
+    field = parse_field_spec(spec)
+    tested = []
+    record_calls(primes, "is_probable_prime", tested.append)
+    search_pair(field, bits, random.Random(seed))
+    assert tested
+    assert [n for n in tested if not _inert(field, n)] == []
+
+
+@pytest.mark.parametrize("spec, bits, seed", SEARCH_CASES)
+def test_search_draws_and_accepts_as_with_primality_first(spec, bits, seed):
+    field = parse_field_spec(spec)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    alpha, beta = search_pair(field, bits, rng)
+    assert inert_search_primality_first(field.kind, field.param, bits, oracle_rng) == alpha
+    assert inert_search_primality_first(
+        field.kind, field.param, bits, oracle_rng, exclude=alpha
+    ) == beta
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestFindPrimeNormElement:
@@ -624,6 +687,23 @@ class TestPrimesModule:
             if sieve[f]:
                 sieve[f * f :: f] = bytes(len(range(f * f, limit, f)))
         assert [n for n in range(limit) if is_probable_prime(n) != sieve[n]] == []
+
+    def test_small_primes_table_is_the_primes_below_the_bound(self):
+        bound = primes._SMALL_PRIME_BOUND
+        assert bound == 1000
+        assert primes._SMALL_PRIMES == tuple(
+            p for p in range(2, bound) if all(p % f for f in range(2, p))
+        )
+
+    @pytest.mark.parametrize("n", [101 * 997, 997**2, 991 * 997, 101 * 103 * 107])
+    def test_small_factors_refused_by_the_gcd(self, monkeypatch, n):
+        def unreachable(*args):
+            raise AssertionError("trial division should have refused n")
+
+        monkeypatch.setattr(primes, "_strong_probable_prime", unreachable)
+        monkeypatch.setattr(primes, "_strong_lucas_probable_prime", unreachable)
+        assert math.gcd(n, primes._SMALL_PRIMORIAL) != 1
+        assert not is_probable_prime(n)
 
     def test_totients(self):
         assert euler_phi(1) == 1

@@ -3,10 +3,14 @@
 The hashes were recorded from `ringrsa keygen --seed 0x2a` and `ringrsa
 encrypt` of a fixed 40-byte payload.  Key files must stay byte-identical
 for a fixed seed, and a ciphertext of a fixed payload under a fixed key
-must not change, so old ciphertexts keep decrypting.
+must not change, so old ciphertexts keep decrypting.  The benchmark's key
+files are pinned too: every keygen seed of every workload must reproduce
+the SHA-256 pair recorded in perfbench/digests.json.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +50,37 @@ def test_seeded_files_are_byte_identical(tmp_path, field, mode):
     assert got == GOLDEN[field, mode]
     assert main(["decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(back)]) == 0
     assert back.read_bytes() == PAYLOAD
+
+
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
+)
+# workload -> (field, mode), as perfbench/bench.py runs them
+BENCH_WORKLOADS = {
+    "inert-q512-bulk": ("quadratic:d=2", "inert:bits=512"),
+    "element-c16-bulk": ("cyclotomic:m=16", "element:bound=100"),
+    "element-c64-keys": ("cyclotomic:m=64", "element:bound=4"),
+}
+BENCH_KEYS = [
+    (workload, seed, pair)
+    for workload, recorded in BENCH_DIGESTS.items()
+    for seed, pair in recorded["keys"].items()
+]
+
+
+def test_every_benchmark_workload_has_its_keys_recorded():
+    assert set(BENCH_DIGESTS) == set(BENCH_WORKLOADS)
+    assert sorted(seed for _, seed, _ in BENCH_KEYS) == sorted(
+        f"{s:#x}" for first in (0x100, 0x200, 0x301) for s in range(first, first + 6)
+    )
+
+
+@pytest.mark.parametrize(
+    "workload, seed, pair", BENCH_KEYS, ids=[f"{w}-{s}" for w, s, _ in BENCH_KEYS]
+)
+def test_benchmark_keys_are_byte_identical(tmp_path, workload, seed, pair):
+    field, mode = BENCH_WORKLOADS[workload]
+    pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+    assert main(["keygen", "--field", field, "--mode", mode, "--seed", seed,
+                 "--pub", str(pub), "--priv", str(priv)]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (pub, priv)] == pair

@@ -12,6 +12,8 @@ from oracles import (
     adjugate,
     brute_force_cosets,
     embed_roots,
+    euler_inert,
+    inert_search_primality_first,
     is_lattice_member,
     laplace_determinant,
     numeric_norm_check,
@@ -122,6 +124,28 @@ class TestNumericEmbedding:
                     tuple(rng.randrange(-30, 31) for _ in range(ctx.degree))
                 )
                 assert numeric_norm_check(phi, f.coeffs, norm(ctx, f))
+
+
+class TestInertSearch:
+    def test_miller_rabin_agrees_with_trial_division(self):
+        for n in range(-2, 3000):
+            assert oracles._miller_rabin(n) == (n > 1 and all(n % f for f in range(2, n))), n
+
+    @pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051])
+    def test_miller_rabin_rejects_pseudoprimes(self, n):
+        assert not oracles._miller_rabin(n)
+
+    def test_euler_inert_known_cases(self):
+        assert [p for p in (3, 5, 7, 11, 13) if euler_inert(2, p)] == [3, 5, 11, 13]
+        assert [p for p in (3, 5, 7, 11, 13) if euler_inert(-1, p)] == [3, 7, 11]
+
+    def test_search_known_cases(self):
+        # primes in [4, 8) are 5 and 7; only 5 is inert for d=2, and
+        # only 2 and 3 generate (Z/5)^*
+        assert inert_search_primality_first("quadratic", 2, 3, random.Random(0)) == 5
+        assert inert_search_primality_first("cyclotomic", 5, 2, random.Random(0)) in (2, 3)
+        assert inert_search_primality_first("quadratic", 2, 3, random.Random(0), exclude=5,
+                                            attempts=50) is None
 
 
 def test_oracles_do_not_import_production_code():
