@@ -259,9 +259,10 @@ def _inert(field: FieldDescriptor, p: int) -> bool:
     """Test whether p stays prime-like in the field.
 
     The answer is meaningful only for a prime p, but it takes no modular
-    exponentiation and raises nothing on any positive integer, so the search
-    runs it before the primality test.  Quadratic: p is odd and the Jacobi symbol (d/p) is -1, which for
-    a prime p is Euler's criterion (d is a non-residue, p is unramified).
+    exponentiation and raises nothing on any positive integer, so the
+    search runs it before the primality test.  Quadratic: p is odd and
+    the Jacobi symbol (d/p) is -1, which for a prime p is Euler's
+    criterion (d is a non-residue mod p, and p is unramified).
     Cyclotomic: p is unramified and the multiplicative order of p mod m
     is the largest attainable (the Carmichael function of m); when the
     unit group mod m is cyclic this is exactly the inert condition, and
@@ -292,8 +293,8 @@ def find_inert_prime(
     lo, hi = 1 << (bits - 1), 1 << bits
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
-        # the residue test first: it needs no modexp and refuses about half
-        # the candidates, so only those that can still be accepted reach one
+        # the residue test first: it needs no modexp and refuses most
+        # candidates, so only those that can still be accepted reach one
         if cand != exclude and _inert(field, cand) and is_probable_prime(cand):
             prime = _scalar_element(field, cand)
             vars(prime)["p_is_prime"] = True
