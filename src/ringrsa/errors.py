@@ -22,4 +22,4 @@ class CapacityError(ValueError):
 
 
 class AssociatePrimesError(ValueError):
-    """Two prime elements generate the same ideal, so they give no key."""
+    """alpha and beta generate ideals that are not coprime, as associates do; keygen draws again."""

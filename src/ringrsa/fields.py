@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from ._record import record
-from .errors import AssociatePrimesError, SearchExhaustedError
+from .errors import SearchExhaustedError
 from .lattice import HnfBasis
 from .primes import (
     _jacobi,
@@ -40,7 +40,6 @@ __all__ = [
     "parse_field_spec",
     "find_inert_prime",
     "find_prime_norm_element",
-    "totient_of_product",
     "key_class_of",
     "product_lattice",
 ]
@@ -74,7 +73,7 @@ class FieldDescriptor:
 
 @record
 class PrimeElement:
-    """An element meant to generate a prime ideal; totient_of_product refuses units.
+    """An element meant to generate a prime ideal; the admission rule refuses it if not.
 
     norm_abs and root come from one resultant, computed on first read and
     kept, and so does p_is_prime; equality and hashing see only the element.
@@ -326,22 +325,6 @@ def find_prime_norm_element(
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
 
 
-def totient_of_product(alpha: PrimeElement, beta: PrimeElement) -> int:
-    """(|N(alpha)| - 1) * (|N(beta)| - 1) for non-associate prime elements.
-
-    Units and zero (norm at most 1) are refused, and so are associates,
-    which generate the same ideal: two scalars of equal absolute value,
-    or two elements of equal norm N and equal root, since (alpha) is
-    (N, x - r).  A scalar a has (a) = aR, whose quotient (Z/a)^n is not
-    cyclic, so it is never an associate of an element with a root.
-    """
-    if alpha.norm_abs <= 1 or beta.norm_abs <= 1:
-        raise ValueError("norm at most 1: a unit or zero is not a prime element")
-    if alpha.norm_abs == beta.norm_abs and alpha.root == beta.root:
-        raise AssociatePrimesError("associate prime elements generate the same ideal")
-    return (alpha.norm_abs - 1) * (beta.norm_abs - 1)
-
-
 def key_class_of(alpha: PrimeElement, beta: PrimeElement) -> str:
     """"scalar" (both rational integers), "mixed" (one of each) or "prime-norm" (neither)."""
     return ("prime-norm", "mixed", "scalar")[_is_scalar(alpha) + _is_scalar(beta)]
@@ -375,9 +358,9 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     - elements of one norm p and roots r_a != r_b: (p, (x - r_a)(x - r_b)),
       of diagonal (p, p, 1, ..., 1).
 
-    alpha and beta must generate two distinct prime ideals: found by
-    keygen, or admitted by PrivateKey._crt.  Then p and q are primes, and
-    r_a - r_b is a unit mod p; nothing here checks it.
+    alpha and beta must generate two distinct prime ideals, as the
+    admission rule (scheme._admit) checks before every call: then p and q
+    are primes, and r_a - r_b is a unit mod p; nothing here checks it.
     """
     ctx = alpha.element.context
     n = ctx.degree

@@ -18,7 +18,7 @@ from .errors import CiphertextFormatError, KeyFileError
 from .fields import parse_field_spec
 from .lattice import HnfBasis
 from .ring import norm_bound_bits
-from .scheme import PrivateKey, PublicKey
+from .scheme import PrivateKey, PublicKey, _exponent_fault
 
 __all__ = [
     "FORMAT_VERSION",
@@ -178,9 +178,9 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
 
     The key derives the totient, the lattice and the halves from alpha
     and beta; a file is checked here, where it comes in, for alpha and
-    beta whose norms fit the budget of _check_norm_budget, non-associate
-    non-units alpha and beta (priv.phi), 1 <= d < phi, e * d = 1 (mod phi),
-    and the admission rule of PrivateKey._crt.  No lattice is built.
+    beta whose norms fit the budget of _check_norm_budget, then by the
+    admission rule (priv._crt), then for 1 <= d < phi and
+    e * d = 1 (mod phi).  No lattice is built.
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -195,11 +195,10 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         d = _parse_int(pairs, "d", "private key file")
         e = _parse_int(pairs, "e", "private key file")
         priv = PrivateKey(field, alpha, beta, d)
-        if not 1 <= d < priv.phi:
-            raise KeyFileError("private key file: private exponent out of range")
-        if e * d % priv.phi != 1:
-            raise KeyFileError("private key file: e does not invert d modulo the totient")
-        priv._crt  # the admission rule: two distinct prime ideals
+        priv._crt  # the admission rule
+        fault = _exponent_fault(priv, e)
+        if fault:
+            raise KeyFileError(f"private key file: {fault}")
         return priv, e
     except KeyFileError:
         raise

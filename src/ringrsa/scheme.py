@@ -9,7 +9,8 @@ are points of the public coset box.  Encryption raises them to the e-th
 convolution power modulo the public lattice, reduced into the box.
 Decryption raises a block to d in each factor, or half, of
 R/(alpha beta) = R/(alpha) x R/(beta), and recombines the two powers by
-the idempotent of (alpha).  Building the halves admits the key.
+the idempotent of (alpha).  Building the halves is the admission rule,
+_admit, and every key pair passes it: keygen, parsing and decryption.
 The byte codec frames a payload with an 8-byte big-endian length header
 and packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -37,7 +38,6 @@ from .fields import (
     find_prime_norm_element,
     key_class_of,
     product_lattice,
-    totient_of_product,
 )
 from .lattice import HnfBasis, reduce_mod_lattice
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
@@ -95,12 +95,7 @@ class PublicKey:
 
 @record
 class PrivateKey:
-    """The secret primes and exponent, unchecked; the totient, lattice and halves follow.
-
-    parse_private and validate_keypair read phi, then _crt, which refuses
-    alpha and beta that are not two distinct prime ideals; lattice is read
-    only after that.
-    """
+    """The secret primes and exponent, unchecked; the totient, halves and lattice follow."""
 
     field: FieldDescriptor
     alpha: RingElement
@@ -114,12 +109,13 @@ class PrivateKey:
 
     @cached_property
     def phi(self) -> int:
-        """totient_of_product of alpha and beta; refuses units, zero and associates."""
-        return totient_of_product(*self._primes)
+        """(|N(alpha)| - 1) * (|N(beta)| - 1), the totient of an admitted key."""
+        return math.prod(prime.norm_abs - 1 for prime in self._primes)
 
     @cached_property
     def lattice(self) -> HnfBasis:
-        """product_lattice of alpha and beta: the public modulus, once _crt admits them."""
+        """product_lattice of alpha and beta, once _crt admits them: the public modulus."""
+        self._crt
         return product_lattice(*self._primes)
 
     @property
@@ -129,25 +125,14 @@ class PrivateKey:
 
     @cached_property
     def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, tuple[int, ...]]:
-        """The halves of (alpha) and (beta), and eps = 1 mod (alpha), 0 mod (beta).
+        """_admit of alpha and beta: the admission rule, run once per key."""
+        return _admit(self.field.ring, *self._primes)
 
-        Over rational primes p != q, eps is the integer q (q^-1 mod p); for
-        elements of one prime norm p and roots r_a != r_b it is
-        (x - r_b) (r_a - r_b)^-1 mod p.  This is the admission rule of a
-        key, and the only refusal besides phi's: ValueError unless
-        _prime_half builds both halves and the two ideals are coprime (not so
-        for a scalar p beside a norm p, nor for equal roots).
-        """
-        ctx = self.field.ring
-        half_a, half_b = (_prime_half(ctx, prime, self.d) for prime in self._primes)
-        (p, r_a), (q, r_b) = (half_a.p, half_a.root), (half_b.p, half_b.root)
-        pad = (0,) * ctx.degree
-        if p != q:
-            return half_a, half_b, (q * pow(q, -1, p),) + pad[1:]
-        if r_a is None or r_b is None or r_a == r_b:
-            raise ValueError("alpha and beta lie over one prime and are not coprime")
-        inv = pow(r_a - r_b, -1, p)
-        return half_a, half_b, (-r_b * inv % p, inv) + pad[2:]
+    @cached_property
+    def _digits(self) -> tuple[tuple[int, ...], ...]:
+        """The base-p digits of d in each half, computed once per key, not per block."""
+        n, halves = self.field.ring.degree, self._crt[:2]
+        return tuple(_base_p_digits(self.d, h.p, n if h.root is None else 1) for h in halves)
 
 
 @record
@@ -157,33 +142,57 @@ class _PrimeHalf:
     An element of prime norm p and root r gives R/P = F_p, where a block
     is its value at r.  A scalar p (root None) gives (Z/p)[x]/(phi), a
     product of fields F_{p^f}, f | n; lattice is pZ^n and frobenius the
-    matrix of a -> a^p.  digits are the base-p digits of d_p, d reduced
-    mod p^f - 1 into [1, p^f - 1] (never 0, so zero divisors map to 0),
-    least significant first: a^d = a^d_p on every a of R/P.
+    matrix of a -> a^p.
     """
 
     p: int
     root: int | None
-    digits: tuple[int, ...]
     lattice: HnfBasis | None = None
     frobenius: tuple[tuple[int, ...], ...] = ()
 
 
-def _prime_half(ctx, prime: PrimeElement, d: int) -> _PrimeHalf:
+def _admit(ctx, alpha: PrimeElement, beta: PrimeElement) -> tuple[_PrimeHalf, _PrimeHalf, tuple]:
+    """The admission rule, the only refusal of a key's alpha and beta: two coprime prime ideals.
+
+    Returns the halves and eps = 1 mod (alpha), 0 mod (beta): q (q^-1 mod p)
+    over rational primes p != q, (x - r_b) (r_a - r_b)^-1 mod p over one p.
+    ValueError unless _prime_half builds both halves; AssociatePrimesError
+    for associates, or a scalar p beside an element of norm p.
+    """
+    half_a, half_b = _prime_half(ctx, alpha), _prime_half(ctx, beta)
+    (p, r_a), (q, r_b) = (half_a.p, half_a.root), (half_b.p, half_b.root)
+    pad = (0,) * ctx.degree
+    if p != q:
+        return half_a, half_b, (q * pow(q, -1, p),) + pad[1:]
+    if r_a is None or r_b is None or r_a == r_b:
+        raise AssociatePrimesError("alpha and beta lie over one prime and are not coprime")
+    inv = pow(r_a - r_b, -1, p)
+    return half_a, half_b, (-r_b * inv % p, inv) + pad[2:]
+
+
+def _prime_half(ctx, prime: PrimeElement) -> _PrimeHalf:
     """The half of the ideal prime generates; ValueError unless p is prime."""
     root, p = prime.root, prime.p
     if not prime.p_is_prime:
-        raise ValueError("alpha or beta is not prime (a composite scalar or element norm)")
-    n = ctx.degree if root is None else 1
+        raise ValueError("alpha or beta is not prime (a unit, zero, composite scalar or norm)")
+    if root is not None:
+        return _PrimeHalf(p, root)
+    n = ctx.degree
+    lattice = HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
+    return _PrimeHalf(p, None, lattice, _frobenius(ctx, p, lattice))
+
+
+def _base_p_digits(d: int, p: int, n: int) -> tuple[int, ...]:
+    """Base-p digits, least significant first, of d_p = d mod p^n - 1 in [1, p^n - 1].
+
+    a^d = a^d_p on a product of fields F_{p^f}, f | n; d_p is never 0, so zero divisors map to 0.
+    """
     d_p = (d - 1) % (p**n - 1) + 1
     digits = []
     while d_p:
         d_p, digit = divmod(d_p, p)
         digits.append(digit)
-    if root is not None:
-        return _PrimeHalf(p, root, tuple(digits))
-    lattice = HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
-    return _PrimeHalf(p, None, tuple(digits), lattice, _frobenius(ctx, p, lattice))
+    return tuple(digits)
 
 
 def _frobenius(ctx, p: int, lattice: HnfBasis) -> tuple[tuple[int, ...], ...]:
@@ -212,8 +221,10 @@ def _mat_vec_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> t
     return tuple(sum(map(operator.mul, row, vec)) % p for row in rows)
 
 
-def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ...]:
-    """vec^d in R/P, lifted to a coefficient vector.
+def _power_mod_prime(
+    ctx, half: _PrimeHalf, digits: Sequence[int], vec: Sequence[int]
+) -> tuple[int, ...]:
+    """vec^d in R/P, lifted to a coefficient vector; digits are _base_p_digits of d.
 
     For an element, the constant (w, 0, ..., 0), w = vec(root)^d_p % p.
     For a scalar, the product of the Frobenius images vec^(p^i) % p to
@@ -222,13 +233,13 @@ def _power_mod_prime(ctx, half: _PrimeHalf, vec: Sequence[int]) -> tuple[int, ..
     """
     p = half.p
     if half.root is not None:
-        w = pow(_eval_mod(vec, half.root, p), half.digits[0], p)
+        w = pow(_eval_mod(vec, half.root, p), digits[0], p)
         return (w,) + (0,) * (len(vec) - 1)
     images = [tuple(c % p for c in vec)]
-    for _ in half.digits[1:]:
+    for _ in digits[1:]:
         images.append(_mat_vec_mod(half.frobenius, images[-1], p))
     bases = [ctx.element(image) for image in images]
-    return conv_multi_pow(ctx, bases, half.digits, half.lattice).coeffs
+    return conv_multi_pow(ctx, bases, digits, half.lattice).coeffs
 
 
 @record
@@ -259,17 +270,18 @@ def keypair_from_primes(
     beta: PrimeElement,
     e_choice: int | None = None,
 ) -> tuple[PublicKey, PrivateKey]:
-    """Assemble a key pair from two already-found prime elements.
+    """Assemble a key pair from two prime elements, found or built by hand.
 
-    The totient and the lattice come from the norms and roots that alpha
-    and beta cache, and the private key keeps them, so a search that has
-    read the norms pays for none.
+    _admit runs before e is chosen, so keygen retries associates even where
+    phi leaves no e.  The private key keeps alpha, beta and the halves.
     """
-    phi = totient_of_product(alpha, beta)
+    crt = _admit(field.ring, alpha, beta)
+    phi = math.prod(prime.norm_abs - 1 for prime in (alpha, beta))
     e = _select_e(phi, e_choice)
     priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
     vars(priv)["_primes"] = alpha, beta
-    return PublicKey(field, product_lattice(alpha, beta), e), priv
+    vars(priv)["_crt"] = crt
+    return PublicKey(field, priv.lattice, e), priv
 
 
 def keygen(
@@ -340,15 +352,14 @@ def decrypt_block(priv: PrivateKey, block) -> RingElement:
     The powers a and b in the halves R/(alpha) and R/(beta) recombine as
     b + eps (a - b), reduced into the box.  Raises TypeError for a
     coordinate that is not an integer (a float, Fraction or str), and
-    ValueError for a point outside the box or a key _crt refuses.
+    ValueError for a point outside the box or a key _admit refuses.
     """
     ctx = priv.field.ring
     vec = _vector_of(block, ctx)
-    half_a, half_b, eps = priv._crt  # admits the key before its lattice is built
     if not _in_box(priv.lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
-    a = _power_mod_prime(ctx, half_a, vec)
-    b = _power_mod_prime(ctx, half_b, vec)
+    (half_a, half_b, eps), digits = priv._crt, priv._digits
+    a, b = (_power_mod_prime(ctx, h, ds, vec) for h, ds in zip((half_a, half_b), digits))
     # eps is an integer unless both halves are F_p, and then a - b is one
     k, v = (eps[0], map(operator.sub, a, b)) if half_a.p != half_b.p else (a[0] - b[0], eps)
     return ctx.element(reduce_mod_lattice(priv.lattice, [y + k * c for y, c in zip(b, v)]))
@@ -411,15 +422,21 @@ def decode_blocks(radices: Sequence[int], blocks: Iterable[Sequence[int]]) -> by
     return bytes(out[8 : 8 + length])
 
 
+def _exponent_fault(priv: PrivateKey, e: int) -> str | None:
+    """Why d and e are not inverse exponents of the key, or None if they are."""
+    if not 1 <= priv.d < priv.phi:
+        return "private exponent out of range"
+    return None if e * priv.d % priv.phi == 1 else "e does not invert d modulo the totient"
+
+
 def validate_keypair(pub: PublicKey, priv: PrivateKey) -> bool:
-    """Consistency of a key pair: field, exponents, and lattice.
+    """Consistency of a key pair: field, lattice, and exponents.
 
     The lattice determinant needs no check of its own: priv.lattice is
     product_lattice of alpha and beta, the canonical basis of the ideal
     (alpha * beta), whose determinant is N(alpha) N(beta).  Raises
-    ValueError for a key parse_private refuses (priv.phi, then priv._crt).
+    ValueError for a key the admission rule refuses, as parse_private does.
     """
-    if pub.field != priv.field or not 1 <= priv.d < priv.phi:
+    if pub.field != priv.field or pub.lattice != priv.lattice:
         return False
-    priv._crt  # the admission rule
-    return pub.e * priv.d % priv.phi == 1 and pub.lattice == priv.lattice
+    return _exponent_fault(priv, pub.e) is None

@@ -2,9 +2,10 @@
 
 A key is admitted when alpha and beta generate two distinct prime ideals
 P and Q with R/P and R/Q fields, or for a scalar p products of fields
-F_{p^f} with f | n (PrivateKey._crt).  The sweep builds every small key
-of six fields, and each one parse_private accepts must decrypt every
-point of its box; the generic lattice power is the oracle.
+F_{p^f} with f | n (the admission rule, scheme._admit).  The sweep builds
+every small key of six fields: keypair_from_primes and parse_private
+admit the same keys, and each one admitted must decrypt every point of
+its box; the generic lattice power is the oracle.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 from ringrsa import (
     PrimeElement,
+    PrivateKey,
     decrypt_block,
     encrypt_block,
     keypair_from_primes,
@@ -23,6 +25,7 @@ from ringrsa.cli import main
 from ringrsa.errors import KeyFileError
 from ringrsa.keyfiles import parse_private, render_private, render_public
 from ringrsa.ring import conv_pow
+from ringrsa.scheme import _select_e
 
 BOX_LIMIT = 3000
 
@@ -56,21 +59,37 @@ def key_pair(spec, alpha, beta):
     )
 
 
+def private_key_text(spec, alpha, beta):
+    """The key file of (alpha, beta), built past the rule: PrivateKey plus d,
+    with the e keypair_from_primes would choose (ValueError if none)."""
+    field = parse_field_spec(spec)
+    alpha, beta = field.ring.element(alpha), field.ring.element(beta)
+    phi = PrivateKey(field, alpha, beta, 1).phi
+    e = _select_e(phi, None)
+    return render_private(PrivateKey(field, alpha, beta, pow(e, -1, phi)), e)
+
+
 @pytest.mark.parametrize("spec", SWEEP)
 def test_every_admitted_small_key_decrypts_its_whole_box(spec):
     field = parse_field_spec(spec)
     admitted = 0
     for va, vb in itertools.combinations(candidates(field), 2):
         try:
-            pub, priv = key_pair(spec, va, vb)
-        except ValueError:  # associates, a non-cyclic quotient, or no e
-            continue
-        if math.prod(pub.lattice.diag) > BOX_LIMIT:
+            text = private_key_text(spec, va, vb)
+        except ValueError:  # no e
             continue
         try:
-            parsed, _ = parse_private(render_private(priv, pub.e))
+            parsed, _ = parse_private(text)
         except KeyFileError:
+            parsed = None
+        try:
+            pub, priv = key_pair(spec, va, vb)
+        except ValueError:  # the admission rule
+            pub = None
+        assert (parsed is None) == (pub is None), (va, vb)
+        if pub is None or math.prod(pub.lattice.diag) > BOX_LIMIT:
             continue
+        assert parsed == priv
         admitted += 1
         for msg in itertools.product(*(range(r) for r in pub.lattice.diag)):
             ct = encrypt_block(pub, msg).vector
@@ -99,8 +118,7 @@ REFUSED = {
 def test_cli_refuses_keys_that_decrypt_wrongly(tmp_path, capsys, key, command):
     spec, alpha, beta, reason = REFUSED[key]
     priv_path = tmp_path / "bad.priv"
-    pub, priv = key_pair(spec, alpha, beta)
-    priv_path.write_text(render_private(priv, pub.e))
+    priv_path.write_text(private_key_text(spec, alpha, beta))
     ct_path = tmp_path / "ct.txt"
     ct_path.write_text("")
     argv = {
@@ -114,6 +132,13 @@ def test_cli_refuses_keys_that_decrypt_wrongly(tmp_path, capsys, key, command):
     assert captured.err.startswith("error: private key file: ")
     assert captured.err.count("\n") == 1
     assert reason in captured.err
+
+
+@pytest.mark.parametrize("key", REFUSED)
+def test_keypair_from_primes_refuses_them_too(key):
+    spec, alpha, beta, reason = REFUSED[key]
+    with pytest.raises(ValueError, match=reason):
+        key_pair(spec, alpha, beta)
 
 
 def test_generic_key_over_inert_primes_roundtrips(tmp_path, capsys):

@@ -27,7 +27,6 @@ from ringrsa.fields import (
     find_prime_norm_element,
     key_class_of,
     product_lattice,
-    totient_of_product,
 )
 from ringrsa.keyfiles import parse_private, render_private
 from ringrsa.lattice import hnf
@@ -38,7 +37,7 @@ from ringrsa.primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from ringrsa.scheme import _frobenius
+from ringrsa.scheme import _admit, _frobenius
 from oracles import euler_inert, inert_search_primality_first
 from support import contains, coset_box_naive, scaled_identity
 
@@ -399,50 +398,69 @@ class TestPrimeElement:
         field = quadratic_field(2)
         # 1 + sqrt(2) has norm -1
         unit = PrimeElement(field.ring.element((1, 1)))
+        zero = PrimeElement(field.ring.element((0, 0)))
         prime = PrimeElement(field.ring.element((3, 0)))
-        for alpha, beta in ((unit, prime), (prime, unit)):
-            with pytest.raises(ValueError, match="norm at most 1"):
-                totient_of_product(alpha, beta)
+        for alpha, beta in ((unit, prime), (prime, unit), (zero, prime), (prime, zero)):
+            with pytest.raises(ValueError, match="is not prime") as refused:
+                admit(alpha, beta)
+            assert not isinstance(refused.value, AssociatePrimesError)
+            with pytest.raises(ValueError, match="is not prime"):
+                keypair_from_primes(field, alpha, beta)
+
+
+def admit(alpha, beta):
+    """The admission rule, scheme._admit, on two PrimeElements of one ring."""
+    return _admit(alpha.element.context, alpha, beta)
+
+
+def totient(field, alpha, beta):
+    """priv.phi of the private key of alpha and beta."""
+    return PrivateKey(field, alpha.element, beta.element, 1).phi
 
 
 class TestTotientOfProduct:
+    """priv.phi is (|N(alpha)| - 1) (|N(beta)| - 1); the admission rule refuses associates."""
+
     def test_known_value(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((3, 0)))
         beta = PrimeElement(field.ring.element((5, 0)))
-        assert totient_of_product(alpha, beta) == 192
+        assert totient(field, alpha, beta) == 192
+        admit(alpha, beta)
 
     def test_associates_rejected(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((0, 1)))
         # sqrt(2) * (1 + sqrt(2)) = 2 + sqrt(2), an associate
         beta = PrimeElement(field.ring.element((2, 1)))
-        with pytest.raises(ValueError, match="associate"):
-            totient_of_product(alpha, beta)
+        with pytest.raises(ValueError, match="not coprime"):
+            admit(alpha, beta)
 
     def test_equal_norm_non_associates_accepted(self):
         # 2 + i and 2 - i both have norm 5 but generate different ideals
         field = quadratic_field(-1)
         alpha = PrimeElement(field.ring.element((2, 1)))
         beta = PrimeElement(field.ring.element((2, -1)))
-        assert totient_of_product(alpha, beta) == 16
+        assert totient(field, alpha, beta) == 16
+        admit(alpha, beta)
         # i * (2 + i) = -1 + 2i is an associate of alpha
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(alpha, PrimeElement(field.ring.element((-1, 2))))
+            admit(alpha, PrimeElement(field.ring.element((-1, 2))))
 
     def test_associates_raise_typed_error(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((0, 1)))
         beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(alpha, beta)
-
+            admit(alpha, beta)
+        with pytest.raises(AssociatePrimesError):
+            keypair_from_primes(field, alpha, beta)
 
     def test_scalar_associates_rejected(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((3, 0)))
         with pytest.raises(AssociatePrimesError):
-            totient_of_product(alpha, PrimeElement(field.ring.element((-3, 0))))
+            admit(alpha, PrimeElement(field.ring.element((-3, 0))))
 
 
 def hnf_oracle(alpha, beta):
@@ -520,14 +538,16 @@ class TestRoot:
 
 
 def refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, reason):
-    """The quadratic:d=-1 key (alpha, beta) with e = 3 is refused by
-    PrivateKey._crt alone: parse_private raises KeyFileError, CLI decrypt
-    exits 2 with one error line, and validate_keypair, against the public
-    lattice of (alpha * beta), raises the ValueError it returns.
+    """The quadratic:d=-1 key (alpha, beta) with e = 3 is refused by the
+    admission rule alone: keypair_from_primes raises ValueError,
+    parse_private KeyFileError, CLI decrypt exits 2 with one error line,
+    and validate_keypair, against the public lattice of (alpha * beta),
+    raises the ValueError it returns.
     """
     field = quadratic_field(-1)
-    d = pow(3, -1, totient_of_product(alpha, beta))
-    priv = PrivateKey(field, alpha.element, beta.element, d)
+    with pytest.raises(ValueError, match=reason):
+        keypair_from_primes(field, alpha, beta, e_choice=3)
+    priv = PrivateKey(field, alpha.element, beta.element, pow(3, -1, totient(field, alpha, beta)))
     text = render_private(priv, 3)
     with pytest.raises(KeyFileError, match=reason):
         parse_private(text)
@@ -562,7 +582,7 @@ class TestProductLattice:
                 if kind == "prime-norm" and alpha.norm_abs == beta.norm_abs:
                     if alpha.root == beta.root:
                         with pytest.raises(AssociatePrimesError):
-                            totient_of_product(alpha, beta)
+                            admit(alpha, beta)
                         seen["associates"] += 1
                         continue
                     kind = "equal-norm"
@@ -572,7 +592,7 @@ class TestProductLattice:
         for alpha in elements:
             negative = PrimeElement(field.ring.element(-c for c in alpha.element.coeffs))
             with pytest.raises(AssociatePrimesError):
-                totient_of_product(alpha, negative)
+                admit(alpha, negative)
         assert seen["scalar"] == 4 and seen["mixed"] == 4 * count
         assert seen["prime-norm"] and seen["associates"] >= count
 
@@ -602,7 +622,7 @@ class TestProductLattice:
         ctx = quadratic_field(-1).ring
         alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((4, 7)))
         assert (alpha.norm_abs, alpha.root, beta.norm_abs, beta.root) == (65, 8, 65, 18)
-        assert totient_of_product(alpha, beta) == 64 * 64
+        assert totient(quadratic_field(-1), alpha, beta) == 64 * 64
         refused = refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, "is not prime")
         assert not isinstance(refused, AssociatePrimesError)
 

@@ -15,7 +15,7 @@ from ringrsa import (
     quadratic_field,
 )
 from ringrsa.errors import CiphertextFormatError, KeyFileError
-from ringrsa.fields import find_inert_prime, find_prime_norm_element, totient_of_product
+from ringrsa.fields import find_inert_prime, find_prime_norm_element
 from ringrsa.keyfiles import (
     CIPHERTEXT_MAGIC,
     fingerprint,
@@ -148,14 +148,14 @@ class TestPrivateFiles:
         pub, priv = keypair
         alpha = ",".join(map(str, priv.alpha.coeffs))
         text = with_field(render_private(priv, pub.e), "beta", alpha)
-        with pytest.raises(KeyFileError, match="associate prime elements"):
+        with pytest.raises(KeyFileError, match="not coprime"):
             parse_private(text)
 
     @pytest.mark.parametrize("alpha", ["1,1", "0,0"])  # N(1 + sqrt(2)) = -1
     def test_unit_or_zero_rejected(self, keypair, alpha):
         pub, priv = keypair
         text = with_field(render_private(priv, pub.e), "alpha", alpha)
-        with pytest.raises(KeyFileError, match="a unit or zero"):
+        with pytest.raises(KeyFileError, match="is not prime"):
             parse_private(text)
 
     def test_tampered_e_rejected(self, keypair):
@@ -180,13 +180,13 @@ class TestPrivateFiles:
 
 def private_text(field, alpha, beta):
     """A private key file for two prime elements, with e = 65537, and no lattice built."""
-    phi = totient_of_product(alpha, beta)
+    phi = PrivateKey(field, alpha.element, beta.element, 1).phi
     priv = PrivateKey(field, alpha.element, beta.element, pow(65537, -1, phi))
     return priv, render_private(priv, 65537)
 
 
-# field, alpha, beta, d, e: each passes the totient, d and e checks, and
-# PrivateKey._crt refuses it before any lattice is built
+# field, alpha, beta, d, e: each passes the d and e checks, and the
+# admission rule refuses it before any lattice is built
 UNBUILDABLE_KEYS = {
     # N(3 + 3i) = 18, and Z[i]/(3 + 3i) = F_2 x F_9 is not Z/18
     "quotient-not-cyclic": ("quadratic:d=-1", "3,3", "7,0", 653, 5),

@@ -59,9 +59,9 @@ def test_keywords_and_defaults():
     assert PublicKey(e=5, lattice=LATTICE, field=FIELD) == PublicKey(FIELD, LATTICE, 5)
     assert FieldDescriptor("generic", FIELD.ring).param is None
     assert FieldDescriptor(kind="quadratic", ring=FIELD.ring, param=2) == FIELD
-    half = _PrimeHalf(7, 3, (1,))
+    half = _PrimeHalf(7, 3)
     assert (half.lattice, half.frobenius) == (None, ())
-    assert _PrimeHalf(7, None, (1,), frobenius=((1,),)).frobenius == ((1,),)
+    assert _PrimeHalf(7, None, frobenius=((1,),)).frobenius == ((1,),)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import fields, lattice, primes
+from ringrsa import fields, lattice, primes, scheme
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import find_inert_prime, find_prime_norm_element
 from ringrsa.keyfiles import parse_private, render_private
@@ -415,7 +415,7 @@ class TestDecryptPaths:
         # d = 40 = 0 mod 3^2 - 1: the reduced exponent must be 8, not 0,
         # or the zero divisors mod 3 would map to 1
         priv = hand_built_private_key(FIELD, 3, 5, d=40)
-        assert priv._crt[0].digits == (2, 2)
+        assert priv._digits[0] == (2, 2)
         for ct in box_points(priv.lattice.diag, random.Random(0)):
             assert decrypt_block(priv, ct).coeffs == lattice_power(
                 FIELD.ring, priv.lattice, ct, 40
@@ -455,7 +455,7 @@ class TestFrobeniusPower:
         # cyclotomic m=8 has degree 4, so d_p < 3^4 has 4 digits in base 3
         field = cyclotomic_field(8)
         priv = hand_built_private_key(field, 3, 5, d)
-        assert priv._crt[0].digits == digits
+        assert priv._digits[0] == digits
         for ct in box_points(priv.lattice.diag, random.Random(d), limit=300):
             assert decrypt_block(priv, ct).coeffs == lattice_power(
                 field.ring, priv.lattice, ct, d
@@ -468,7 +468,7 @@ class TestFrobeniusPower:
         # q = 5): (1 + 32 * 1) + (2 + 32 * 2) = 99.
         field = cyclotomic_field(64)
         pub, priv = scalar_prime_keypair(field, 3, 5)
-        assert len(priv._crt[0].digits) == 32  # the per-key set-up runs before counting
+        assert len(priv._digits[0]) == 32  # the per-key set-up runs before counting
         rng = random.Random(64)
         start = time.monotonic()
         for _ in range(3):
@@ -488,7 +488,7 @@ class TestFrobeniusPower:
         # base-p digits of about 512 bits, so w = 5: 511 squarings, two
         # 16-entry tables and about 2 * 512 / 6 window products per half
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
-        assert all(len(h.digits) == 2 for h in priv._crt[:2])  # set up before counting
+        assert all(len(digits) == 2 for digits in priv._digits)  # set up before counting
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
         ct = encrypt_block(pub, msg).vector.coeffs
@@ -507,10 +507,10 @@ class TestFrobeniusPower:
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
         ct = encrypt_block(pub, msg).vector.coeffs
         halves = priv._crt[:2]  # the per-key set-up runs before counting
+        assert all(len(digits) == 2 for digits in priv._digits)
         calls = []
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
         assert decrypt_block(priv, ct).coeffs == msg
-        assert all(len(h.digits) == 2 for h in halves)
         assert calls == [h.lattice for h in halves] + [priv.lattice]
 
 
@@ -582,7 +582,7 @@ def lattice_calls(record_calls):
 
 
 class TestAdmissionBeforeLattice:
-    """PrivateKey._crt is the one refusal of a read key: no lattice is built before it."""
+    """The admission rule is the one refusal of a key: no lattice is built before it."""
 
     def test_parse_private_builds_no_lattice(self, lattice_calls):
         pub, priv = keygen(FIELD, PrimeNormElementMode(30), rng=random.Random(5))
@@ -602,12 +602,25 @@ class TestAdmissionBeforeLattice:
             decrypt_block(priv, (0, 0))
         assert lattice_calls == []
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [((1, 8), (4, 7)), ((4, 0), (3, 0))], ids=["norm-65", "scalar-4"]
+    )
+    def test_keypair_from_primes_refuses_before_the_lattice(self, lattice_calls, alpha, beta):
+        # without the rule these got the lattices 65 I and 12 I, which are
+        # not those of (alpha * beta)
+        field = quadratic_field(-1)
+        alpha, beta = (PrimeElement(field.ring.element(v)) for v in (alpha, beta))
+        with pytest.raises(ValueError, match="is not prime"):
+            keypair_from_primes(field, alpha, beta)
+        assert lattice_calls == []
+
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_degree_128_key_lattice_is_bounded(seed):
     # the HNF of this lattice took 40 s; the root takes the norm's resultant
     # and two evaluations mod N(alpha), and either gives the lattice or
-    # refuses the key
+    # refuses the key.  priv.lattice admits the key first, and the rule
+    # refuses it: 2 ramifies in Q(zeta_256), and a random norm is composite
     field = cyclotomic_field(256)
     ctx = field.ring
     rng = random.Random(seed)
@@ -615,11 +628,13 @@ def test_degree_128_key_lattice_is_bounded(seed):
     priv = PrivateKey(field, alpha, ctx.element((2,) + (0,) * (ctx.degree - 1)), 1)
     start = time.monotonic()
     try:
-        basis = priv.lattice
+        basis = fields.product_lattice(*priv._primes)
     except ValueError as exc:
         assert "not Z/N" in str(exc)
     else:
         assert basis.diag == (2 * abs(norm(ctx, alpha)),) + (2,) * (ctx.degree - 1)
+    with pytest.raises(ValueError, match="not Z/N|is not prime|not a product of fields"):
+        priv.lattice
     assert time.monotonic() - start < 5.0
 
 
@@ -658,6 +673,37 @@ def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
     assert primality_calls == {}
 
 
+@pytest.fixture
+def frobenius_calls(record_calls):
+    """The p of every scheme._frobenius call."""
+    calls = []
+    record_calls(scheme, "_frobenius", lambda ctx, p, basis: calls.append(p))
+    return calls
+
+
+def test_each_key_is_admitted_once(primality_calls, frobenius_calls, record_calls):
+    # keygen admits the key and the private key keeps the halves; a parse
+    # admits it again, and its digits of d are computed once, not per block
+    pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(0x100))
+    p, q = priv.alpha.coeffs[0], priv.beta.coeffs[0]
+    assert sorted(frobenius_calls) == sorted((p, q))
+    assert primality_calls[p] == primality_calls[q] == max(primality_calls.values()) == 1
+    primality_calls.clear()
+    frobenius_calls.clear()
+    assert validate_keypair(pub, priv)
+    assert decrypt_block(priv, encrypt_block(pub, (1, 0))).coeffs == (1, 0)
+    assert primality_calls == {} and frobenius_calls == []
+    parsed, _ = parse_private(render_private(priv, pub.e))
+    assert primality_calls == {p: 1, q: 1} and sorted(frobenius_calls) == sorted((p, q))
+    digits_calls = []
+    record_calls(scheme, "_base_p_digits", lambda d, prime, n: digits_calls.append(prime))
+    rng = random.Random(20)
+    for _ in range(20):
+        msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
+        assert decrypt_block(parsed, encrypt_block(pub, msg)).coeffs == msg
+    assert sorted(digits_calls) == sorted((p, q))
+
+
 @pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
 def test_parsed_key_tests_each_prime_once(primality_calls, field, mode, seed):
     pub, priv = keygen(field, mode, rng=random.Random(seed))
@@ -680,8 +726,7 @@ ROOT_EXPORTS = {
 }
 # names the package root no longer exports, by the module that still holds them
 MODULE_ONLY = {
-    "fields": ["FieldDescriptor", "find_inert_prime", "find_prime_norm_element",
-               "totient_of_product"],
+    "fields": ["FieldDescriptor", "find_inert_prime", "find_prime_norm_element"],
     "lattice": ["HnfBasis", "determinant", "hnf", "reduce_mod_lattice"],
     "ring": ["IdealMatrix", "RingContext", "RingElement", "conv_mul", "conv_pow",
              "ideal_matrix", "make_ring", "norm"],
@@ -696,7 +741,7 @@ class TestPackageRoot:
         assert all(hasattr(ringrsa, name) for name in ROOT_EXPORTS)
 
     def test_lower_level_names_import_from_their_modules(self):
-        assert sum(map(len, MODULE_ONLY.values())) == 17
+        assert sum(map(len, MODULE_ONLY.values())) == 16
         for module, names in MODULE_ONLY.items():
             mod = importlib.import_module(f"ringrsa.{module}")
             for name in names:
