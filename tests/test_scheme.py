@@ -600,18 +600,10 @@ class TestAdmissionBeforeLattice:
         priv = PrivateKey(field, ctx.element((1, 8)), ctx.element((4, 7)), 2731)
         with pytest.raises(ValueError, match="is not prime"):
             decrypt_block(priv, (0, 0))
-        assert lattice_calls == []
-
-    @pytest.mark.parametrize(
-        "alpha,beta", [((1, 8), (4, 7)), ((4, 0), (3, 0))], ids=["norm-65", "scalar-4"]
-    )
-    def test_keypair_from_primes_refuses_before_the_lattice(self, lattice_calls, alpha, beta):
-        # without the rule these got the lattices 65 I and 12 I, which are
-        # not those of (alpha * beta)
-        field = quadratic_field(-1)
-        alpha, beta = (PrimeElement(field.ring.element(v)) for v in (alpha, beta))
+        # without the rule keypair_from_primes gave this pair the lattice 65 I,
+        # which is not that of (alpha * beta)
         with pytest.raises(ValueError, match="is not prime"):
-            keypair_from_primes(field, alpha, beta)
+            keypair_from_primes(field, *priv._primes)
         assert lattice_calls == []
 
 
