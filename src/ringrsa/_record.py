@@ -15,14 +15,13 @@ __all__ = ["record"]
 def record(cls):
     """Make cls a frozen record of its annotated fields, in order.
 
-    A class attribute of a field's name is its default.  __init__ takes
-    the fields by position or keyword, then runs cls.__post_init__ if there
-    is one.  Instances keep a __dict__, so functools.cached_property works
-    on them; __eq__ (same class only), __hash__ and __repr__ see the fields.
+    A class attribute of a field's name is its default.  __init__ takes the
+    fields by position or keyword and checks no values; parsing does.  Instances
+    keep a __dict__, so functools.cached_property works on them; __eq__ (same
+    class only), __hash__ and __repr__ see the fields.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = cls.__dict__.get("__post_init__")
     setfield = object.__setattr__
     fields = operator.attrgetter(*names)  # one field's value, or a tuple of several
 
@@ -34,8 +33,6 @@ def record(cls):
             args += tuple(values[name] for name in rest)
         for name, value in zip(names, args):
             setfield(self, name, value)  # not __dict__.update, which slows attribute reads
-        if post_init is not None:
-            post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -16,12 +16,13 @@ form.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from functools import cached_property
 
 from ._record import record
 from .errors import SearchExhaustedError
-from .lattice import HnfBasis
+from .lattice import HnfBasis, reduce_mod_lattice
 from .primes import (
     _jacobi,
     carmichael_lambda,
@@ -29,7 +30,7 @@ from .primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from .ring import RingContext, RingElement, make_ring, norm_and_linear
+from .ring import RingContext, RingElement, _times_x, make_ring, norm_and_linear
 
 __all__ = [
     "FieldDescriptor",
@@ -42,6 +43,7 @@ __all__ = [
     "find_prime_norm_element",
     "key_class_of",
     "product_lattice",
+    "ideal_lattice",
 ]
 
 _SQUARE_FREE_TRIAL_BOUND = 10**6
@@ -55,6 +57,15 @@ _SEARCH_ATTEMPT_BOUND = 10**5
 # two norms, each O(n^2) big-integer steps that also yield the root (at this
 # cap and the norm budget of a key file, one norm takes up to 4 s).
 _MAX_DEGREE = 128
+# Bits the bound on N(alpha) N(beta) may exceed what a key file carries by: on
+# keygen's keys it overshoots by up to 1036 (cyclotomic:m=255, the worst measured).
+_NORM_BOUND_SLACK_BITS = 2048
+
+
+def _key_budget_bits() -> int:
+    """Bits for N(alpha) N(beta), or a key lattice's determinant: the digit limit plus slack."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return digits * 3322 // 1000 + _NORM_BOUND_SLACK_BITS  # log2(10) < 3.322
 
 
 @record
@@ -375,3 +386,30 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     if p != q:
         return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
     return _ideal_basis(n, p, (-r_a * r_b % p, (r_a + r_b) % p))
+
+
+def ideal_lattice(ctx: RingContext, entries: tuple[tuple[int, ...], ...]) -> HnfBasis:
+    """The n x n entries as a public key lattice, s HNF(m, g); ValueError unless one.
+
+    The diagonal's bits are bounded by the key budget first.  The inverse of
+    _ideal_basis: the diagonal is s m (k times), then s (all equal: s = 1,
+    k = n), and column k holds s (-rule % m).  The basis must be
+    _ideal_basis(n, m, rule, s), and x times its last column must reduce to
+    0 in it, so that g divides phi mod m and the lattice is an ideal.
+    """
+    n, basis = ctx.degree, HnfBasis(entries)
+    diag, budget = basis.diag, _key_budget_bits()
+    if sum(c.bit_length() for c in diag) > budget:
+        raise ValueError(f"lattice too large (determinant above {budget} bits)")
+    k = diag.index(diag[-1]) or n
+    s = diag[-1] if k < n else 1
+    not_key = ValueError("lattice is not the basis of an ideal s (m, x^k - rule(x))")
+    if not 0 < s <= diag[0]:
+        raise not_key
+    m = diag[0] // s
+    rule = tuple(-(row[k] // s) % m for row in entries[:k]) if k < n else ctx.phi_coeffs
+    if _ideal_basis(n, m, rule, s) != basis:
+        raise not_key
+    if any(reduce_mod_lattice(basis, _times_x(ctx.phi_coeffs, [row[-1] for row in entries]))):
+        raise ValueError("lattice is not an ideal (x times its last column lies outside it)")
+    return basis

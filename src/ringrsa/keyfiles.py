@@ -15,10 +15,9 @@ import hashlib
 import sys
 
 from .errors import CiphertextFormatError, KeyFileError
-from .fields import parse_field_spec
-from .lattice import HnfBasis
+from .fields import _NORM_BOUND_SLACK_BITS, _key_budget_bits, ideal_lattice, parse_field_spec
 from .ring import norm_bound_bits
-from .scheme import PrivateKey, PublicKey, _exponent_fault
+from .scheme import PrivateKey, PublicKey, _check_e, _exponent_fault
 
 __all__ = [
     "FORMAT_VERSION",
@@ -34,11 +33,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 CIPHERTEXT_MAGIC = "ringrsa-ciphertext-v1"
-# Bits the bound on N(alpha) N(beta) may exceed what a key file carries by.
-# On keys keygen writes, the bound overshoots the product of the norms
-# through the ||phi||^deg terms and the rounding of ||f||^n: by up to 1036
-# bits on cyclotomic:m=255 element keys, the worst field measured.
-_NORM_BOUND_SLACK_BITS = 2048
 
 
 def _render_int(n: int) -> str:
@@ -59,15 +53,21 @@ def _render_matrix(rows) -> str:
     return ";".join(_render_vector(row) for row in rows)
 
 
-def _parse_vector(text: str, name: str) -> tuple[int, ...]:
+def _parse_vector(text: str, name: str, n: int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        vec = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"field {name!r} is not an integer vector") from None
+    if len(vec) != n:
+        raise ValueError(f"field {name!r} does not match the field degree {n}")
+    return vec
 
 
-def _parse_matrix(text: str, name: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_vector(row, name) for row in text.split(";"))
+def _parse_matrix(text: str, name: str, n: int) -> tuple[tuple[int, ...], ...]:
+    rows = text.split(";")
+    if len(rows) != n:
+        raise ValueError(f"field {name!r} does not match the field degree {n}")
+    return tuple(_parse_vector(row, name, n) for row in rows)
 
 
 def _parse_pairs(
@@ -126,14 +126,18 @@ def render_public(pub: PublicKey) -> str:
 
 
 def parse_public(text: str) -> PublicKey:
+    """The public key, if fields.ideal_lattice admits its lattice and 2 <= e < det."""
     pairs, _ = _parse_pairs(text, _PUBLIC_FIELDS, "public key file")
     _check_version(pairs, "public key file")
     if pairs["role"] != "public":
         raise KeyFileError("public key file: wrong role")
     try:
         field = parse_field_spec(pairs["field"])
-        basis = HnfBasis(_parse_matrix(pairs["lattice"], "lattice"))
-        return PublicKey(field, basis, _parse_int(pairs, "e", "public key file"))
+        matrix = _parse_matrix(pairs["lattice"], "lattice", field.ring.degree)
+        lattice = ideal_lattice(field.ring, matrix)
+        e = _parse_int(pairs, "e", "public key file")
+        _check_e(e, lattice.diag)
+        return PublicKey(field, lattice, e)
     except KeyFileError:
         raise
     except ValueError as exc:
@@ -163,13 +167,15 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
 
     keygen refuses a key whose N(alpha) N(beta) (the lattice corner, or
     about d) has more digits than the int-to-str limit; this bounds the
-    work of the two norms a parse computes.
+    work of the two norms a parse computes.  Each norm may take half the
+    digits plus the slack, which bounds the primality test of one norm.
     """
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    budget = digits * 3322 // 1000 + _NORM_BOUND_SLACK_BITS  # log2(10) < 3.322
-    if norm_bound_bits(ctx, alpha) + norm_bound_bits(ctx, beta) > budget:
+    budget, bits = _key_budget_bits(), (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
+    each = (budget + _NORM_BOUND_SLACK_BITS) // 2
+    if sum(bits) > budget or max(bits) > each:
         raise KeyFileError(
-            f"private key file: alpha and beta too large (norm bound above {budget} bits)"
+            f"private key file: alpha and beta too large (norm bounds above {budget} bits,"
+            f" or one above {each})"
         )
 
 
@@ -179,8 +185,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     The key derives the totient, the lattice and the halves from alpha
     and beta; a file is checked here, where it comes in, for alpha and
     beta whose norms fit the budget of _check_norm_budget, then by the
-    admission rule (priv._crt), then for 1 <= d < phi and
-    e * d = 1 (mod phi).  No lattice is built.
+    admission rule (priv._crt), then for 1 <= d < phi, e * d = 1 (mod phi)
+    and the bounds parse_public puts on e.  No lattice is built.
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
     _check_version(pairs, "private key file")
@@ -189,8 +195,8 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     try:
         field = parse_field_spec(pairs["field"])
         ctx = field.ring
-        alpha = ctx.element(_parse_vector(pairs["alpha"], "alpha"))
-        beta = ctx.element(_parse_vector(pairs["beta"], "beta"))
+        alpha = ctx.element(_parse_vector(pairs["alpha"], "alpha", ctx.degree))
+        beta = ctx.element(_parse_vector(pairs["beta"], "beta", ctx.degree))
         _check_norm_budget(ctx, alpha, beta)
         d = _parse_int(pairs, "d", "private key file")
         e = _parse_int(pairs, "e", "private key file")
@@ -199,6 +205,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         fault = _exponent_fault(priv, e)
         if fault:
             raise KeyFileError(f"private key file: {fault}")
+        _check_e(e, (prime.norm_abs for prime in priv._primes))  # as parse_public does
         return priv, e
     except KeyFileError:
         raise

@@ -121,10 +121,6 @@ class RingElement:
     context: RingContext
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.context.degree:
-            raise ValueError("coefficient vector has wrong length")
-
 
 @record
 class IdealMatrix:

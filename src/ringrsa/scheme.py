@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 _MIN_CODEC_CAPACITY = 1 << 16
-_ASSOCIATE_RETRY_BOUND = 64
+_EQUAL_NORM_RETRY_BOUND = 64
 _DEFAULT_E = 65537
 # Largest public exponent, in bits: encryption costs a squaring per bit, and
 # public keys are untrusted (Go's crypto/rsa caps e at 31 bits).
@@ -83,14 +83,6 @@ class PublicKey:
     field: FieldDescriptor
     lattice: HnfBasis
     e: int
-
-    def __post_init__(self):
-        if self.lattice.dimension != self.field.ring.degree:
-            raise ValueError("lattice dimension does not match the field degree")
-        if self.e.bit_length() > _MAX_E_BITS:
-            raise ValueError(f"public exponent above the limit of {_MAX_E_BITS} bits")
-        if not 2 <= self.e < math.prod(self.lattice.diag):
-            raise ValueError("public exponent out of range")
 
 
 @record
@@ -255,6 +247,7 @@ def _select_e(phi: int, e_choice: int | None) -> int:
             raise ValueError("requested public exponent out of range")
         if math.gcd(e_choice, phi) != 1:
             raise ValueError("requested public exponent not coprime to the totient")
+        _check_e(e_choice, (phi,))  # the cap on its bits
         return e_choice
     if _DEFAULT_E < phi and math.gcd(_DEFAULT_E, phi) == 1:
         return _DEFAULT_E
@@ -272,8 +265,8 @@ def keypair_from_primes(
 ) -> tuple[PublicKey, PrivateKey]:
     """Assemble a key pair from two prime elements, found or built by hand.
 
-    _admit runs before e is chosen, so keygen retries associates even where
-    phi leaves no e.  The private key keeps alpha, beta and the halves.
+    _admit runs before e is chosen, so a pair it refuses is refused even
+    where phi leaves no e.  The private key keeps alpha, beta and the halves.
     """
     crt = _admit(field.ring, alpha, beta)
     phi = math.prod(prime.norm_abs - 1 for prime in (alpha, beta))
@@ -294,11 +287,12 @@ def keygen(
 
     InertPrimeMode draws two distinct rational inert primes of the given
     bit length; PrimeNormElementMode draws two prime-norm elements with
-    bounded coefficients, retrying associates up to an internal bound.
+    bounded coefficients, drawing again up to an internal bound while their
+    norms are equal (associates, or a lattice (p, p, 1, ...) giving phi away).
     """
     if rng is None:
         rng = random.SystemRandom()
-    for _ in range(_ASSOCIATE_RETRY_BOUND):
+    for _ in range(_EQUAL_NORM_RETRY_BOUND):
         if isinstance(mode, InertPrimeMode):
             alpha = find_inert_prime(field, mode.bits, rng)
             beta = find_inert_prime(
@@ -309,11 +303,9 @@ def keygen(
             beta = find_prime_norm_element(field, mode.coeff_bound, rng)
         else:
             raise ValueError("unknown keygen mode")
-        try:
+        if alpha.p != beta.p:
             return keypair_from_primes(field, alpha, beta, e_choice)
-        except AssociatePrimesError:
-            continue
-    raise SearchExhaustedError("search exhausted: could not find non-associate primes")
+    raise SearchExhaustedError("search exhausted: could not find primes of distinct norms")
 
 
 def _vector_of(arg, ctx) -> tuple[int, ...]:
@@ -420,6 +412,14 @@ def decode_blocks(radices: Sequence[int], blocks: Iterable[Sequence[int]]) -> by
     if 8 + length > len(out) or count != -(-(8 + length) // k):
         raise CiphertextFormatError("corrupt length header")
     return bytes(out[8 : 8 + length])
+
+
+def _check_e(e: int, diag: Iterable[int]) -> None:
+    """ValueError unless e is a public exponent for the lattice of this diagonal."""
+    if e.bit_length() > _MAX_E_BITS:
+        raise ValueError(f"public exponent above the limit of {_MAX_E_BITS} bits")
+    if not 2 <= e < math.prod(diag):
+        raise ValueError("public exponent out of range")
 
 
 def _exponent_fault(priv: PrivateKey, e: int) -> str | None:

@@ -4,8 +4,9 @@ A key is admitted when alpha and beta generate two distinct prime ideals
 P and Q with R/P and R/Q fields, or for a scalar p products of fields
 F_{p^f} with f | n (the admission rule, scheme._admit).  The sweep builds
 every small key of six fields: keypair_from_primes and parse_private
-admit the same keys, and each one admitted must decrypt every point of
-its box; the generic lattice power is the oracle.
+admit the same keys, parse_public admits each one's lattice, and each
+one admitted must decrypt every point of its box; the generic lattice
+power is the oracle.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from ringrsa import (
 )
 from ringrsa.cli import main
 from ringrsa.errors import KeyFileError
-from ringrsa.keyfiles import parse_private, render_private, render_public
+from ringrsa.keyfiles import parse_private, parse_public, render_private, render_public
 from ringrsa.ring import conv_pow
 from ringrsa.scheme import _select_e
 
@@ -87,6 +88,8 @@ def test_every_admitted_small_key_decrypts_its_whole_box(spec):
         except ValueError:  # the admission rule
             pub = None
         assert (parsed is None) == (pub is None), (va, vb)
+        if pub is not None:
+            assert parse_public(render_public(pub)) == pub, (va, vb)
         if pub is None or math.prod(pub.lattice.diag) > BOX_LIMIT:
             continue
         assert parsed == priv

@@ -7,10 +7,12 @@ only raise their own error type, and the CLI may only exit with a code
 its module docstring documents for the command, printing exactly one
 `error:` line when it fails.  A mutated ciphertext that decrypts to other
 bytes is textbook RSA, not a fault, so nothing is asserted about output.
+Fixed hostile keys, which mutation would not find, must each exit 2.
 """
 
 import contextlib
 import io
+import math
 import random
 import re
 import time
@@ -32,6 +34,7 @@ from ringrsa import (
     parse_field_spec,
 )
 from ringrsa.cli import main
+from ringrsa.fields import _key_budget_bits
 from ringrsa.keyfiles import (
     fingerprint,
     parse_ciphertext,
@@ -158,7 +161,8 @@ def write(path, text):
 
 
 def run_cli(command, *args):
-    """main(argv) with stdout and stderr captured; checks the exit code and error line."""
+    """main(argv) with stdout and stderr captured; checks the exit code and error line,
+    and returns the code."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = timed(main, [command, *args])
@@ -168,6 +172,7 @@ def run_cli(command, *args):
         assert lines == []
     else:
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
 
 
 @given(st.sampled_from(PUBLIC_TEXTS), st.data())
@@ -190,3 +195,68 @@ def test_cli_inspect_verify(workdir, texts, mutate_public, data):
     pub = write(workdir / "ins.pub", data.draw(mutated(pub_text)) if mutate_public else pub_text)
     priv = write(workdir / "ins.priv", priv_text if mutate_public else data.draw(mutated(priv_text)))
     run_cli("inspect", "--pub", pub, "--priv", priv, "--verify")
+
+
+def public_text(spec, rows, e=65537):
+    return render_public(PublicKey(parse_field_spec(spec), HnfBasis(rows), e))
+
+
+def mixed_public(bits):
+    """quadratic:d=-1, the ideal s (m, x - r) with m = r^2 + 1 and a diagonal of bits bits.
+
+    s = 2^2100 keeps the corner s m under the int-to-str digit limit.
+    """
+    a = 2100
+    r = math.isqrt(1 << (bits - 2 * a - 2)) + 1
+    m, s = r * r + 1, 1 << a
+    rows = ((s * m, s * (-r % m)), (0, s))
+    assert (s * m).bit_length() + s.bit_length() == bits
+    return public_text("quadratic:d=-1", rows)
+
+
+def skew_diagonal_public():
+    """Degree 128, diagonal (10^3999 + 7, 2, 1, ..., 1): inside the budget, but no key ideal,
+    and a block under it took seconds to encrypt before parse_public refused it."""
+    diag = (10**3999 + 7, 2) + (1,) * 126
+    return public_text("cyclotomic:m=256", tuple(
+        tuple(c * (i == j) for j in range(128)) for i, c in enumerate(diag)
+    ))
+
+
+def oversize_norm_private():
+    """alpha of a norm near 16 000 bits beside 1 + 2i: the sum of the two norm
+    bounds is within the budget, but one norm's BPSW alone would take seconds."""
+    a, b = 1 << 7999, (1 << 7999) + 1
+    while math.gcd(a * a + b * b, math.prod(range(1, 1000, 2))) != 1:
+        b += 2
+    return "".join([
+        "format_version = 1\n", "role = private\n", "field = quadratic:d=-1\n",
+        f"alpha = {a},{b}\n", "beta = 1,2\n", "d = 3\n", "e = 3\n",
+    ])
+
+
+REFUSED_PUBLIC = {
+    # x = 3 modulo the lattice, and phi(3) = 10 is not 0 mod 15
+    "not-an-ideal": lambda: public_text("quadratic:d=-1", ((15, 12), (0, 1)), 7),
+    "not-a-key-shape": skew_diagonal_public,
+    "corner-over-budget": lambda: mixed_public(_key_budget_bits() + 1),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_PUBLIC)
+def test_cli_refuses_hostile_public_keys(workdir, name):
+    pub = write(workdir / "bad.pub", REFUSED_PUBLIC[name]())
+    code = run_cli("encrypt", "--pub", pub, "--in", str(workdir / "payload"),
+                   "--out", str(workdir / "bad.ct"))
+    assert code == 2
+
+
+def test_cli_encrypts_under_a_corner_at_the_budget(workdir):
+    pub = write(workdir / "edge.pub", mixed_public(_key_budget_bits()))
+    code = run_cli("encrypt", "--pub", pub, "--in", str(workdir / "payload"),
+                   "--out", str(workdir / "edge.ct"))
+    assert code == 0
+
+
+def test_cli_refuses_an_oversize_norm(workdir):
+    assert run_cli("inspect", "--priv", write(workdir / "bad.priv", oversize_norm_private())) == 2

@@ -5,7 +5,8 @@ encrypt` of a fixed 40-byte payload.  Key files must stay byte-identical
 for a fixed seed, and a ciphertext of a fixed payload under a fixed key
 must not change, so old ciphertexts keep decrypting.  The benchmark's key
 files are pinned too: every keygen seed of every workload must reproduce
-the SHA-256 pair recorded in perfbench/digests.json.
+the SHA-256 pair recorded in perfbench/digests.json.  Every pinned public
+key passes parse_public's rule, to the lattice of its private key.
 """
 
 import hashlib
@@ -15,8 +16,14 @@ from pathlib import Path
 import pytest
 
 from ringrsa.cli import main
+from ringrsa.keyfiles import parse_private, parse_public
 
 PAYLOAD = bytes(range(40))
+
+
+def assert_public_lattice_admitted(pub, priv):
+    """parse_public admits the lattice, equal to product_lattice of alpha and beta."""
+    assert parse_public(pub.read_text()).lattice == parse_private(priv.read_text())[0].lattice
 
 # (field, mode) -> SHA-256 of the .pub, .priv and .ct files
 GOLDEN = {
@@ -48,6 +55,7 @@ def test_seeded_files_are_byte_identical(tmp_path, field, mode):
     assert main(["encrypt", "--pub", str(pub), "--in", str(src), "--out", str(ct)]) == 0
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pub, priv, ct))
     assert got == GOLDEN[field, mode]
+    assert_public_lattice_admitted(pub, priv)
     assert main(["decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(back)]) == 0
     assert back.read_bytes() == PAYLOAD
 
@@ -84,3 +92,4 @@ def test_benchmark_keys_are_byte_identical(tmp_path, workload, seed, pair):
     assert main(["keygen", "--field", field, "--mode", mode, "--seed", seed,
                  "--pub", str(pub), "--priv", str(priv)]) == 0
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (pub, priv)] == pair
+    assert_public_lattice_admitted(pub, priv)

@@ -1,5 +1,6 @@
 """Text key and ciphertext files: determinism, roundtrips, rejection."""
 
+import math
 import random
 import time
 
@@ -7,17 +8,26 @@ import pytest
 
 from ringrsa import (
     InertPrimeMode,
+    PrimeElement,
     PrimeNormElementMode,
     PrivateKey,
+    PublicKey,
     cyclotomic_field,
     keygen,
+    keypair_from_primes,
     parse_field_spec,
     quadratic_field,
 )
 from ringrsa.errors import CiphertextFormatError, KeyFileError
-from ringrsa.fields import find_inert_prime, find_prime_norm_element
+from ringrsa.fields import (
+    _NORM_BOUND_SLACK_BITS,
+    _key_budget_bits,
+    find_inert_prime,
+    find_prime_norm_element,
+)
 from ringrsa.keyfiles import (
     CIPHERTEXT_MAGIC,
+    _check_norm_budget,
     fingerprint,
     parse_ciphertext,
     parse_private,
@@ -26,6 +36,8 @@ from ringrsa.keyfiles import (
     render_private,
     render_public,
 )
+from ringrsa.lattice import HnfBasis
+from ringrsa.ring import norm_bound_bits
 
 FIELD = quadratic_field(2)
 
@@ -126,6 +138,82 @@ class TestPublicFiles:
             parse_public("just some text\n")
 
 
+def public_text(spec, rows, e=5):
+    return render_public(PublicKey(parse_field_spec(spec), HnfBasis(rows), e))
+
+
+class TestPublicKeyRule:
+    """parse_public admits exactly the lattices s HNF(m, g) that are ideals."""
+
+    @pytest.mark.parametrize(
+        "alpha,beta,rows",
+        [
+            ((3, 0), (1, 2), ((15, 9), (0, 3))),  # mixed: 3 (5, x - 2)
+            ((1, 2), (2, 1), ((5, 0), (0, 5))),  # equal norms: (5, (x - 2)(x - 3)) = 5 R
+            ((1, 2), (2, 3), ((65, 18), (0, 1))),  # norms 5 and 13: x = 47
+            ((3, 0), (7, 0), ((21, 0), (0, 21))),  # scalars
+        ],
+    )
+    def test_hand_built_lattices_admitted(self, alpha, beta, rows):
+        field = quadratic_field(-1)
+        primes = (PrimeElement(field.ring.element(v)) for v in (alpha, beta))
+        pub, _ = keypair_from_primes(field, *primes)
+        assert pub.lattice.entries == rows
+        assert parse_public(render_public(pub)) == pub
+
+    # beside the pinned keys of test_golden_bytes.py: a scalar lattice above
+    # degree 2, and an element key of a generic field
+    @pytest.mark.parametrize(
+        "spec,mode,seed",
+        [
+            ("cyclotomic:m=16", InertPrimeMode(bits=32), 2),
+            ("generic:phi=3,1,0,0,-1", PrimeNormElementMode(coeff_bound=6), 6),
+        ],
+    )
+    def test_keygen_lattices_admitted(self, spec, mode, seed):
+        pub, priv = keygen(parse_field_spec(spec), mode, rng=random.Random(seed))
+        parsed = parse_public(render_public(pub))
+        assert parsed == pub and parsed.lattice == priv.lattice
+
+    @pytest.mark.parametrize(
+        "spec,rows,message",
+        [
+            # x = 3 modulo the lattice, and phi(3) = 10 is not 0 mod 15
+            ("quadratic:d=-1", ((15, 12), (0, 1)), "not an ideal"),
+            # (4, x^3 - 1) in Z[x]/(x^4 + 1): x^4 + 1 = x + 1, not 0, mod the pair
+            ("cyclotomic:m=8", ((4, 0, 0, 3), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 1)),
+             "not an ideal"),
+            # 2 (5 10^39, x): phi(0) = 1
+            ("quadratic:d=-1", ((10**40, 0), (0, 2)), "not an ideal"),
+            # diagonal not (m, ..., m, 1, ..., 1)
+            ("cyclotomic:m=8", ((6, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),
+             "not the basis"),
+            # an entry inside the m block
+            ("cyclotomic:m=8", ((5, 1, 0, 0), (0, 5, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+             "not the basis"),
+            ("quadratic:d=-1", ((15, 9), (0, 5)), "not the basis"),  # s = 5 does not give 9
+            ("quadratic:d=-1", ((15, 10), (0, 3)), "not the basis"),  # 10 is no multiple of s = 3
+        ],
+    )
+    def test_refused(self, spec, rows, message):
+        with pytest.raises(KeyFileError, match=message):
+            parse_public(public_text(spec, rows))
+
+    def test_corner_bounded_by_the_private_key_budget(self):
+        # c I is an ideal for every c; at degree 128 it has 128 bitlen(c) bits
+        budget = _key_budget_bits()
+        for bits in (budget // 128, budget // 128 + 1):
+            c = (1 << bits) - 1
+            text = public_text("cyclotomic:m=256", tuple(
+                tuple(c * (i == j) for j in range(128)) for i in range(128)
+            ))
+            if 128 * bits <= budget:
+                assert parse_public(text).lattice.diag == (c,) * 128
+            else:
+                with pytest.raises(KeyFileError, match=f"above {budget} bits"):
+                    parse_public(text)
+
+
 class TestPrivateFiles:
     def test_roundtrip_recomputes_derived_parts(self, keypair):
         pub, priv = keypair
@@ -211,6 +299,12 @@ def test_unbuildable_lattice_refused(key, message):
         parse_private(unbuildable_key_text(key))
 
 
+def assert_public_admitted(priv):
+    """parse_public admits the lattice of priv, rendered with e = 65537."""
+    pub = PublicKey(priv.field, priv.lattice, 65537)
+    assert parse_public(render_public(pub)) == pub
+
+
 class TestNormBudget:
     """parse_private bounds N(alpha) N(beta) before it computes a norm."""
 
@@ -234,6 +328,7 @@ class TestNormBudget:
         beta = find_prime_norm_element(field, 4, rng)
         priv, text = private_text(field, alpha, beta)
         assert parse_private(text) == (priv, 65537)
+        assert_public_admitted(priv)
 
     def test_inert_key_near_the_digit_limit_parses(self):
         # N(alpha) N(beta) = (pq)^128 with 55-bit p and q: 4200 of the 4300 digits
@@ -243,6 +338,7 @@ class TestNormBudget:
         priv, text = private_text(field, alpha, beta)
         assert len(str(alpha.norm_abs * beta.norm_abs)) >= 4200
         assert parse_private(text) == (priv, 65537)
+        assert_public_admitted(priv)
 
     def test_large_coefficients_refused_before_any_norm(self):
         # one norm of these 512-bit coefficients takes about 45 s
@@ -267,6 +363,22 @@ class TestNormBudget:
         ])
         with pytest.raises(KeyFileError, match="alpha and beta too large"):
             parse_private(text)
+
+    def test_each_norm_bounded_by_half_the_digits_plus_slack(self):
+        # 1 + 2i beside a + i, of norm bound bitlen(a^2 + 1) + 1: the sum stays in
+        # the budget, and one norm may not pass (budget + slack) / 2 = 9190 bits
+        ctx, budget = quadratic_field(-1).ring, _key_budget_bits()
+        each = (budget + _NORM_BOUND_SLACK_BITS) // 2
+        small = ctx.element((1, 2))
+        for bound in (each, each + 1):
+            a = math.isqrt(1 << (bound - 2)) + 1
+            big = ctx.element((a, 1))
+            assert norm_bound_bits(ctx, big) == bound and bound + 4 <= budget
+            if bound == each:
+                _check_norm_budget(ctx, big, small)
+            else:
+                with pytest.raises(KeyFileError, match=f"one above {each}"):
+                    _check_norm_budget(ctx, big, small)
 
 
 class TestFingerprint:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringrsa import coset_box
+from ringrsa import KeyFileError, PublicKey, coset_box, quadratic_field
+from ringrsa.keyfiles import parse_public, render_public
 from ringrsa.lattice import HnfBasis, determinant, hnf, reduce_mod_lattice
 from ringrsa.primes import is_probable_prime
 from oracles import is_lattice_member, laplace_determinant
@@ -65,8 +66,11 @@ class TestHnfBasis:
         ],
     )
     def test_invalid_shapes_rejected(self, rows):
-        with pytest.raises(ValueError):
-            HnfBasis(rows)
+        # HnfBasis checks nothing; parse_public refuses these where a file comes in
+        basis = HnfBasis(rows)
+        assert basis.entries == rows
+        with pytest.raises(KeyFileError):
+            parse_public(render_public(PublicKey(quadratic_field(2), basis, 5)))
 
 
 class TestHnf:

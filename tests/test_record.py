@@ -1,19 +1,24 @@
 """The frozen records of ringrsa._record, and the import set of the CLI.
 
-Other modules test the rest of what the records do: the __post_init__
-refusals of HnfBasis (test_lattice.py), RingElement (test_ring.py) and
-PublicKey (test_scheme.py); cached_property values left out of equality
-(test_fields.py); and the _primes that keypair_from_primes seeds, so that
-validate_keypair after a keygen takes no norm (test_scheme.py).
+Records check no values when they are built: HnfBasis, RingElement and
+PublicKey are checked where key files are parsed (test_lattice.py,
+test_ring.py and test_scheme.py test those refusals).  Other modules test
+the rest of what the records do: cached_property values left out of
+equality (test_fields.py), and the _primes that keypair_from_primes
+seeds, so that validate_keypair after a keygen takes no norm
+(test_scheme.py).
 """
 
+import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import ringrsa
 from ringrsa import InertPrimeMode, PrimeElement, PrimeNormElementMode, PublicKey
 from ringrsa._record import record
 from ringrsa.fields import FieldDescriptor, quadratic_field
@@ -91,6 +96,26 @@ def test_record_without_post_init():
 
     assert Pair(1) == Pair(1, 2) == Pair(b=2, a=1) and Pair(1).b == 2
     assert vars(Pair(1, 3)) == {"a": 1, "b": 3}
+
+
+def test_no_record_defines_post_init():
+    # record calls no __post_init__, so one would be a check that never runs
+    @record
+    class Hooked:
+        a: int
+
+        def __post_init__(self):
+            raise AssertionError("called")
+
+    assert Hooked(1).a == 1
+    names = [m.name for m in pkgutil.iter_modules(ringrsa.__path__) if m.name != "__main__"]
+    modules = [importlib.import_module(f"ringrsa.{name}") for name in names]
+    records = {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and getattr(cls.__init__, "__module__", None) == record.__module__
+    }
+    assert {"HnfBasis", "PublicKey", "RingElement"} <= {cls.__name__ for cls in records}
+    assert [cls for cls in records if "__post_init__" in vars(cls)] == []
 
 
 def test_cli_import_set():

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringrsa import PrimeNormElementMode, cyclotomic_field, keygen, parse_field_spec
+from ringrsa import KeyFileError, cyclotomic_field, keypair_from_primes, parse_field_spec
 from ringrsa import lattice, ring
+from ringrsa.errors import AssociatePrimesError
+from ringrsa.fields import find_prime_norm_element
+from ringrsa.keyfiles import parse_private
 from ringrsa.lattice import determinant, hnf, reduce_mod_lattice
 from ringrsa.ring import (
     RingElement,
@@ -37,6 +40,14 @@ from support import (
 
 SQRT2 = TEST_RINGS["sqrt2"]
 ZETA5 = TEST_RINGS["zeta5"]
+
+
+def sqrt2_private_text(alpha, beta):
+    return "".join([
+        "format_version = 1\n", "role = private\n", "field = quadratic:d=2\n",
+        f"alpha = {alpha}\n", f"beta = {beta}\n", "d = 3\n", "e = 3\n",
+    ])
+
 
 rings = st.sampled_from(list(TEST_RINGS.values()))
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -113,8 +124,9 @@ class TestConstruction:
             make_ring(())
 
     def test_element_length_checked(self):
-        with pytest.raises(ValueError):
-            SQRT2.element((1, 2, 3))
+        # where a key file is parsed: the element itself checks nothing
+        with pytest.raises(KeyFileError, match="'alpha' does not match the field degree 2"):
+            parse_private(sqrt2_private_text("1,2,3", "5,0"))
 
     def test_element_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -401,10 +413,19 @@ class TestConvMultiPow:
 
 
 def element_key_lattice(spec, bound, seed):
-    """(ring, HNF of alpha * beta, (alpha, beta)) of a seeded element-mode key."""
-    field = parse_field_spec(spec)
-    _, priv = keygen(field, PrimeNormElementMode(bound), rng=random.Random(seed))
-    return field.ring, priv.lattice, (priv.alpha.coeffs, priv.beta.coeffs)
+    """(ring, HNF of alpha * beta, (alpha, beta)) of seeded prime-norm elements.
+
+    Associates are drawn again; equal norms are kept (keygen draws those
+    again too), so the lattice may have the shape (p, p, 1, ..., 1).
+    """
+    field, rng = parse_field_spec(spec), random.Random(seed)
+    while True:
+        alpha, beta = (find_prime_norm_element(field, bound, rng) for _ in range(2))
+        try:
+            _, priv = keypair_from_primes(field, alpha, beta)
+        except AssociatePrimesError:
+            continue
+        return field.ring, priv.lattice, (priv.alpha.coeffs, priv.beta.coeffs)
 
 
 def scalar_lattice(ctx, *primes):
@@ -628,6 +649,7 @@ class TestElementTypes:
         with pytest.raises(ValueError, match="context mismatch"):
             conv_mul(SQRT2, SQRT2.element((1, 0)), TEST_RINGS["isqrt5"].element((1, 0)))
 
-    def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            RingElement(SQRT2, (1, 2, 3))
+    def test_length_checked_at_parse_not_construction(self):
+        assert RingElement(SQRT2, (1, 2, 3)).coeffs == (1, 2, 3)
+        with pytest.raises(KeyFileError, match="'beta' does not match the field degree 2"):
+            parse_private(sqrt2_private_text("5,0", "1,2,3"))

@@ -13,6 +13,7 @@ import pytest
 import ringrsa
 from ringrsa import (
     InertPrimeMode,
+    KeyFileError,
     PrimeElement,
     PrimeNormElementMode,
     PrivateKey,
@@ -31,7 +32,7 @@ from ringrsa import (
 from ringrsa import fields, lattice, primes, scheme
 from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import find_inert_prime, find_prime_norm_element
-from ringrsa.keyfiles import parse_private, render_private
+from ringrsa.keyfiles import parse_private, parse_public, render_private, render_public
 from ringrsa.lattice import HnfBasis
 from ringrsa.ring import conv_mul, conv_pow, norm
 from ringrsa.scheme import CiphertextBlock
@@ -87,10 +88,15 @@ class TestExponentSelection:
             keypair_from_primes(field, alpha, beta)
 
     def test_exponent_capped_at_32_bits(self):
-        pub, _ = keygen(FIELD, InertPrimeMode(bits=48), rng=random.Random(4))
-        assert PublicKey(FIELD, pub.lattice, (1 << 32) - 1).e == (1 << 32) - 1
+        pub, priv = keygen(FIELD, InertPrimeMode(bits=48), rng=random.Random(4))
+        text = render_public(pub)
+        assert parse_public(text.replace(f"e = {pub.e}", f"e = {(1 << 32) - 1}")).e == (1 << 32) - 1
+        with pytest.raises(KeyFileError, match="above the limit of 32 bits"):
+            parse_public(text.replace(f"e = {pub.e}", f"e = {(1 << 32) + 15}"))
+        # keygen's _select_e takes the cap: 2^32 + 15 is a prime below phi
+        primes = PrimeElement(priv.alpha), PrimeElement(priv.beta)
         with pytest.raises(ValueError, match="above the limit of 32 bits"):
-            PublicKey(FIELD, pub.lattice, (1 << 32) + 15)
+            keypair_from_primes(FIELD, *primes, e_choice=(1 << 32) + 15)
 
     def test_default_is_65537_when_totient_allows(self):
         rng = random.Random(3)
@@ -135,24 +141,38 @@ class TestKeygen:
         with pytest.raises(ValueError, match="unknown keygen mode"):
             keygen(FIELD, object())
 
+    def test_equal_norm_pairs_are_drawn_again(self):
+        # seed 1 first draws -2 - 3i and 3 + 2i: both of norm 13, not associates
+        field, rng = quadratic_field(-1), random.Random(1)
+        alpha, beta = (find_prime_norm_element(field, 4, rng) for _ in range(2))
+        assert (alpha.element.coeffs, beta.element.coeffs) == ((-2, -3), (3, 2))
+        # keypair_from_primes keeps such a hand-built pair; its lattice gives phi away
+        pub, priv = keypair_from_primes(field, alpha, beta)
+        assert pub.lattice.diag == (13, 13) and priv.phi == (13 - 1) ** 2
+        pub, priv = keygen(field, PrimeNormElementMode(4), rng=random.Random(1))
+        norms = [PrimeElement(x).norm_abs for x in (priv.alpha, priv.beta)]
+        assert norms[0] != norms[1] and pub.lattice.diag[0] == norms[0] * norms[1]
+
     def test_associate_only_pool_exhausts(self):
         # bound 1 in Q(sqrt(2)) only ever finds +-sqrt(2), all associates
         rng = random.Random(0)
-        with pytest.raises(SearchExhaustedError, match="non-associate"):
+        with pytest.raises(SearchExhaustedError, match="distinct norms"):
             keygen(FIELD, PrimeNormElementMode(coeff_bound=1), rng=rng)
 
 
 class TestKeyObjects:
+    # PublicKey checks nothing when it is built; parse_public does
     def test_public_exponent_bounds(self):
-        lattice = HnfBasis(((15, 0), (0, 15)))
+        text = render_public(PublicKey(FIELD, HnfBasis(((15, 0), (0, 15))), 5))
+        assert parse_public(text).e == 5
         for e in (0, 1, 225):
-            with pytest.raises(ValueError, match="out of range"):
-                PublicKey(FIELD, lattice, e)
+            with pytest.raises(KeyFileError, match="out of range"):
+                parse_public(text.replace("e = 5", f"e = {e}"))
 
     def test_lattice_dimension_must_match_degree(self):
         lattice = HnfBasis(((15, 0), (0, 15)))
-        with pytest.raises(ValueError, match="dimension"):
-            PublicKey(cyclotomic_field(5), lattice, 5)
+        with pytest.raises(KeyFileError, match="'lattice' does not match the field degree 4"):
+            parse_public(render_public(PublicKey(cyclotomic_field(5), lattice, 5)))
 
     def test_hand_built_private_key_checked_by_validate_keypair(self):
         pub, priv = toy_keypair()
