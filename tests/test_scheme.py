@@ -347,8 +347,13 @@ PATH_KEYS = {
     "crt-d-1-split": lambda: scalar_prime_keypair(quadratic_field(-1), 5, 3),
     # x^3 - x - 1 is irreducible mod 2 and mod 3
     "lattice-generic": lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
-    # equal norms 11 give the diagonal (11, 11, 1, 1) and a linear eps
-    "lattice-equal-norm": lambda: element_keypair(cyclotomic_field(5), 1, 2),
+    # equal norms 11 give the diagonal (11, 11, 1, 1) and a linear eps (keygen
+    # draws such pairs again, so the pair is built by hand)
+    "lattice-equal-norm": lambda: keypair_from_primes(
+        cyclotomic_field(5),
+        *(PrimeElement(cyclotomic_field(5).ring.element(v))
+          for v in ((-1, 1, 1, 0), (1, 1, -1, 0))),
+    ),
     # 3 + sqrt(2) of norm 7 beside the inert scalar 3
     "lattice-skew": lambda: keypair_from_primes(
         FIELD,
