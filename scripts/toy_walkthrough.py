@@ -47,7 +47,7 @@ def main():
 
     message = (1, 1)
     ct = encrypt_block(pub, message)
-    back = decrypt_block(priv, ct)
+    back = decrypt_block(priv, ct.vector.coeffs)
     print(f"\nencrypt{message} = {ct.vector.coeffs}")
     print(f"decrypt{ct.vector.coeffs} = {back.coeffs}")
 

@@ -35,9 +35,9 @@ FORMAT_VERSION = 1
 CIPHERTEXT_MAGIC = "ringrsa-ciphertext-v1"
 
 
-def _render_int(n: int) -> str:
+def _render_vector(coeffs) -> str:
     try:
-        return str(n)
+        return ",".join(map(str, coeffs))
     except ValueError:  # past the int-to-str digit limit, which int() obeys on parse too
         limit = sys.get_int_max_str_digits()
         raise KeyFileError(
@@ -45,8 +45,8 @@ def _render_int(n: int) -> str:
         ) from None
 
 
-def _render_vector(coeffs) -> str:
-    return ",".join(_render_int(c) for c in coeffs)
+def _render_int(n: int) -> str:
+    return _render_vector((n,))
 
 
 def _render_matrix(rows) -> str:
@@ -227,20 +227,20 @@ def parse_ciphertext(text: str) -> tuple[str, list[tuple[int, ...]]]:
     header, rows = _parse_pairs(
         text, ("magic", "fingerprint", "blocks"), "ciphertext", CiphertextFormatError, "block"
     )
-    blocks: list[tuple[int, ...]] = []
-    for lineno, value in rows:
-        try:
-            blocks.append(tuple(int(part) for part in value.split(",")))
-        except ValueError:
-            raise CiphertextFormatError(f"ciphertext: bad block on line {lineno}") from None
     if header["magic"] != CIPHERTEXT_MAGIC:
         raise CiphertextFormatError("ciphertext: bad magic")
     try:
         declared = int(header["blocks"])
     except ValueError:
         raise CiphertextFormatError("ciphertext: bad block count") from None
-    if declared != len(blocks):
+    if declared != len(rows):  # before the rows are parsed
         raise CiphertextFormatError("ciphertext: block count mismatch")
+    blocks: list[tuple[int, ...]] = []
+    for lineno, value in rows:
+        try:
+            blocks.append(tuple(map(int, value.split(","))))
+        except ValueError:
+            raise CiphertextFormatError(f"ciphertext: bad block on line {lineno}") from None
     if len({len(b) for b in blocks}) > 1:
         raise CiphertextFormatError("ciphertext: ragged blocks")
     return header["fingerprint"], blocks

@@ -18,6 +18,7 @@ benchmark's per-layer replay and as the tests' oracle.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 from ._record import record
 
@@ -38,9 +39,15 @@ class HnfBasis:
     def dimension(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def diag(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.entries))
+
+    @cached_property
+    def cyclic(self) -> int:
+        """N if the box is (N, 1, ..., 1), whose points (c, 0, ..., 0) are Z/N; else 0."""
+        corner, *rest = self.diag
+        return 0 if any(b != 1 for b in rest) else corner
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -92,7 +92,7 @@ class RingContext:
         return len(self.phi_coeffs)
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
-        return RingElement(self, tuple(operator.index(c) for c in coeffs))
+        return RingElement(self, tuple(map(operator.index, coeffs)))
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * self.degree)

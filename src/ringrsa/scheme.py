@@ -308,53 +308,48 @@ def keygen(
     raise SearchExhaustedError("search exhausted: could not find primes of distinct norms")
 
 
-def _vector_of(arg, ctx) -> tuple[int, ...]:
-    if isinstance(arg, CiphertextBlock):
-        arg = arg.vector
-    if isinstance(arg, RingElement):
-        if arg.context != ctx:
-            raise ValueError("context mismatch")
-        return arg.coeffs
-    return tuple(operator.index(c) for c in arg)
-
-
 def _in_box(radices: Sequence[int], vec: Sequence[int]) -> bool:
-    return len(vec) == len(radices) and all(0 <= c < r for c, r in zip(vec, radices))
+    return len(vec) == len(radices) and min(vec) >= 0 and all(map(operator.lt, vec, radices))
 
 
-def encrypt_block(pub: PublicKey, block) -> CiphertextBlock:
+def encrypt_block(pub: PublicKey, block: Sequence[int]) -> CiphertextBlock:
     """e-th convolution power of a box point modulo the lattice, in the box.
 
     Raises TypeError for a coordinate that is not an integer (a float,
     Fraction or str) and ValueError for a point outside the box.
     """
-    ctx = pub.field.ring
-    vec = _vector_of(block, ctx)
-    if not _in_box(pub.lattice.diag, vec):
+    ctx, lattice = pub.field.ring, pub.lattice
+    vec = tuple(map(operator.index, block))
+    if not _in_box(lattice.diag, vec):
         raise ValueError("message outside coset box")
-    modulus, *rest = pub.lattice.diag
-    if all(b == 1 for b in rest):  # box points (m, 0, ..., 0) multiply as m mod N
-        return CiphertextBlock(ctx.element((pow(vec[0], pub.e, modulus),) + vec[1:]))
-    return CiphertextBlock(conv_pow(ctx, ctx.element(vec), pub.e, pub.lattice))
+    if lattice.cyclic:  # box points (m, 0, ..., 0) multiply as m mod N
+        return CiphertextBlock(RingElement(ctx, (pow(vec[0], pub.e, lattice.cyclic),) + vec[1:]))
+    return CiphertextBlock(conv_pow(ctx, RingElement(ctx, vec), pub.e, lattice))
 
 
-def decrypt_block(priv: PrivateKey, block) -> RingElement:
+def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     """d-th convolution power of a ciphertext point modulo the lattice.
 
     The powers a and b in the halves R/(alpha) and R/(beta) recombine as
-    b + eps (a - b), reduced into the box.  Raises TypeError for a
+    b + eps (a - b), reduced into the box; on a box (pq, 1, ..., 1) they
+    are integers, RSA-CRT on c mod p and c mod q.  Raises TypeError for a
     coordinate that is not an integer (a float, Fraction or str), and
     ValueError for a point outside the box or a key _admit refuses.
     """
-    ctx = priv.field.ring
-    vec = _vector_of(block, ctx)
-    if not _in_box(priv.lattice.diag, vec):
+    ctx, lattice = priv.field.ring, priv.lattice
+    vec = tuple(map(operator.index, block))
+    if not _in_box(lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
     (half_a, half_b, eps), digits = priv._crt, priv._digits
+    if lattice.cyclic:  # R/(alpha beta) = Z/pq, where each d_p is one digit
+        c, p, q, ((d_p,), (d_q,)) = vec[0], half_a.p, half_b.p, digits
+        b = pow(c % q, d_q, q)
+        w = (b + eps[0] * (pow(c % p, d_p, p) - b)) % lattice.cyclic
+        return RingElement(ctx, (w,) + vec[1:])
     a, b = (_power_mod_prime(ctx, h, ds, vec) for h, ds in zip((half_a, half_b), digits))
     # eps is an integer unless both halves are F_p, and then a - b is one
     k, v = (eps[0], map(operator.sub, a, b)) if half_a.p != half_b.p else (a[0] - b[0], eps)
-    return ctx.element(reduce_mod_lattice(priv.lattice, [y + k * c for y, c in zip(b, v)]))
+    return ctx.element(reduce_mod_lattice(lattice, [y + k * c for y, c in zip(b, v)]))
 
 
 def _chunk_bytes(radices: Sequence[int]) -> int:
@@ -392,17 +387,15 @@ def encode_bytes(radices: Sequence[int], payload: bytes) -> list[tuple[int, ...]
 def decode_blocks(radices: Sequence[int], blocks: Iterable[Sequence[int]]) -> bytes:
     """Invert encode_bytes, validating box membership and the header."""
     k = _chunk_bytes(radices)
+    places = [i for i, r in enumerate(radices) if r > 1]  # a radix-1 digit is 0 in the box
+    scales = [math.prod(radices[:i]) for i in places]
     out = bytearray()
     count = 0
     for block in blocks:
         count += 1
         if not _in_box(radices, block):
             raise CiphertextFormatError("block outside box")
-        value = 0
-        scale = 1
-        for digit, radix in zip(block, radices):
-            value += digit * scale
-            scale *= radix
+        value = sum(map(operator.mul, map(block.__getitem__, places), scales))
         if value >> (8 * k):
             raise CiphertextFormatError("block value out of codec range")
         out += value.to_bytes(k, "big")

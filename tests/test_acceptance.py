@@ -63,7 +63,7 @@ def test_01_toy_key_exact_values(acceptance):
         assert priv.d == 77
         ct = encrypt_block(pub, (1, 1))
         assert ct.vector.coeffs == (11, 14)
-        assert decrypt_block(priv, ct).coeffs == (1, 1)
+        assert decrypt_block(priv, ct.vector.coeffs).coeffs == (1, 1)
 
 
 def test_02_toy_key_encryption_permutes_the_box(acceptance):
@@ -145,7 +145,7 @@ def test_05_element_mode_key_batch(acceptance):
             box = coset_box(pub.lattice)
             for _ in range(50):
                 msg = tuple(rng.randrange(r) for r in box)
-                assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+                assert decrypt_block(priv, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
         assert saw_non_diagonal
 
 

@@ -426,6 +426,14 @@ class TestCiphertextFiles:
         with pytest.raises(CiphertextFormatError, match="count mismatch"):
             parse_ciphertext(text)
 
+    def test_count_checked_before_the_rows_are_parsed(self):
+        # a lying header is refused before any row becomes integers
+        text = render_ciphertext("00" * 8, self.BLOCKS).replace("1,2", "1,x")
+        with pytest.raises(CiphertextFormatError, match="count mismatch"):
+            parse_ciphertext(text.replace("blocks = 3", "blocks = 2"))
+        with pytest.raises(CiphertextFormatError, match="bad block on line 4"):
+            parse_ciphertext(text)
+
     def test_ragged_blocks(self):
         text = render_ciphertext("00" * 8, [(1, 2), (3, 4, 5)])
         with pytest.raises(CiphertextFormatError, match="ragged"):

@@ -62,7 +62,7 @@ class TestToyKeypair:
         pub, priv = toy_keypair()
         ct = encrypt_block(pub, (1, 1))
         assert ct.vector.coeffs == (11, 14)
-        assert decrypt_block(priv, ct).coeffs == (1, 1)
+        assert decrypt_block(priv, ct.vector.coeffs).coeffs == (1, 1)
 
     def test_default_e_falls_back_below_65537(self):
         pub, _ = toy_keypair(e_choice=None)
@@ -185,12 +185,20 @@ class TestKeyObjects:
 
 class TestBlockOperations:
     def test_accepted_block_forms(self):
+        # the block entry points take a sequence of ints: an element or a
+        # ciphertext block passes its coefficients, and is itself refused
         pub, priv = toy_keypair()
         as_tuple = encrypt_block(pub, (1, 1))
-        as_elem = encrypt_block(pub, FIELD.ring.element((1, 1)))
-        as_block = encrypt_block(pub, CiphertextBlock(FIELD.ring.element((1, 1))))
-        assert as_tuple == as_elem == as_block
+        as_elem = encrypt_block(pub, FIELD.ring.element((1, 1)).coeffs)
+        as_block = encrypt_block(pub, CiphertextBlock(FIELD.ring.element((1, 1))).vector.coeffs)
+        assert as_tuple == as_elem == as_block == encrypt_block(pub, [1, 1])
         assert decrypt_block(priv, as_tuple.vector.coeffs).coeffs == (1, 1)
+        assert decrypt_block(priv, list(as_tuple.vector.coeffs)).coeffs == (1, 1)
+        for wrapped in (as_tuple.vector, as_tuple):
+            with pytest.raises(TypeError):
+                encrypt_block(pub, wrapped)
+            with pytest.raises(TypeError):
+                decrypt_block(priv, wrapped)
 
     def test_message_outside_box_rejected(self):
         pub, _ = toy_keypair()
@@ -235,7 +243,7 @@ class TestBlockOperations:
         box = coset_box(pub.lattice)
         for _ in range(25):
             msg = tuple(rng.randrange(r) for r in box)
-            assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+            assert decrypt_block(priv, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
 
 
 class TestValidateKeypair:
@@ -364,7 +372,14 @@ PATH_KEYS = {
     "mixed-m16": lambda: mixed_keypair(cyclotomic_field(16), 1, 5, 0),
     # Z[x]/(x - 5) is Z, and the Frobenius half of a scalar p is F_p
     "degree-1": lambda: scalar_prime_keypair(generic_field((5,)), 3, 7),
+    # 1 + 2i and 2 + 3i of norms 5 and 13: the box (65, 1), integer RSA-CRT
+    "element-d-1": lambda: keypair_from_primes(
+        quadratic_field(-1),
+        *(PrimeElement(quadratic_field(-1).ring.element(v)) for v in ((1, 2), (2, 3))),
+    ),
 }
+# the keys whose box is (N, 1, ..., 1): two prime norms p != q, or degree 1
+INTEGER_KEYS = ["scalar-m5", "scalar-d2", "degree-1", "element-d-1"]
 
 
 class TestDecryptPaths:
@@ -390,10 +405,38 @@ class TestDecryptPaths:
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_out_of_box_ciphertext_rejected_on_every_path(self, key):
-        _, priv = PATH_KEYS[key]()
-        bad = (priv.lattice.diag[0],) + (0,) * (priv.lattice.dimension - 1)
-        with pytest.raises(ValueError, match="ciphertext outside coset box"):
-            decrypt_block(priv, bad)
+        # the box corner with one coordinate at its radix or at -1: on an
+        # integer key, c = N and (N - 1, 1, 0, ...) among them
+        pub, priv = PATH_KEYS[key]()
+        corner = [r - 1 for r in priv.lattice.diag]
+        for i, radix in enumerate(priv.lattice.diag):
+            for value in (radix, -1):
+                bad = corner[:i] + [value] + corner[i + 1:]
+                with pytest.raises(ValueError, match="ciphertext outside coset box"):
+                    decrypt_block(priv, bad)
+                with pytest.raises(ValueError, match="message outside coset box"):
+                    encrypt_block(pub, bad)
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_integer_path_is_the_box_shape(self, key):
+        pub, priv = PATH_KEYS[key]()
+        assert pub.lattice.cyclic == priv.lattice.cyclic
+        assert bool(pub.lattice.cyclic) == (key in INTEGER_KEYS)
+        if key in INTEGER_KEYS:
+            assert pub.lattice.cyclic == math.prod(h.p for h in priv._crt[:2])
+
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_integer_keys_run_no_vector_work(self, key, ring_products, record_calls):
+        pub, priv = PATH_KEYS[key]()
+        priv._digits  # the per-key set-up, a degree-1 key's Frobenius, runs before counting
+        ring_products.clear()
+        calls = []
+        record_calls(lattice, "reduce_mod_lattice", lambda *args: calls.append("reduce"))
+        record_calls(fields, "_eval_mod", lambda *args: calls.append("eval"))
+        for msg in box_points(pub.lattice.diag, random.Random(key)):
+            ct = encrypt_block(pub, msg).vector.coeffs
+            assert decrypt_block(priv, ct).coeffs == msg
+        assert not ring_products and not calls
 
     @pytest.mark.parametrize(
         "field,p,q,refused",
@@ -567,7 +610,7 @@ class TestHnfPerKey:
     def test_parse_private_then_decrypt(self, hnf_calls, norm_calls, mode):
         pub, priv = keygen(FIELD, mode, rng=random.Random(5))
         text = render_private(priv, pub.e)
-        ct = encrypt_block(pub, (1, 0))
+        ct = encrypt_block(pub, (1, 0)).vector.coeffs
         hnf_calls.clear()
         norm_calls.clear()
         parsed, _ = parse_private(text)
@@ -594,7 +637,7 @@ class TestHnfPerKey:
         norm_calls.clear()
         assert validate_keypair(pub, priv)
         msg = (1,) + (0,) * (field.ring.degree - 1)
-        assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+        assert decrypt_block(priv, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
         assert norm_calls == []
 
 
@@ -686,7 +729,7 @@ def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
     primality_calls.clear()
     assert validate_keypair(pub, priv)
     msg = (1,) + (0,) * (field.ring.degree - 1)
-    assert decrypt_block(priv, encrypt_block(pub, msg)).coeffs == msg
+    assert decrypt_block(priv, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
     assert primality_calls == {}
 
 
@@ -708,7 +751,7 @@ def test_each_key_is_admitted_once(primality_calls, frobenius_calls, record_call
     primality_calls.clear()
     frobenius_calls.clear()
     assert validate_keypair(pub, priv)
-    assert decrypt_block(priv, encrypt_block(pub, (1, 0))).coeffs == (1, 0)
+    assert decrypt_block(priv, encrypt_block(pub, (1, 0)).vector.coeffs).coeffs == (1, 0)
     assert primality_calls == {} and frobenius_calls == []
     parsed, _ = parse_private(render_private(priv, pub.e))
     assert primality_calls == {p: 1, q: 1} and sorted(frobenius_calls) == sorted((p, q))
@@ -717,7 +760,7 @@ def test_each_key_is_admitted_once(primality_calls, frobenius_calls, record_call
     rng = random.Random(20)
     for _ in range(20):
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
-        assert decrypt_block(parsed, encrypt_block(pub, msg)).coeffs == msg
+        assert decrypt_block(parsed, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
     assert sorted(digits_calls) == sorted((p, q))
 
 
@@ -729,7 +772,7 @@ def test_parsed_key_tests_each_prime_once(primality_calls, field, mode, seed):
     parsed, _ = parse_private(text)
     msg = (1,) + (0,) * (field.ring.degree - 1)
     for _ in range(2):
-        assert decrypt_block(parsed, encrypt_block(pub, msg)).coeffs == msg
+        assert decrypt_block(parsed, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
     assert primality_calls == {PrimeElement(priv.alpha).p: 1, PrimeElement(priv.beta).p: 1}
 
 
