@@ -22,4 +22,4 @@ class CapacityError(ValueError):
 
 
 class AssociatePrimesError(ValueError):
-    """alpha and beta generate ideals that are not coprime, as associates do; keygen draws again."""
+    """alpha and beta lie over one rational prime (associates, or equal norms); keygen draws again."""

@@ -337,12 +337,12 @@ def find_prime_norm_element(
 
 
 def key_class_of(alpha: PrimeElement, beta: PrimeElement) -> str:
-    """"scalar" (both rational integers), "mixed" (one of each) or "prime-norm" (neither)."""
-    return ("prime-norm", "mixed", "scalar")[_is_scalar(alpha) + _is_scalar(beta)]
+    """"scalar" (two rational integers) or "prime-norm" (two elements) for an admitted key."""
+    return "scalar" if _is_scalar(alpha) else "prime-norm"
 
 
-def _ideal_basis(n: int, m: int, rule: Sequence[int], scale: int = 1) -> HnfBasis:
-    """scale times the Hermite normal form of the ideal (m, g) of Z[x]/(phi).
+def _ideal_basis(n: int, m: int, rule: Sequence[int]) -> HnfBasis:
+    """The Hermite normal form of the ideal (m, g) of Z[x]/(phi).
 
     g = x^k - (rule_0 + rule_1 x + ... + rule_{k-1} x^{k-1}) divides phi
     modulo m.  The diagonal is m (k times), then 1; column j >= k is
@@ -357,59 +357,47 @@ def _ideal_basis(n: int, m: int, rule: Sequence[int], scale: int = 1) -> HnfBasi
         for row, c in zip(rows, power):
             row.append(-c % m)
     rows += [[int(i == j) for j in range(n)] for i in range(k, n)]
-    return HnfBasis(tuple(tuple(scale * c for c in row) for row in rows))
+    return HnfBasis(tuple(map(tuple, rows)))
 
 
 def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     """The Hermite normal form of the ideal (alpha * beta), from norms and roots.
 
     - two scalars a, b: (ab, phi) = |ab| R, so |ab| I;
-    - a scalar s and an element: s (p, x - r);
-    - elements of norms p != q: (pq, x - r), r the CRT of the roots;
-    - elements of one norm p and roots r_a != r_b: (p, (x - r_a)(x - r_b)),
-      of diagonal (p, p, 1, ..., 1).
+    - elements of norms p != q: (pq, x - r), r the CRT of the roots.
 
-    alpha and beta must generate two distinct prime ideals, as the
-    admission rule (scheme._admit) checks before every call: then p and q
-    are primes, and r_a - r_b is a unit mod p; nothing here checks it.
+    alpha and beta must be an admitted key, as the admission rule
+    (scheme._admit) checks before every call: then p != q are primes;
+    nothing here checks it.
     """
     ctx = alpha.element.context
     n = ctx.degree
-    kind = key_class_of(alpha, beta)
-    if kind == "scalar":
+    if key_class_of(alpha, beta) == "scalar":
         product = abs(alpha.element.coeffs[0] * beta.element.coeffs[0])
         return _ideal_basis(n, product, ctx.phi_coeffs)
-    if kind == "mixed":
-        scalar, elem = (alpha, beta) if _is_scalar(alpha) else (beta, alpha)
-        return _ideal_basis(n, elem.norm_abs, (elem.root,), abs(scalar.element.coeffs[0]))
     p, q, r_a, r_b = alpha.norm_abs, beta.norm_abs, alpha.root, beta.root
-    if p != q:
-        return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
-    return _ideal_basis(n, p, (-r_a * r_b % p, (r_a + r_b) % p))
+    return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
 
 
 def ideal_lattice(ctx: RingContext, entries: tuple[tuple[int, ...], ...]) -> HnfBasis:
-    """The n x n entries as a public key lattice, s HNF(m, g); ValueError unless one.
+    """The n x n entries as a public key lattice, m I or HNF(N, x - r); ValueError unless one.
 
     The diagonal's bits are bounded by the key budget first.  The inverse of
-    _ideal_basis: the diagonal is s m (k times), then s (all equal: s = 1,
-    k = n), and column k holds s (-rule % m).  The basis must be
-    _ideal_basis(n, m, rule, s), and x times its last column must reduce to
-    0 in it, so that g divides phi mod m and the lattice is an ideal.
+    _ideal_basis on the two shapes product_lattice writes: a diagonal of n
+    equal entries m is m I, and any other is (N, x - r), with r read off
+    row 0.  The basis must be _ideal_basis(n, m, rule), and x times its last
+    column must reduce to 0 in it, so that the lattice is an ideal.
     """
     n, basis = ctx.degree, HnfBasis(entries)
     diag, budget = basis.diag, _key_budget_bits()
     if sum(c.bit_length() for c in diag) > budget:
         raise ValueError(f"lattice too large (determinant above {budget} bits)")
-    k = diag.index(diag[-1]) or n
-    s = diag[-1] if k < n else 1
-    not_key = ValueError("lattice is not the basis of an ideal s (m, x^k - rule(x))")
-    if not 0 < s <= diag[0]:
-        raise not_key
-    m = diag[0] // s
-    rule = tuple(-(row[k] // s) % m for row in entries[:k]) if k < n else ctx.phi_coeffs
-    if _ideal_basis(n, m, rule, s) != basis:
-        raise not_key
+    m = diag[0]
+    if m < 1:
+        raise ValueError("lattice is not the basis of an ideal m I or (N, x - r)")
+    rule = ctx.phi_coeffs if diag.count(m) == n else (-entries[0][1] % m,)
+    if _ideal_basis(n, m, rule) != basis:
+        raise ValueError("lattice is not the basis of an ideal m I or (N, x - r)")
     if any(reduce_mod_lattice(basis, _times_x(ctx.phi_coeffs, [row[-1] for row in entries]))):
         raise ValueError("lattice is not an ideal (x times its last column lies outside it)")
     return basis

@@ -1,9 +1,10 @@
 """Key generation, block encryption, and the byte codec.
 
-A key pair is built from two non-associate prime elements alpha, beta:
-the public lattice is the Hermite normal form of the ideal (alpha * beta),
-which fields.product_lattice writes down from the norms and the roots of
-x modulo alpha and beta, the public exponent e is invertible modulo
+A key pair is built from two prime elements alpha, beta over distinct
+rational primes, both scalars or both of prime norm: the public lattice
+is the Hermite normal form of the ideal (alpha * beta), which
+fields.product_lattice writes down from the norms and the roots of x
+modulo alpha and beta, the public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
 are points of the public coset box.  Encryption raises them to the e-th
 convolution power modulo the public lattice, reduced into the box.
@@ -33,7 +34,6 @@ from .errors import (
 from .fields import (
     FieldDescriptor,
     PrimeElement,
-    _eval_mod,
     find_inert_prime,
     find_prime_norm_element,
     key_class_of,
@@ -112,11 +112,11 @@ class PrivateKey:
 
     @property
     def key_class(self) -> str:
-        """"scalar", "mixed" or "prime-norm", as product_lattice classifies the key."""
+        """"scalar" or "prime-norm", as product_lattice classifies the key."""
         return key_class_of(*self._primes)
 
     @cached_property
-    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, tuple[int, ...]]:
+    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, int]:
         """_admit of alpha and beta: the admission rule, run once per key."""
         return _admit(self.field.ring, *self._primes)
 
@@ -143,23 +143,22 @@ class _PrimeHalf:
     frobenius: tuple[tuple[int, ...], ...] = ()
 
 
-def _admit(ctx, alpha: PrimeElement, beta: PrimeElement) -> tuple[_PrimeHalf, _PrimeHalf, tuple]:
-    """The admission rule, the only refusal of a key's alpha and beta: two coprime prime ideals.
+def _admit(ctx, alpha: PrimeElement, beta: PrimeElement) -> tuple[_PrimeHalf, _PrimeHalf, int]:
+    """The admission rule, the only refusal of a key's alpha and beta.
 
-    Returns the halves and eps = 1 mod (alpha), 0 mod (beta): q (q^-1 mod p)
-    over rational primes p != q, (x - r_b) (r_a - r_b)^-1 mod p over one p.
-    ValueError unless _prime_half builds both halves; AssociatePrimesError
-    for associates, or a scalar p beside an element of norm p.
+    Two scalars or two elements over rational primes p != q pass, with
+    eps = q (q^-1 mod p), 1 mod p and 0 mod q.  ValueError unless _prime_half
+    builds both halves, and for a scalar beside an element; AssociatePrimesError
+    for p = q.  Either refused pair's public lattice, of diagonal (s m, s, ..., s)
+    or (p, p, 1, ..., 1), gives the totient away.
     """
     half_a, half_b = _prime_half(ctx, alpha), _prime_half(ctx, beta)
-    (p, r_a), (q, r_b) = (half_a.p, half_a.root), (half_b.p, half_b.root)
-    pad = (0,) * ctx.degree
-    if p != q:
-        return half_a, half_b, (q * pow(q, -1, p),) + pad[1:]
-    if r_a is None or r_b is None or r_a == r_b:
-        raise AssociatePrimesError("alpha and beta lie over one prime and are not coprime")
-    inv = pow(r_a - r_b, -1, p)
-    return half_a, half_b, (-r_b * inv % p, inv) + pad[2:]
+    p, q = half_a.p, half_b.p
+    if p == q:
+        raise AssociatePrimesError("alpha and beta lie over one prime: not coprime, or equal norms")
+    if (half_a.root is None) != (half_b.root is None):
+        raise ValueError("a scalar beside an element: the public lattice gives the totient away")
+    return half_a, half_b, q * pow(q, -1, p)
 
 
 def _prime_half(ctx, prime: PrimeElement) -> _PrimeHalf:
@@ -216,17 +215,14 @@ def _mat_vec_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> t
 def _power_mod_prime(
     ctx, half: _PrimeHalf, digits: Sequence[int], vec: Sequence[int]
 ) -> tuple[int, ...]:
-    """vec^d in R/P, lifted to a coefficient vector; digits are _base_p_digits of d.
+    """vec^d in R/pR for a scalar p, lifted to a coefficient vector; digits are _base_p_digits of d.
 
-    For an element, the constant (w, 0, ..., 0), w = vec(root)^d_p % p.
-    For a scalar, the product of the Frobenius images vec^(p^i) % p to
-    the i-th digits, so the squaring chain is one digit long;
-    conv_multi_pow reduces it into the box of pZ^n.
+    The product of the Frobenius images vec^(p^i) % p to the i-th digits,
+    so the squaring chain is one digit long; conv_multi_pow reduces it into
+    the box of pZ^n.  An element's half is F_p, which only the integer path
+    of decrypt_block reaches.
     """
     p = half.p
-    if half.root is not None:
-        w = pow(_eval_mod(vec, half.root, p), digits[0], p)
-        return (w,) + (0,) * (len(vec) - 1)
     images = [tuple(c % p for c in vec)]
     for _ in digits[1:]:
         images.append(_mat_vec_mod(half.frobenius, images[-1], p))
@@ -332,7 +328,8 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
 
     The powers a and b in the halves R/(alpha) and R/(beta) recombine as
     b + eps (a - b), reduced into the box; on a box (pq, 1, ..., 1) they
-    are integers, RSA-CRT on c mod p and c mod q.  Raises TypeError for a
+    are integers, RSA-CRT on c mod p and c mod q, and otherwise both halves
+    are scalar, (Z/p)[x]/(phi) and (Z/q)[x]/(phi).  Raises TypeError for a
     coordinate that is not an integer (a float, Fraction or str), and
     ValueError for a point outside the box or a key _admit refuses.
     """
@@ -344,21 +341,20 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     if lattice.cyclic:  # R/(alpha beta) = Z/pq, where each d_p is one digit
         c, p, q, ((d_p,), (d_q,)) = vec[0], half_a.p, half_b.p, digits
         b = pow(c % q, d_q, q)
-        w = (b + eps[0] * (pow(c % p, d_p, p) - b)) % lattice.cyclic
+        w = (b + eps * (pow(c % p, d_p, p) - b)) % lattice.cyclic
         return RingElement(ctx, (w,) + vec[1:])
     a, b = (_power_mod_prime(ctx, h, ds, vec) for h, ds in zip((half_a, half_b), digits))
-    # eps is an integer unless both halves are F_p, and then a - b is one
-    k, v = (eps[0], map(operator.sub, a, b)) if half_a.p != half_b.p else (a[0] - b[0], eps)
-    return ctx.element(reduce_mod_lattice(lattice, [y + k * c for y, c in zip(b, v)]))
+    return ctx.element(reduce_mod_lattice(lattice, [y + eps * (x - y) for x, y in zip(a, b)]))
 
 
-def _chunk_bytes(radices: Sequence[int]) -> int:
+def _chunking(radices: Sequence[int]) -> tuple[int, list[int]]:
+    """Bytes per chunk, and the coordinates of radix above 1 (a radix-1 digit is 0 in the box)."""
     if any(r < 1 for r in radices):
         raise ValueError("radices must be positive")
     capacity = math.prod(radices)
     if capacity < _MIN_CODEC_CAPACITY:
         raise CapacityError("modulus too small for byte encoding")
-    return (capacity.bit_length() - 1) // 8
+    return (capacity.bit_length() - 1) // 8, [i for i, r in enumerate(radices) if r > 1]
 
 
 def encode_bytes(radices: Sequence[int], payload: bytes) -> list[tuple[int, ...]]:
@@ -369,25 +365,23 @@ def encode_bytes(radices: Sequence[int], payload: bytes) -> list[tuple[int, ...]
     bytes, where the capacity is the product of the radices; each chunk,
     read big-endian, is written in that mixed-radix system.
     """
-    k = _chunk_bytes(radices)
+    k, places = _chunking(radices)
     stream = len(payload).to_bytes(8, "big") + bytes(payload)
     if len(stream) % k:
         stream += b"\x00" * (k - len(stream) % k)
     blocks = []
     for pos in range(0, len(stream), k):
         value = int.from_bytes(stream[pos : pos + k], "big")
-        digits = []
-        for radix in radices:
-            value, digit = divmod(value, radix)
-            digits.append(digit)
+        digits = [0] * len(radices)
+        for i in places:
+            value, digits[i] = divmod(value, radices[i])
         blocks.append(tuple(digits))
     return blocks
 
 
 def decode_blocks(radices: Sequence[int], blocks: Iterable[Sequence[int]]) -> bytes:
     """Invert encode_bytes, validating box membership and the header."""
-    k = _chunk_bytes(radices)
-    places = [i for i, r in enumerate(radices) if r > 1]  # a radix-1 digit is 0 in the box
+    k, places = _chunking(radices)
     scales = [math.prod(radices[:i]) for i in places]
     out = bytearray()
     count = 0

@@ -1,8 +1,10 @@
-"""Which private keys parse: exactly those for which RSA decrypts the whole box.
+"""Which private keys parse: those for which RSA decrypts the whole box, and
+whose public lattice does not give the totient away.
 
-A key is admitted when alpha and beta generate two distinct prime ideals
-P and Q with R/P and R/Q fields, or for a scalar p products of fields
-F_{p^f} with f | n (the admission rule, scheme._admit).  The sweep builds
+A key is admitted when alpha and beta, two scalars or two elements,
+generate prime ideals P and Q over rational primes p != q, with R/P and
+R/Q fields, or for a scalar p products of fields F_{p^f} with f | n (the
+admission rule, scheme._admit).  The sweep builds
 every small key of six fields: keypair_from_primes and parse_private
 admit the same keys, parse_public admits each one's lattice, and each
 one admitted must decrypt every point of its box; the generic lattice
@@ -33,10 +35,10 @@ BOX_LIMIT = 3000
 # field: keys parse_private admits among the unordered pairs of distinct
 # candidates whose box has at most BOX_LIMIT points
 SWEEP = {
-    "quadratic:d=2": 87,
-    "quadratic:d=-1": 109,
-    "quadratic:d=3": 102,
-    "quadratic:d=-2": 70,
+    "quadratic:d=2": 42,
+    "quadratic:d=-1": 56,
+    "quadratic:d=3": 61,
+    "quadratic:d=-2": 34,
     "cyclotomic:m=5": 1,
     "generic:phi=2,0,0": 0,
 }
@@ -102,7 +104,8 @@ def test_every_admitted_small_key_decrypts_its_whole_box(spec):
 
 
 # hand-built keys that parsed before the admission rule and decrypted some
-# of their box points wrongly: field, alpha, beta, the refusal
+# of their box points wrongly, or whose public lattice gives the totient
+# away: field, alpha, beta, the refusal
 REFUSED = {
     "ramified-2": ("quadratic:d=2", (2, 0), (3, 0), "not a product of fields"),
     "composite-4": ("quadratic:d=-1", (4, 0), (3, 0), "is not prime"),
@@ -113,6 +116,10 @@ REFUSED = {
     "norm-34": ("quadratic:d=2", (6, 1), (5, 1), "is not prime"),
     # x^3 - 2 is square-free mod 5, but a linear times a quadratic factor
     "cube-root-2-split": ("generic:phi=2,0,0", (5, 0, 0), (11, 0, 0), "not a product of fields"),
+    # the diagonal (21, 3) gives phi = (3^2 - 1)(7 - 1)
+    "mixed": ("quadratic:d=2", (3, 0), (3, 1), "scalar beside an element"),
+    # 2 + i and 2 - i, both of norm 5: the lattice 5 I gives phi = (5 - 1)^2
+    "equal-norm": ("quadratic:d=-1", (2, 1), (2, -1), "equal norms"),
 }
 
 

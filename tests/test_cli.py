@@ -292,7 +292,7 @@ class TestInspect:
         [
             ("inert:bits=16", "0x2a", "scalar"),
             ("element:bound=5", "0x0", "prime-norm"),  # lattice diagonal (391, 1)
-            ("element:bound=3", "0x0", "prime-norm"),  # equal norms: (7, 7)
+            ("element:bound=3", "0x0", "prime-norm"),  # drawn again past norms (7, 7): (14, 1)
         ],
     )
     def test_private_report_names_key_class(self, tmp_path, capsys, mode, seed, key_class):
@@ -303,18 +303,6 @@ class TestInspect:
         capsys.readouterr()
         assert main(["inspect", "--priv", str(priv_path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "key class: " + key_class
-
-    def test_private_report_names_mixed_key_class(self, tmp_path, capsys):
-        # alpha = 3 + sqrt(2) of norm 7, beta = 3: no keygen mode writes this
-        field = quadratic_field(2)
-        alpha = PrimeElement(field.ring.element((3, 1)))
-        pub, priv = keypair_from_primes(field, alpha, PrimeElement(field.ring.element((3, 0))))
-        priv_path = tmp_path / "mixed.priv"
-        priv_path.write_text(render_private(priv, pub.e))
-        assert main(["inspect", "--priv", str(priv_path)]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("key class: mixed\n")
-        assert "box radices: 21,3\n" in out
 
     @pytest.mark.parametrize("command", ["decrypt", "inspect"])
     def test_quotient_not_cyclic_refused(self, tmp_path, capsys, command):

@@ -436,13 +436,15 @@ class TestTotientOfProduct:
         with pytest.raises(ValueError, match="not coprime"):
             admit(alpha, beta)
 
-    def test_equal_norm_non_associates_accepted(self):
-        # 2 + i and 2 - i both have norm 5 but generate different ideals
+    def test_equal_norm_non_associates_refused(self, tmp_path, capsys):
+        # 2 + i and 2 - i both have norm 5 but generate different ideals; the
+        # lattice of their product, 5 I, gives the totient (5 - 1)^2 away
         field = quadratic_field(-1)
         alpha = PrimeElement(field.ring.element((2, 1)))
         beta = PrimeElement(field.ring.element((2, -1)))
         assert totient(field, alpha, beta) == 16
-        admit(alpha, beta)
+        refused = refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, "equal norms")
+        assert isinstance(refused, AssociatePrimesError)
         # i * (2 + i) = -1 + 2i is an associate of alpha
         with pytest.raises(AssociatePrimesError):
             admit(alpha, PrimeElement(field.ring.element((-1, 2))))
@@ -578,38 +580,54 @@ class TestProductLattice:
         seen = collections.Counter()
         for alpha in primes:
             for beta in primes:
-                kind = key_class_of(alpha, beta)
-                if kind == "prime-norm" and alpha.norm_abs == beta.norm_abs:
-                    if alpha.root == beta.root:
-                        with pytest.raises(AssociatePrimesError):
-                            admit(alpha, beta)
-                        seen["associates"] += 1
-                        continue
-                    kind = "equal-norm"
-                assert product_lattice(alpha, beta) == hnf_oracle(alpha, beta), (kind, spec)
-                seen[kind] += 1
+                if (alpha.root is None) != (beta.root is None):  # a scalar beside an element
+                    with pytest.raises(ValueError):
+                        admit(alpha, beta)
+                    seen["mixed"] += 1
+                elif alpha.p == beta.p:  # associates or equal norms, unless 3 or 7 ramifies
+                    with pytest.raises(ValueError if alpha.root is None else AssociatePrimesError):
+                        admit(alpha, beta)
+                    seen["one prime"] += 1
+                else:
+                    kind = key_class_of(alpha, beta)
+                    assert product_lattice(alpha, beta) == hnf_oracle(alpha, beta), (kind, spec)
+                    seen[kind] += 1
         # each element with itself and with its negative is an associate pair
         for alpha in elements:
             negative = PrimeElement(field.ring.element(-c for c in alpha.element.coeffs))
             with pytest.raises(AssociatePrimesError):
                 admit(alpha, negative)
-        assert seen["scalar"] == 4 and seen["mixed"] == 4 * count
-        assert seen["prime-norm"] and seen["associates"] >= count
+        assert seen["scalar"] == 2 and seen["mixed"] == 4 * count
+        assert seen["prime-norm"] and seen["one prime"] >= count + 2
 
-    def test_equal_norms_match_the_hnf(self):
-        # norm 11 splits into four prime ideals of Z[zeta_5], norm 5 in Z[i]
-        cases = [
+    @pytest.mark.parametrize(
+        "spec,a,b",
+        [
+            # equal norms: 11 splits into four prime ideals of Z[zeta_5], 5 in Z[i]
             ("cyclotomic:m=5", (1, 2, 0, 0), (2, 1, 0, 0)),
             ("quadratic:d=-1", (2, 1), (2, -1)),
             ("cyclotomic:m=12", (2, 1, 0, 0), (1, 2, 0, 0)),
-        ]
-        for spec, a, b in cases:
-            ctx = parse_field_spec(spec).ring
-            alpha, beta = PrimeElement(ctx.element(a)), PrimeElement(ctx.element(b))
-            assert alpha.norm_abs == beta.norm_abs and alpha.root != beta.root, spec
-            basis = product_lattice(alpha, beta)
-            assert basis.diag[:2] == (alpha.norm_abs,) * 2
-            assert basis == hnf_oracle(alpha, beta), spec
+            # a scalar beside an element: 3 + sqrt(2) of norm 7, 1 + 2 zeta_5 of norm 11
+            ("quadratic:d=2", (3, 1), (3, 0)),
+            ("cyclotomic:m=5", (2, 0, 0, 0), (1, 2, 0, 0)),
+        ],
+    )
+    def test_refused_pairs_give_the_totient_away(self, spec, a, b):
+        # the lattice of (alpha * beta) names the primes: its diagonal is
+        # (p, p, 1, ..., 1) for equal norms p, and (s m, s, ..., s) for a
+        # scalar s beside an element of norm m
+        field = parse_field_spec(spec)
+        alpha, beta = (PrimeElement(field.ring.element(v)) for v in (a, b))
+        diag, n = hnf_oracle(alpha, beta).diag, field.ring.degree
+        if alpha.p == beta.p:
+            assert alpha.root != beta.root and diag[:2] == (alpha.p,) * 2
+            from_public = (diag[0] - 1) ** 2
+        else:
+            s = diag[-1]
+            from_public = (s**n - 1) * (diag[0] // s - 1)
+        assert from_public == totient(field, alpha, beta)
+        with pytest.raises(ValueError, match="equal norms|scalar beside an element"):
+            admit(alpha, beta)
 
     def test_scalar_pair_is_scaled_identity(self):
         field = cyclotomic_field(16)
@@ -634,7 +652,7 @@ class TestProductLattice:
 
     @pytest.mark.parametrize(
         "a,b,kind",
-        [((3, 0), (5, 0), "scalar"), ((3, 1), (3, 0), "mixed"), ((3, 0), (3, 1), "mixed"),
+        [((3, 0), (5, 0), "scalar"), ((-3, 0), (5, 0), "scalar"), ((1, 2), (3, 1), "prime-norm"),
          ((3, 1), (1, 2), "prime-norm")],
     )
     def test_key_class(self, a, b, kind):

@@ -34,7 +34,7 @@ from ringrsa import (
     parse_field_spec,
 )
 from ringrsa.cli import main
-from ringrsa.fields import _key_budget_bits
+from ringrsa.fields import _ideal_basis, _key_budget_bits
 from ringrsa.keyfiles import (
     fingerprint,
     parse_ciphertext,
@@ -44,7 +44,9 @@ from ringrsa.keyfiles import (
     render_private,
     render_public,
 )
-from ringrsa.lattice import HnfBasis
+from ringrsa.lattice import HnfBasis, hnf
+from ringrsa.primes import is_probable_prime
+from ringrsa.ring import conv_mul, ideal_matrix
 
 # Exit codes the cli module docstring documents, by command.
 EXIT_CODES = {"encrypt": {0, 2, 5}, "decrypt": {0, 2, 4, 5, 6}, "inspect": {0, 1, 2}}
@@ -201,17 +203,38 @@ def public_text(spec, rows, e=65537):
     return render_public(PublicKey(parse_field_spec(spec), HnfBasis(rows), e))
 
 
-def mixed_public(bits):
-    """quadratic:d=-1, the ideal s (m, x - r) with m = r^2 + 1 and a diagonal of bits bits.
+def scalar_public(bits):
+    """quadratic:d=-1, the ideal m I with m = 2^bits - 1: 2 bits bits on the diagonal."""
+    m = (1 << bits) - 1
+    return public_text("quadratic:d=-1", ((m, 0), (0, m)))
 
-    s = 2^2100 keeps the corner s m under the int-to-str digit limit.
-    """
-    a = 2100
-    r = math.isqrt(1 << (bits - 2 * a - 2)) + 1
-    m, s = r * r + 1, 1 << a
-    rows = ((s * m, s * (-r % m)), (0, s))
-    assert (s * m).bit_length() + s.bit_length() == bits
-    return public_text("quadratic:d=-1", rows)
+
+def product_public(spec, alpha, beta):
+    """The lattice of (alpha * beta), by the HNF oracle, as a public key file."""
+    ctx = parse_field_spec(spec).ring
+    product = conv_mul(ctx, ctx.element(alpha), ctx.element(beta))
+    return public_text(spec, hnf(ideal_matrix(ctx, product).entries).entries)
+
+
+def two_root_public(bits):
+    """cyclotomic:m=256, the ideal (m, (x - r_a)(x - r_b)) of diagonal (m, m, 1, ..., 1),
+    the shape of an equal-norm key, with m a product of 40-bit primes = 1 mod 256.
+
+    With m of about 8000 bits parse_public once admitted this shape, and one
+    block took 4.0 s to encrypt."""
+    rng = random.Random(256)
+    m, r_a, r_b = 1, 0, 0
+    while m.bit_length() < bits:
+        p = 256 * rng.randrange(1 << 31, 1 << 32) + 1
+        if m % p == 0 or not is_probable_prime(p):
+            continue
+        z = pow(rng.randrange(2, p), (p - 1) // 256, p)  # a root of x^128 + 1 if z^128 = -1
+        if pow(z, 128, p) != p - 1:
+            continue
+        inv = pow(m, -1, p)
+        r_a, r_b = (r + m * ((root - r) * inv % p) for r, root in ((r_a, z), (r_b, z**3 % p)))
+        m *= p
+    return public_text("cyclotomic:m=256", _ideal_basis(128, m, (-r_a * r_b % m, r_a + r_b)).entries)
 
 
 def skew_diagonal_public():
@@ -239,7 +262,12 @@ REFUSED_PUBLIC = {
     # x = 3 modulo the lattice, and phi(3) = 10 is not 0 mod 15
     "not-an-ideal": lambda: public_text("quadratic:d=-1", ((15, 12), (0, 1)), 7),
     "not-a-key-shape": skew_diagonal_public,
-    "corner-over-budget": lambda: mixed_public(_key_budget_bits() + 1),
+    "corner-over-budget": lambda: scalar_public(_key_budget_bits() // 2 + 1),
+    # the totient follows from either lattice: 3 (7, x - 4) of the scalar 3
+    # beside 3 + sqrt(2), and (11, 11, 1, 1) of two elements of norm 11
+    "mixed": lambda: product_public("quadratic:d=2", (3, 0), (3, 1)),
+    "equal-norm": lambda: product_public("cyclotomic:m=5", (1, 2, 0, 0), (2, 1, 0, 0)),
+    "equal-norm-degree-128": lambda: two_root_public(8001),
 }
 
 
@@ -252,7 +280,7 @@ def test_cli_refuses_hostile_public_keys(workdir, name):
 
 
 def test_cli_encrypts_under_a_corner_at_the_budget(workdir):
-    pub = write(workdir / "edge.pub", mixed_public(_key_budget_bits()))
+    pub = write(workdir / "edge.pub", scalar_public(_key_budget_bits() // 2))
     code = run_cli("encrypt", "--pub", pub, "--in", str(workdir / "payload"),
                    "--out", str(workdir / "edge.ct"))
     assert code == 0

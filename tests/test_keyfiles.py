@@ -143,13 +143,13 @@ def public_text(spec, rows, e=5):
 
 
 class TestPublicKeyRule:
-    """parse_public admits exactly the lattices s HNF(m, g) that are ideals."""
+    """parse_public admits exactly the ideals m I and (N, x - r), the lattices of keys."""
 
     @pytest.mark.parametrize(
         "alpha,beta,rows",
         [
-            ((3, 0), (1, 2), ((15, 9), (0, 3))),  # mixed: 3 (5, x - 2)
-            ((1, 2), (2, 1), ((5, 0), (0, 5))),  # equal norms: (5, (x - 2)(x - 3)) = 5 R
+            ((1, 1), (1, 2), ((10, 3), (0, 1))),  # norms 2 and 5: x = 7
+            ((3, 0), (11, 0), ((33, 0), (0, 33))),  # scalars
             ((1, 2), (2, 3), ((65, 18), (0, 1))),  # norms 5 and 13: x = 47
             ((3, 0), (7, 0), ((21, 0), (0, 21))),  # scalars
         ],
@@ -180,19 +180,31 @@ class TestPublicKeyRule:
         [
             # x = 3 modulo the lattice, and phi(3) = 10 is not 0 mod 15
             ("quadratic:d=-1", ((15, 12), (0, 1)), "not an ideal"),
-            # (4, x^3 - 1) in Z[x]/(x^4 + 1): x^4 + 1 = x + 1, not 0, mod the pair
-            ("cyclotomic:m=8", ((4, 0, 0, 3), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 1)),
+            # (5, x - 2) in Z[x]/(x^4 + 1): phi(2) = 17, not 0, mod 5
+            ("cyclotomic:m=8", ((5, 3, 1, 2), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
              "not an ideal"),
-            # 2 (5 10^39, x): phi(0) = 1
-            ("quadratic:d=-1", ((10**40, 0), (0, 2)), "not an ideal"),
+            # (10^40, x): phi(0) = 1
+            ("quadratic:d=-1", ((10**40, 0), (0, 1)), "not an ideal"),
             # diagonal not (m, ..., m, 1, ..., 1)
             ("cyclotomic:m=8", ((6, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),
              "not the basis"),
             # an entry inside the m block
             ("cyclotomic:m=8", ((5, 1, 0, 0), (0, 5, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
              "not the basis"),
-            ("quadratic:d=-1", ((15, 9), (0, 5)), "not the basis"),  # s = 5 does not give 9
-            ("quadratic:d=-1", ((15, 10), (0, 3)), "not the basis"),  # 10 is no multiple of s = 3
+            ("quadratic:d=-1", ((15, 9), (0, 5)), "not the basis"),  # diagonal neither m I nor (N, 1)
+            ("quadratic:d=-1", ((15, 10), (0, 3)), "not the basis"),
+            # shapes no key has: 3 (5, x - 2), of the scalar 3 beside 1 + 2i,
+            # and (11, (x - r_a)(x - r_b)), of two elements of norm 11, are
+            # ideals; (4, x^3 - 1) in Z[x]/(x^4 + 1) and 2 (5 10^39, x) are not
+            ("quadratic:d=-1", ((15, 9), (0, 3)), "not the basis"),
+            ("cyclotomic:m=5", ((11, 0, 1, 3), (0, 11, 8, 3), (0, 0, 1, 0), (0, 0, 0, 1)),
+             "not the basis"),
+            ("cyclotomic:m=8", ((4, 0, 0, 3), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 1)),
+             "not the basis"),
+            ("quadratic:d=-1", ((10**40, 0), (0, 2)), "not the basis"),
+            # a corner below 1, no modulus for the rule
+            ("quadratic:d=-1", ((0, 0), (0, 1)), "not the basis"),
+            ("quadratic:d=-1", ((-5, 3), (0, 1)), "not the basis"),
         ],
     )
     def test_refused(self, spec, rows, message):

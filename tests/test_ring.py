@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringrsa import KeyFileError, cyclotomic_field, keypair_from_primes, parse_field_spec
+from ringrsa import KeyFileError, cyclotomic_field, parse_field_spec
 from ringrsa import lattice, ring
-from ringrsa.errors import AssociatePrimesError
 from ringrsa.fields import find_prime_norm_element
 from ringrsa.keyfiles import parse_private
 from ringrsa.lattice import determinant, hnf, reduce_mod_lattice
@@ -415,17 +414,16 @@ class TestConvMultiPow:
 def element_key_lattice(spec, bound, seed):
     """(ring, HNF of alpha * beta, (alpha, beta)) of seeded prime-norm elements.
 
-    Associates are drawn again; equal norms are kept (keygen draws those
-    again too), so the lattice may have the shape (p, p, 1, ..., 1).
+    Associates are drawn again; equal norms are kept, so the lattice may
+    have the shape (p, p, 1, ..., 1), which no admitted key has.
     """
     field, rng = parse_field_spec(spec), random.Random(seed)
     while True:
         alpha, beta = (find_prime_norm_element(field, bound, rng) for _ in range(2))
-        try:
-            _, priv = keypair_from_primes(field, alpha, beta)
-        except AssociatePrimesError:
-            continue
-        return field.ring, priv.lattice, (priv.alpha.coeffs, priv.beta.coeffs)
+        if alpha.norm_abs != beta.norm_abs or alpha.root != beta.root:
+            ctx = field.ring
+            basis = hnf(ideal_matrix(ctx, conv_mul(ctx, alpha.element, beta.element)).entries)
+            return ctx, basis, (alpha.element.coeffs, beta.element.coeffs)
 
 
 def scalar_lattice(ctx, *primes):
@@ -442,7 +440,7 @@ IDEAL_LATTICES = {
     "p-cubic": lambda: scalar_lattice(TEST_RINGS["cubic"], (1 << 89) - 1),
     "pq-sqrt2": lambda: scalar_lattice(SQRT2, (1 << 61) - 1, 1009),
     "pq-zeta8": lambda: scalar_lattice(TEST_RINGS["zeta8"], 3, 5),
-    # equal norms 24977: diagonal (24977, 24977, 1, ..., 1), the lattice path
+    # equal norms 24977: diagonal (24977, 24977, 1, ..., 1)
     "equal-norm-m16": lambda: element_key_lattice("cyclotomic:m=16", 3, 123),
     "equal-norm-m5": lambda: element_key_lattice("cyclotomic:m=5", 1, 2),
     "skew-m5": lambda: element_key_lattice("cyclotomic:m=5", 2, 1),

@@ -31,10 +31,10 @@ from ringrsa import (
 )
 from ringrsa import fields, lattice, primes, scheme
 from ringrsa.errors import AssociatePrimesError
-from ringrsa.fields import find_inert_prime, find_prime_norm_element
+from ringrsa.fields import find_prime_norm_element
 from ringrsa.keyfiles import parse_private, parse_public, render_private, render_public
 from ringrsa.lattice import HnfBasis
-from ringrsa.ring import conv_mul, conv_pow, norm
+from ringrsa.ring import conv_pow, norm
 from ringrsa.scheme import CiphertextBlock
 from support import scaled_identity
 
@@ -146,9 +146,9 @@ class TestKeygen:
         field, rng = quadratic_field(-1), random.Random(1)
         alpha, beta = (find_prime_norm_element(field, 4, rng) for _ in range(2))
         assert (alpha.element.coeffs, beta.element.coeffs) == ((-2, -3), (3, 2))
-        # keypair_from_primes keeps such a hand-built pair; its lattice gives phi away
-        pub, priv = keypair_from_primes(field, alpha, beta)
-        assert pub.lattice.diag == (13, 13) and priv.phi == (13 - 1) ** 2
+        # the admission rule refuses such a pair: its lattice (13, 13) gives phi away
+        with pytest.raises(AssociatePrimesError, match="equal norms"):
+            keypair_from_primes(field, alpha, beta)
         pub, priv = keygen(field, PrimeNormElementMode(4), rng=random.Random(1))
         norms = [PrimeElement(x).norm_abs for x in (priv.alpha, priv.beta)]
         assert norms[0] != norms[1] and pub.lattice.diag[0] == norms[0] * norms[1]
@@ -250,7 +250,7 @@ class TestValidateKeypair:
     def test_mismatched_fields(self):
         pub, _ = toy_keypair()
         other = quadratic_field(-1)
-        alpha = PrimeElement(other.ring.element((3, 0)))
+        alpha = PrimeElement(other.ring.element((1, 2)))  # 1+2i, norm 5
         beta = PrimeElement(other.ring.element((1, 1)))  # 1+i, norm 2
         _, priv = keypair_from_primes(other, alpha, beta)
         assert not validate_keypair(pub, priv)
@@ -290,34 +290,6 @@ def element_keypair(field, coeff_bound, seed):
     return keygen(field, PrimeNormElementMode(coeff_bound), rng=random.Random(seed))
 
 
-def conjugate_keypair(field, coeff_bound, seed):
-    """alpha and its conjugate alpha(x^3): equal norms p, two roots mod p.
-
-    Tries seeds from the given one until the two generate distinct ideals.
-    """
-    ctx = field.ring
-    x = ctx.element((0, 1) + (0,) * (ctx.degree - 2))
-    x_3 = conv_mul(ctx, conv_mul(ctx, x, x), x)
-    for s in itertools.count(seed):
-        alpha = find_prime_norm_element(field, coeff_bound, random.Random(s))
-        conjugate = ctx.zero()
-        for c in reversed(alpha.element.coeffs):  # Horner in x^3
-            conjugate = conv_mul(ctx, conjugate, x_3)
-            conjugate = ctx.element((conjugate.coeffs[0] + c,) + conjugate.coeffs[1:])
-        try:
-            return keypair_from_primes(field, alpha, PrimeElement(conjugate))
-        except AssociatePrimesError:
-            continue
-
-
-def mixed_keypair(field, coeff_bound, bits, seed):
-    """An element of prime norm p beside an inert scalar prime q != p."""
-    rng = random.Random(seed)
-    alpha = find_prime_norm_element(field, coeff_bound, rng)
-    beta = find_inert_prime(field, bits, rng, exclude=alpha.norm_abs)
-    return keypair_from_primes(field, alpha, beta)
-
-
 def lattice_power(ctx, lattice, vec, exponent):
     """The generic path: convolution power modulo the lattice, in the box."""
     return conv_pow(ctx, ctx.element(vec), exponent, lattice).coeffs
@@ -355,21 +327,6 @@ PATH_KEYS = {
     "crt-d-1-split": lambda: scalar_prime_keypair(quadratic_field(-1), 5, 3),
     # x^3 - x - 1 is irreducible mod 2 and mod 3
     "lattice-generic": lambda: scalar_prime_keypair(generic_field((1, 1, 0)), 2, 3),
-    # equal norms 11 give the diagonal (11, 11, 1, 1) and a linear eps (keygen
-    # draws such pairs again, so the pair is built by hand)
-    "lattice-equal-norm": lambda: keypair_from_primes(
-        cyclotomic_field(5),
-        *(PrimeElement(cyclotomic_field(5).ring.element(v))
-          for v in ((-1, 1, 1, 0), (1, 1, -1, 0))),
-    ),
-    # 3 + sqrt(2) of norm 7 beside the inert scalar 3
-    "lattice-skew": lambda: keypair_from_primes(
-        FIELD,
-        PrimeElement(FIELD.ring.element((3, 1))),
-        PrimeElement(FIELD.ring.element((3, 0))),
-    ),
-    "equal-norm-m16": lambda: conjugate_keypair(cyclotomic_field(16), 1, 0),
-    "mixed-m16": lambda: mixed_keypair(cyclotomic_field(16), 1, 5, 0),
     # Z[x]/(x - 5) is Z, and the Frobenius half of a scalar p is F_p
     "degree-1": lambda: scalar_prime_keypair(generic_field((5,)), 3, 7),
     # 1 + 2i and 2 + 3i of norms 5 and 13: the box (65, 1), integer RSA-CRT
@@ -465,9 +422,9 @@ class TestDecryptPaths:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: conjugate_keypair(cyclotomic_field(64), 1, 0),
-         lambda: mixed_keypair(cyclotomic_field(64), 1, 4, 0)],
-        ids=["equal-norm", "mixed"],
+        [lambda: element_keypair(cyclotomic_field(64), 1, 0),
+         lambda: scalar_prime_keypair(cyclotomic_field(64), 3, 5)],
+        ids=["prime-norm", "scalar"],
     )
     def test_degree_32_keys_match_lattice_power(self, build):
         pub, priv = build()
@@ -678,22 +635,25 @@ class TestAdmissionBeforeLattice:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_degree_128_key_lattice_is_bounded(seed):
     # the HNF of this lattice took 40 s; the root takes the norm's resultant
-    # and two evaluations mod N(alpha), and either gives the lattice or
-    # refuses the key.  priv.lattice admits the key first, and the rule
-    # refuses it: 2 ramifies in Q(zeta_256), and a random norm is composite
+    # and two evaluations mod N(alpha), and either gives the lattice's rule
+    # or refuses the key.  priv.lattice admits the key first, and the rule
+    # refuses it: a random norm is composite
     field = cyclotomic_field(256)
     ctx = field.ring
     rng = random.Random(seed)
     alpha = ctx.element(tuple(rng.randrange(-(2**15), 2**15) for _ in range(ctx.degree)))
-    priv = PrivateKey(field, alpha, ctx.element((2,) + (0,) * (ctx.degree - 1)), 1)
+    beta = ctx.element((-1, 1) + (0,) * (ctx.degree - 2))  # x - 1, of norm 2 and root 1
+    priv = PrivateKey(field, alpha, beta, 1)
     start = time.monotonic()
+    prime = priv._primes[0]
     try:
-        basis = fields.product_lattice(*priv._primes)
+        root = prime.root
     except ValueError as exc:
         assert "not Z/N" in str(exc)
     else:
-        assert basis.diag == (2 * abs(norm(ctx, alpha)),) + (2,) * (ctx.degree - 1)
-    with pytest.raises(ValueError, match="not Z/N|is not prime|not a product of fields"):
+        assert fields._eval_mod(alpha.coeffs, root, prime.norm_abs) == 0
+    assert priv._primes[1].root == 1
+    with pytest.raises(ValueError, match="not Z/N|is not prime"):
         priv.lattice
     assert time.monotonic() - start < 5.0
 
