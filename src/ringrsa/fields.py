@@ -8,9 +8,9 @@ modulus.  Key material comes from either rational primes embedded as
 scalars or from ring elements whose norm is a rational prime; a prime
 norm forces the quotient by the element to be a prime field, so such an
 element generates a prime ideal.  That ideal is (N, x - r), where N is
-the norm and r the root of x modulo the element, so product_lattice
-writes the key lattice down from norms and roots, with no Hermite normal
-form.
+the norm and r the root of x modulo the element.  _ideal_basis writes the
+Hermite normal form of either key lattice, m I or (N, x - r), by formula,
+for product_lattice and for the public-key check ideal_lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 
 from ._record import record
 from .errors import SearchExhaustedError
-from .lattice import HnfBasis, reduce_mod_lattice
+from .lattice import HnfBasis
 from .primes import (
     _jacobi,
     carmichael_lambda,
@@ -30,7 +30,7 @@ from .primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from .ring import RingContext, RingElement, _times_x, make_ring, norm_and_linear
+from .ring import RingContext, RingElement, make_ring, norm_and_linear
 
 __all__ = [
     "FieldDescriptor",
@@ -41,7 +41,6 @@ __all__ = [
     "parse_field_spec",
     "find_inert_prime",
     "find_prime_norm_element",
-    "key_class_of",
     "product_lattice",
     "ideal_lattice",
 ]
@@ -336,28 +335,20 @@ def find_prime_norm_element(
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
 
 
-def key_class_of(alpha: PrimeElement, beta: PrimeElement) -> str:
-    """"scalar" (two rational integers) or "prime-norm" (two elements) for an admitted key."""
-    return "scalar" if _is_scalar(alpha) else "prime-norm"
+def _ideal_basis(n: int, m: int, r: int | None = None) -> HnfBasis:
+    """The Hermite normal form of m I, or of the ideal (m, x - r) of Z[x]/(phi).
 
-
-def _ideal_basis(n: int, m: int, rule: Sequence[int]) -> HnfBasis:
-    """The Hermite normal form of the ideal (m, g) of Z[x]/(phi).
-
-    g = x^k - (rule_0 + rule_1 x + ... + rule_{k-1} x^{k-1}) divides phi
-    modulo m.  The diagonal is m (k times), then 1; column j >= k is
-    x^j - (x^j mod g), which lies in the ideal, with its top k rows % m.
+    (m, x - r) has the diagonal (m, 1, ..., 1), and its column j >= 1 is
+    x^j - r^j with row 0 taken % m: row 0 reads (m, -r, -r^2, ...) mod m.
     """
-    k = len(rule)
-    rows = [[m * (i == j) for j in range(k)] for i in range(k)]
-    power = [0] * (k - 1) + [1]  # x^(k-1) mod g
-    for _ in range(k, n):
-        top = power[-1]
-        power = [(low + top * c) % m for low, c in zip([0] + power[:-1], rule)]
-        for row, c in zip(rows, power):
-            row.append(-c % m)
-    rows += [[int(i == j) for j in range(n)] for i in range(k, n)]
-    return HnfBasis(tuple(map(tuple, rows)))
+    if r is None:
+        return HnfBasis(tuple(tuple(m * (i == j) for j in range(n)) for i in range(n)))
+    row, power = [m], 1
+    for _ in range(1, n):
+        power = power * r % m
+        row.append(-power % m)
+    ones = (tuple(int(i == j) for j in range(n)) for i in range(1, n))
+    return HnfBasis((tuple(row), *ones))
 
 
 def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
@@ -370,34 +361,29 @@ def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     (scheme._admit) checks before every call: then p != q are primes;
     nothing here checks it.
     """
-    ctx = alpha.element.context
-    n = ctx.degree
-    if key_class_of(alpha, beta) == "scalar":
-        product = abs(alpha.element.coeffs[0] * beta.element.coeffs[0])
-        return _ideal_basis(n, product, ctx.phi_coeffs)
+    n = alpha.element.context.degree
+    if alpha.root is None:
+        return _ideal_basis(n, abs(alpha.element.coeffs[0] * beta.element.coeffs[0]))
     p, q, r_a, r_b = alpha.norm_abs, beta.norm_abs, alpha.root, beta.root
-    return _ideal_basis(n, p * q, (r_b + q * ((r_a - r_b) * pow(q, -1, p) % p),))
+    return _ideal_basis(n, p * q, r_b + q * ((r_a - r_b) * pow(q, -1, p) % p))
 
 
 def ideal_lattice(ctx: RingContext, entries: tuple[tuple[int, ...], ...]) -> HnfBasis:
     """The n x n entries as a public key lattice, m I or HNF(N, x - r); ValueError unless one.
 
     The diagonal's bits are bounded by the key budget first.  The inverse of
-    _ideal_basis on the two shapes product_lattice writes: a diagonal of n
-    equal entries m is m I, and any other is (N, x - r), with r read off
-    row 0.  The basis must be _ideal_basis(n, m, rule), and x times its last
-    column must reduce to 0 in it, so that the lattice is an ideal.
+    _ideal_basis: a diagonal of n equal entries m is m I, and any other is
+    (N, x - r), with r read off row 0.  The basis must be _ideal_basis(n, m, r).
+    m I is an ideal, and (N, x - r) is one exactly when phi(r) = 0 (mod N).
     """
     n, basis = ctx.degree, HnfBasis(entries)
     diag, budget = basis.diag, _key_budget_bits()
     if sum(c.bit_length() for c in diag) > budget:
         raise ValueError(f"lattice too large (determinant above {budget} bits)")
     m = diag[0]
-    if m < 1:
+    r = None if m < 1 or diag.count(m) == n else -entries[0][1] % m
+    if m < 1 or _ideal_basis(n, m, r) != basis:
         raise ValueError("lattice is not the basis of an ideal m I or (N, x - r)")
-    rule = ctx.phi_coeffs if diag.count(m) == n else (-entries[0][1] % m,)
-    if _ideal_basis(n, m, rule) != basis:
-        raise ValueError("lattice is not the basis of an ideal m I or (N, x - r)")
-    if any(reduce_mod_lattice(basis, _times_x(ctx.phi_coeffs, [row[-1] for row in entries]))):
+    if r is not None and _eval_mod([-c for c in ctx.phi_coeffs] + [1], r, m):
         raise ValueError("lattice is not an ideal (x times its last column lies outside it)")
     return basis

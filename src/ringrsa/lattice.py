@@ -5,14 +5,14 @@ basis is the (column-style) Hermite normal form: upper triangular,
 strictly positive diagonal, and every entry right of the diagonal reduced
 to 0 <= b[i][j] < b[i][i].  It is unique per lattice, so basis equality is
 lattice equality.  The box {x : 0 <= x[i] < b[i][i]} then holds exactly
-one representative of every coset of Z^n modulo the lattice, and
-reduce_mod_lattice computes that representative by back substitution.
+one representative of every coset of Z^n modulo the lattice.
 
-Key lattices are ideals whose canonical basis fields.product_lattice
-writes down directly, and HnfBasis checks nothing: parse_public admits a
-key's by fields.ideal_lattice.  hnf, its Bareiss determinant and _xgcd compute
-the form for any matrix; no command calls them, and they stay for the
-benchmark's per-layer replay and as the tests' oracle.
+Key lattices are the ideals m I and (N, x - r), whose canonical basis
+fields writes down by formula, and HnfBasis checks nothing: parse_public
+admits a key's by fields.ideal_lattice.  hnf, its Bareiss determinant,
+_xgcd and reduce_mod_lattice (the box point by back substitution) work
+for any lattice; no command calls them, and they stay for the
+benchmark's per-layer replay and as the tests' oracles.
 """
 
 from __future__ import annotations

@@ -13,13 +13,9 @@ as columns, which equals f(H).  H is never stored: multiplying by x is a
 shift plus one substitution of x^n, which costs O(n).  All arithmetic is
 exact over the integers; no floating point anywhere.
 
-Powers are taken modulo a lattice L given by its HNF basis.  The lattices
-used (ideal matrices, and p * I) are ideals, closed under multiplication
-by x, so congruence mod L survives every product.  The HNF corner
-m = b[0][0] generates the integers in L, so L contains mR: every step
-takes each coefficient % m, which keeps the numbers small without leaving
-the coset, so the bases need no reduction and one reduction of the result
-into the coset box gives the canonical point.  One square-and-multiply loop,
+Powers are taken in (Z/m)[x]/(phi) for an integer modulus m: every step
+takes each coefficient % m, and the result has its coefficients in
+[0, m), the coset box of m I.  One square-and-multiply loop,
 conv_multi_pow, raises several bases to their own exponents at once by
 interleaved sliding windows over one shared squaring chain; conv_pow is
 its single-base case.  Its squares and products run through two
@@ -43,7 +39,6 @@ import operator
 from collections.abc import Callable, Sequence
 
 from ._record import record
-from .lattice import HnfBasis, reduce_mod_lattice
 
 __all__ = [
     "RingContext",
@@ -285,9 +280,9 @@ def conv_multi_pow(
     ctx: RingContext,
     bases: Sequence[RingElement],
     exponents: Sequence[int],
-    basis: HnfBasis,
+    m: int,
 ) -> RingElement:
-    """Product of bases[i] ** exponents[i] modulo the lattice of basis.
+    """Product of bases[i] ** exponents[i] in (Z/m)[x]/(phi), coefficients in [0, m).
 
     Interleaved sliding windows (HAC Alg. 14.85; Moller, "Algorithms for
     multi-exponentiation", SAC 2001): each exponent is recoded once into
@@ -296,19 +291,13 @@ def conv_multi_pow(
     table of the odd powers it needs, f, f^3, ..., at most 16 of them,
     and one squaring chain from the highest window down to bit 0
     multiplies in a table entry wherever a window ends.  With w = 1 this
-    is the plain binary ladder.  basis must span an ideal L (an ideal
-    matrix's HNF, or p * I).  Its corner m = basis.diag[0] generates the
-    integers in L (the points (k, 0, ..., 0)), so L contains mR: taking a
-    coefficient % m changes an element by a point of L, and products of
-    elements congruent mod L stay congruent.  So the bases are taken as
-    given, in the box or not, the kernels _kernels builds for phi take
-    every table entry, square and product % m, and one reduce_mod_lattice
-    of the last product gives the box point of the unreduced product.
+    is the plain binary ladder.  The bases are taken as given, reduced or
+    not; the kernels _kernels builds for phi take every table entry,
+    square and product % m, and the last product is taken % m too.
     Bases with exponent 0 are skipped; if every exponent is 0 the result
-    is the reduced identity.
+    is the identity % m.
     """
     sqr, mul = _kernels(ctx.phi_coeffs)
-    m = basis.diag[0]
     events = []
     for f, k in zip(bases, exponents, strict=True):
         k = operator.index(k)
@@ -335,19 +324,18 @@ def conv_multi_pow(
         acc = mul(acc, factor, m)
     for _ in range(at):
         acc = sqr(acc, m)
-    return RingElement(ctx, reduce_mod_lattice(basis, acc))
+    return RingElement(ctx, tuple(c % m for c in acc))
 
 
-def conv_pow(ctx: RingContext, f: RingElement, m: int, basis: HnfBasis) -> RingElement:
-    """f to the m-th convolution power modulo the lattice of basis.
+def conv_pow(ctx: RingContext, f: RingElement, k: int, m: int) -> RingElement:
+    """f to the k-th convolution power in (Z/m)[x]/(phi), coefficients in [0, m).
 
     The single-base case of conv_multi_pow: a sliding-window power whose
-    squares and products are taken coefficientwise mod the lattice's
-    corner basis.diag[0]; only the result, not f, is reduced into the box.
-    At m = 65537 the window is 1 bit wide: 16 squarings and 1 multiply.
-    m = 0 yields the reduced identity even for f = 0.
+    squares and products are taken coefficientwise % m.  At k = 65537
+    the window is 1 bit wide: 16 squarings and 1 multiply.  k = 0 yields
+    the identity % m even for f = 0.
     """
-    return conv_multi_pow(ctx, (f,), (m,), basis)
+    return conv_multi_pow(ctx, (f,), (k,), m)
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:

@@ -7,13 +7,13 @@ fields.product_lattice writes down from the norms and the roots of x
 modulo alpha and beta, the public exponent e is invertible modulo
 phi = (|N(alpha)| - 1) * (|N(beta)| - 1), and d is its inverse.  Messages
 are points of the public coset box.  Encryption raises them to the e-th
-convolution power modulo the public lattice, reduced into the box.
-Decryption raises a block to d in each factor, or half, of
-R/(alpha beta) = R/(alpha) x R/(beta), and recombines the two powers by
-the idempotent of (alpha).  Building the halves is the admission rule,
-_admit, and every key pair passes it: keygen, parsing and decryption.
-The byte codec frames a payload with an 8-byte big-endian length header
-and packs fixed-size chunks into mixed-radix box coordinates.
+convolution power in (Z/m)[x]/(phi), m the lattice's corner.  Decryption
+raises a block to d in each factor, or half, of R/(alpha beta) =
+R/(alpha) x R/(beta), and recombines the two powers by the idempotent
+of (alpha).  Building the halves is the admission rule, _admit, and
+every key pair passes it: keygen, parsing and decryption.  The byte
+codec frames a payload with an 8-byte big-endian length header and
+packs fixed-size chunks into mixed-radix box coordinates.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .fields import (
     PrimeElement,
     find_inert_prime,
     find_prime_norm_element,
-    key_class_of,
     product_lattice,
 )
-from .lattice import HnfBasis, reduce_mod_lattice
+from .lattice import HnfBasis
 from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
 
 __all__ = [
@@ -112,8 +111,8 @@ class PrivateKey:
 
     @property
     def key_class(self) -> str:
-        """"scalar" or "prime-norm", as product_lattice classifies the key."""
-        return key_class_of(*self._primes)
+        """"scalar" or "prime-norm", read off the halves _crt admits."""
+        return "scalar" if self._crt[0].root is None else "prime-norm"
 
     @cached_property
     def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, int]:
@@ -133,13 +132,11 @@ class _PrimeHalf:
 
     An element of prime norm p and root r gives R/P = F_p, where a block
     is its value at r.  A scalar p (root None) gives (Z/p)[x]/(phi), a
-    product of fields F_{p^f}, f | n; lattice is pZ^n and frobenius the
-    matrix of a -> a^p.
+    product of fields F_{p^f}, f | n; frobenius is the matrix of a -> a^p.
     """
 
     p: int
     root: int | None
-    lattice: HnfBasis | None = None
     frobenius: tuple[tuple[int, ...], ...] = ()
 
 
@@ -168,9 +165,7 @@ def _prime_half(ctx, prime: PrimeElement) -> _PrimeHalf:
         raise ValueError("alpha or beta is not prime (a unit, zero, composite scalar or norm)")
     if root is not None:
         return _PrimeHalf(p, root)
-    n = ctx.degree
-    lattice = HnfBasis(tuple(tuple(p * (i == j) for j in range(n)) for i in range(n)))
-    return _PrimeHalf(p, None, lattice, _frobenius(ctx, p, lattice))
+    return _PrimeHalf(p, None, _frobenius(ctx, p))
 
 
 def _base_p_digits(d: int, p: int, n: int) -> tuple[int, ...]:
@@ -186,8 +181,8 @@ def _base_p_digits(d: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _frobenius(ctx, p: int, lattice: HnfBasis) -> tuple[tuple[int, ...], ...]:
-    """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi), lattice = pZ^n.
+def _frobenius(ctx, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi).
 
     ValueError unless x^(p^n) = x, that is unless phi is square-free mod p
     with every irreducible factor of a degree f | n, so that the ring is a
@@ -195,7 +190,7 @@ def _frobenius(ctx, p: int, lattice: HnfBasis) -> tuple[tuple[int, ...], ...]:
     """
     n = ctx.degree
     x = (0, 1) + (0,) * (n - 2) if n > 1 else ctx.phi_coeffs
-    x_p = conv_pow(ctx, ctx.element(x), p, lattice)
+    x_p = conv_pow(ctx, ctx.element(x), p, p)
     cols = [ctx.one()]
     while len(cols) < n:
         cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
@@ -218,8 +213,8 @@ def _power_mod_prime(
     """vec^d in R/pR for a scalar p, lifted to a coefficient vector; digits are _base_p_digits of d.
 
     The product of the Frobenius images vec^(p^i) % p to the i-th digits,
-    so the squaring chain is one digit long; conv_multi_pow reduces it into
-    the box of pZ^n.  An element's half is F_p, which only the integer path
+    so the squaring chain is one digit long, in (Z/p)[x]/(phi) by
+    conv_multi_pow.  An element's half is F_p, which only the integer path
     of decrypt_block reaches.
     """
     p = half.p
@@ -227,7 +222,7 @@ def _power_mod_prime(
     for _ in digits[1:]:
         images.append(_mat_vec_mod(half.frobenius, images[-1], p))
     bases = [ctx.element(image) for image in images]
-    return conv_multi_pow(ctx, bases, digits, half.lattice).coeffs
+    return conv_multi_pow(ctx, bases, digits, p).coeffs
 
 
 @record
@@ -311,8 +306,11 @@ def _in_box(radices: Sequence[int], vec: Sequence[int]) -> bool:
 def encrypt_block(pub: PublicKey, block: Sequence[int]) -> CiphertextBlock:
     """e-th convolution power of a box point modulo the lattice, in the box.
 
-    Raises TypeError for a coordinate that is not an integer (a float,
-    Fraction or str) and ValueError for a point outside the box.
+    pub.lattice must be a key lattice, as keygen and parse_public give:
+    (N, x - r), whose box is Z/N, or m I, whose box is (Z/m)[x]/(phi).
+    A hand-built PublicKey of any other lattice is not supported.  Raises
+    TypeError for a coordinate that is not an integer (a float, Fraction
+    or str) and ValueError for a point outside the box.
     """
     ctx, lattice = pub.field.ring, pub.lattice
     vec = tuple(map(operator.index, block))
@@ -320,16 +318,18 @@ def encrypt_block(pub: PublicKey, block: Sequence[int]) -> CiphertextBlock:
         raise ValueError("message outside coset box")
     if lattice.cyclic:  # box points (m, 0, ..., 0) multiply as m mod N
         return CiphertextBlock(RingElement(ctx, (pow(vec[0], pub.e, lattice.cyclic),) + vec[1:]))
-    return CiphertextBlock(conv_pow(ctx, RingElement(ctx, vec), pub.e, lattice))
+    return CiphertextBlock(conv_pow(ctx, RingElement(ctx, vec), pub.e, lattice.diag[0]))
 
 
 def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     """d-th convolution power of a ciphertext point modulo the lattice.
 
     The powers a and b in the halves R/(alpha) and R/(beta) recombine as
-    b + eps (a - b), reduced into the box; on a box (pq, 1, ..., 1) they
-    are integers, RSA-CRT on c mod p and c mod q, and otherwise both halves
-    are scalar, (Z/p)[x]/(phi) and (Z/q)[x]/(phi).  Raises TypeError for a
+    b + eps (a - b) mod pq.  priv.lattice is a key lattice, product_lattice
+    of the admitted key.  On a box (pq, 1, ..., 1) the powers are
+    integers, RSA-CRT on c mod p and c mod q; otherwise both halves are
+    scalar, (Z/p)[x]/(phi) and (Z/q)[x]/(phi), and the lattice is pq I,
+    whose box is every coefficient mod pq.  Raises TypeError for a
     coordinate that is not an integer (a float, Fraction or str), and
     ValueError for a point outside the box or a key _admit refuses.
     """
@@ -344,7 +344,7 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
         w = (b + eps * (pow(c % p, d_p, p) - b)) % lattice.cyclic
         return RingElement(ctx, (w,) + vec[1:])
     a, b = (_power_mod_prime(ctx, h, ds, vec) for h, ds in zip((half_a, half_b), digits))
-    return ctx.element(reduce_mod_lattice(lattice, [y + eps * (x - y) for x, y in zip(a, b)]))
+    return ctx.element((y + eps * (x - y)) % lattice.diag[0] for x, y in zip(a, b))
 
 
 def _chunking(radices: Sequence[int]) -> tuple[int, list[int]]:

@@ -24,6 +24,7 @@ __all__ = [
     "adjugate",
     "is_lattice_member",
     "brute_force_cosets",
+    "ideal_hnf",
     "embed_roots",
     "numeric_norm_check",
     "euler_inert",
@@ -165,6 +166,27 @@ def brute_force_cosets(basis: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     if labels != seen:
         raise AssertionError("box does not exhaust the residue classes")
     return box
+
+
+def ideal_hnf(n: int, m: int, rule: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the Hermite normal form of the ideal (m, g) of Z[x]/(phi).
+
+    g = x^k - (rule_0 + rule_1 x + ... + rule_{k-1} x^{k-1}) divides phi
+    modulo m.  The diagonal is m (k times), then 1; column j >= k is
+    x^j - (x^j mod g), which lies in the ideal, with its top k rows % m,
+    x^j mod g taken by one shift and one substitution of x^k per j.
+    rule = phi gives m I, and rule = (r,) gives (m, x - r).
+    """
+    k = len(rule)
+    rows = [[m * (i == j) for j in range(k)] for i in range(k)]
+    power = [0] * (k - 1) + [1]  # x^(k-1) mod g
+    for _ in range(k, n):
+        top = power[-1]
+        power = [(low + top * c) % m for low, c in zip([0] + power[:-1], rule)]
+        for row, c in zip(rows, power):
+            row.append(-c % m)
+    rows += [[int(i == j) for j in range(n)] for i in range(k, n)]
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Helpers shared across test modules."""
 
 from ringrsa.lattice import HnfBasis, determinant, reduce_mod_lattice
-from ringrsa.ring import conv_mul, ideal_matrix, make_ring
+from ringrsa.ring import conv_mul, conv_multi_pow, conv_pow, ideal_matrix, make_ring
 from ringrsa.primes import is_probable_prime
 
 # Rings the identity batches run over: two quadratics, a cubic, two
@@ -55,6 +55,22 @@ def add(f, g):
 def contains(basis, vector):
     """True when the vector is a lattice point: it reduces to the zero point."""
     return not any(reduce_mod_lattice(basis, vector))
+
+
+def power_mod_lattice(ctx, f, k, basis):
+    """f^k modulo the lattice of basis, in its box: conv_pow in
+    (Z/m)[x]/(phi), m = basis.diag[0], then one reduce_mod_lattice.
+
+    Exact for an ideal lattice L only: its corner m generates the
+    integers in L, so L contains mR, and congruence mod L survives every
+    product.
+    """
+    return reduce_mod_lattice(basis, conv_pow(ctx, f, k, basis.diag[0]).coeffs)
+
+
+def multi_power_mod_lattice(ctx, bases, exponents, basis):
+    """The product of bases[i] ** exponents[i] modulo an ideal lattice, in its box."""
+    return reduce_mod_lattice(basis, conv_multi_pow(ctx, bases, exponents, basis.diag[0]).coeffs)
 
 
 def scaled_identity(n, k):

@@ -25,7 +25,6 @@ from ringrsa.fields import (
     _inert,
     find_inert_prime,
     find_prime_norm_element,
-    key_class_of,
     product_lattice,
 )
 from ringrsa.keyfiles import parse_private, render_private
@@ -38,8 +37,8 @@ from ringrsa.primes import (
     multiplicative_order,
 )
 from ringrsa.scheme import _admit, _frobenius
-from oracles import euler_inert, inert_search_primality_first
-from support import contains, coset_box_naive, scaled_identity
+from oracles import euler_inert, ideal_hnf, inert_search_primality_first
+from support import contains, coset_box_naive
 
 
 class TestQuadraticField:
@@ -207,9 +206,8 @@ class TestInertPrimes:
 
 def frobenius_rule(field, p):
     """x^(p^n) = x mod (p, phi): the rule that admits a scalar prime p."""
-    n = field.ring.degree
     try:
-        _frobenius(field.ring, p, scaled_identity(n, p))
+        _frobenius(field.ring, p)
     except ValueError:
         return False
     return True
@@ -567,6 +565,25 @@ def refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, reason):
     return refused.value
 
 
+# the preset fields up to degree 32
+PRESET_SPECS = ["quadratic:d=2", "quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=12",
+                "cyclotomic:m=16", "cyclotomic:m=64"]
+
+
+class TestIdealBasis:
+    """The closed forms of _ideal_basis against the general (m, g) HNF of the oracle."""
+
+    @pytest.mark.parametrize("spec", PRESET_SPECS)
+    def test_closed_forms_match_the_oracle(self, spec):
+        ctx = parse_field_spec(spec).ring
+        n, rng = ctx.degree, random.Random(spec)
+        for _ in range(40):
+            m = rng.randrange(1, 1 << rng.choice((1, 8, 64, 600)))
+            r = rng.randrange(-m, 2 * m)
+            assert fields._ideal_basis(n, m, r).entries == ideal_hnf(n, m, (r,)), (m, r)
+            assert fields._ideal_basis(n, m).entries == ideal_hnf(n, m, ctx.phi_coeffs), m
+
+
 class TestProductLattice:
     """product_lattice equals the HNF of the ideal matrix of alpha * beta."""
 
@@ -589,7 +606,7 @@ class TestProductLattice:
                         admit(alpha, beta)
                     seen["one prime"] += 1
                 else:
-                    kind = key_class_of(alpha, beta)
+                    kind = "scalar" if alpha.root is None else "prime-norm"
                     assert product_lattice(alpha, beta) == hnf_oracle(alpha, beta), (kind, spec)
                     seen[kind] += 1
         # each element with itself and with its negative is an associate pair
@@ -652,12 +669,17 @@ class TestProductLattice:
 
     @pytest.mark.parametrize(
         "a,b,kind",
-        [((3, 0), (5, 0), "scalar"), ((-3, 0), (5, 0), "scalar"), ((1, 2), (3, 1), "prime-norm"),
-         ((3, 1), (1, 2), "prime-norm")],
+        [((3, 0), (5, 0), "scalar"), ((-3, 0), (5, 0), "scalar"), ((1, 2), (5, 1), "prime-norm"),
+         ((5, 2), (1, 2), "prime-norm")],
     )
     def test_key_class(self, a, b, kind):
-        ctx = quadratic_field(2).ring
-        assert key_class_of(PrimeElement(ctx.element(a)), PrimeElement(ctx.element(b))) == kind
+        # norms 7, 23 and 17; the class is read off the admitted halves
+        field = quadratic_field(2)
+        priv = PrivateKey(field, field.ring.element(a), field.ring.element(b), 1)
+        assert priv.key_class == kind
+        equal_norms = PrivateKey(field, field.ring.element((1, 2)), field.ring.element((3, 1)), 1)
+        with pytest.raises(AssociatePrimesError):
+            equal_norms.key_class
 
 
 class TestNaiveCosetBox:

@@ -34,7 +34,7 @@ from ringrsa import (
     parse_field_spec,
 )
 from ringrsa.cli import main
-from ringrsa.fields import _ideal_basis, _key_budget_bits
+from ringrsa.fields import _key_budget_bits
 from ringrsa.keyfiles import (
     fingerprint,
     parse_ciphertext,
@@ -47,6 +47,7 @@ from ringrsa.keyfiles import (
 from ringrsa.lattice import HnfBasis, hnf
 from ringrsa.primes import is_probable_prime
 from ringrsa.ring import conv_mul, ideal_matrix
+from oracles import ideal_hnf
 
 # Exit codes the cli module docstring documents, by command.
 EXIT_CODES = {"encrypt": {0, 2, 5}, "decrypt": {0, 2, 4, 5, 6}, "inspect": {0, 1, 2}}
@@ -234,7 +235,7 @@ def two_root_public(bits):
         inv = pow(m, -1, p)
         r_a, r_b = (r + m * ((root - r) * inv % p) for r, root in ((r_a, z), (r_b, z**3 % p)))
         m *= p
-    return public_text("cyclotomic:m=256", _ideal_basis(128, m, (-r_a * r_b % m, r_a + r_b)).entries)
+    return public_text("cyclotomic:m=256", ideal_hnf(128, m, (-r_a * r_b % m, r_a + r_b)))
 
 
 def skew_diagonal_public():

@@ -16,8 +16,9 @@ from oracles import is_lattice_member, laplace_determinant
 from support import contains, mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringrsa"
-# computed for any matrix; key lattices come from fields.product_lattice
-ORACLE_ONLY = {"hnf", "determinant", "contains"}
+# computed for any matrix; key lattices come from fields.product_lattice,
+# and their blocks are powered in (Z/m)[x]/(phi), with no box reduction
+ORACLE_ONLY = {"hnf", "determinant", "contains", "reduce_mod_lattice"}
 
 dims = st.integers(min_value=1, max_value=4)
 entries = st.integers(min_value=-40, max_value=40)

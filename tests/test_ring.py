@@ -32,6 +32,8 @@ from support import (
     companion_matrix,
     mat_pow,
     mat_vec,
+    multi_power_mod_lattice,
+    power_mod_lattice,
     rand_coeffs,
     scaled_identity,
     trace,
@@ -176,7 +178,7 @@ class TestConvolution:
         assert conv_mul(SQRT2, x, x).coeffs == (2, 0)
         f = SQRT2.element((1, 1))
         assert conv_mul(SQRT2, f, f).coeffs == (3, 2)
-        assert conv_pow(SQRT2, f, 2, scaled_identity(2, 10)).coeffs == (3, 2)
+        assert conv_pow(SQRT2, f, 2, 10).coeffs == (3, 2)
 
     @given(ring_and_vectors(count=2))
     def test_matches_ideal_matrix_action(self, data):
@@ -262,22 +264,21 @@ class TestKernels:
 class TestConvPow:
     def test_zero_exponent(self):
         f = SQRT2.element((9, 3))
-        basis = scaled_identity(2, 5)
-        assert conv_pow(SQRT2, f, 0, basis).coeffs == (1, 0)
-        assert conv_pow(SQRT2, SQRT2.zero(), 0, basis).coeffs == (1, 0)
+        assert conv_pow(SQRT2, f, 0, 5).coeffs == (1, 0)
+        assert conv_pow(SQRT2, SQRT2.zero(), 0, 5).coeffs == (1, 0)
 
     def test_zero_exponent_goes_through_reducer(self):
         # the identity is reduced too: modulo the whole ring it is 0, and
         # modulo the ideal (2 + 2x) it is its box representative
         f = SQRT2.element((2, 2))
-        assert conv_pow(SQRT2, f, 0, scaled_identity(2, 1)).coeffs == (0, 0)
+        assert conv_pow(SQRT2, f, 0, 1).coeffs == (0, 0)
         basis = hnf(ideal_matrix(SQRT2, f).entries)
-        got = conv_pow(SQRT2, f, 0, basis).coeffs
+        got = power_mod_lattice(SQRT2, f, 0, basis)
         assert got == reduce_mod_lattice(basis, (1, 0))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
-            conv_pow(SQRT2, SQRT2.one(), -1, scaled_identity(2, 5))
+            conv_pow(SQRT2, SQRT2.one(), -1, 5)
 
     @given(
         ring_and_vectors(count=2, bound=st.integers(min_value=-9, max_value=9)),
@@ -294,7 +295,7 @@ class TestConvPow:
         power = ctx.one()
         for _ in range(m):
             power = conv_mul(ctx, power, ef)
-        got = conv_pow(ctx, ef, m, basis).coeffs
+        got = power_mod_lattice(ctx, ef, m, basis)
         assert got == reduce_mod_lattice(basis, power.coeffs)
 
     @given(
@@ -310,7 +311,7 @@ class TestConvPow:
         power = ctx.one()
         for _ in range(m):
             power = conv_mul(ctx, power, ef)
-        got = conv_pow(ctx, ef, m, scaled_identity(ctx.degree, modulus)).coeffs
+        got = conv_pow(ctx, ef, m, modulus).coeffs
         assert got == tuple(c % modulus for c in power.coeffs)
 
 
@@ -337,7 +338,7 @@ class TestConvMultiPow:
         if any(g):
             lattices.append(hnf(ideal_matrix(ctx, ctx.element(g)).entries))
         for basis in lattices:
-            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            got = multi_power_mod_lattice(ctx, bases, exps, basis)
             assert got == reduce_mod_lattice(basis, product.coeffs)
 
     @pytest.mark.parametrize("m", WINDOW_EDGE_EXPONENTS, ids=lambda m: f"{m.bit_length()}bits")
@@ -349,7 +350,7 @@ class TestConvMultiPow:
                 hnf(ideal_matrix(ctx, ctx.element((5, 2, 0, 1)[: ctx.degree])).entries),
             ]
             for basis in lattices:
-                assert conv_pow(ctx, f, m, basis) == binary_ladder(ctx, f, m, basis)
+                assert power_mod_lattice(ctx, f, m, basis) == binary_ladder(ctx, f, m, basis).coeffs
 
     @given(
         ring_and_vectors(count=4, bound=st.integers(min_value=-99, max_value=99)),
@@ -366,7 +367,7 @@ class TestConvMultiPow:
             product = ctx.one()
             for f, m in zip(bases, exps):
                 product = conv_mul(ctx, product, binary_ladder(ctx, f, m, basis))
-            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            got = multi_power_mod_lattice(ctx, bases, exps, basis)
             assert got == reduce_mod_lattice(basis, product.coeffs)
 
     def test_window_width_rule(self):
@@ -382,33 +383,29 @@ class TestConvMultiPow:
         assert all(v % 2 == 1 and v < 1 << w for _, v in windows)
 
     def test_e_65537_is_a_plain_ladder(self, ring_products):
-        conv_pow(ZETA5, ZETA5.element((3, -1, 4, 1)), 65537, scaled_identity(4, 1009))
+        conv_pow(ZETA5, ZETA5.element((3, -1, 4, 1)), 65537, 1009)
         assert ring_products == {"sqr": 16, "mul": 1}
 
     def test_single_base_is_conv_pow(self):
         f = ZETA5.element((3, -1, 4, 1))
-        basis = scaled_identity(4, 1009)
         for m in (0, 1, 2, 5, 2**70 + 3):
-            assert conv_multi_pow(ZETA5, [f], [m], basis) == conv_pow(ZETA5, f, m, basis)
+            assert conv_multi_pow(ZETA5, [f], [m], 1009) == conv_pow(ZETA5, f, m, 1009)
 
     def test_no_bases_or_zero_exponents_give_reduced_identity(self):
-        basis = scaled_identity(2, 1)
-        assert conv_multi_pow(SQRT2, [], [], scaled_identity(2, 7)).coeffs == (1, 0)
-        assert conv_multi_pow(SQRT2, [SQRT2.zero()] * 5, [0] * 5, basis).coeffs == (0, 0)
+        assert conv_multi_pow(SQRT2, [], [], 7).coeffs == (1, 0)
+        assert conv_multi_pow(SQRT2, [SQRT2.zero()] * 5, [0] * 5, 1).coeffs == (0, 0)
 
     def test_zero_base_with_positive_exponent(self):
-        basis = scaled_identity(2, 7)
-        got = conv_multi_pow(SQRT2, [SQRT2.element((3, 1)), SQRT2.zero()], [4, 1], basis)
+        got = conv_multi_pow(SQRT2, [SQRT2.element((3, 1)), SQRT2.zero()], [4, 1], 7)
         assert got.coeffs == (0, 0)
 
     def test_bad_arguments_rejected(self):
-        basis = scaled_identity(2, 5)
         with pytest.raises(ValueError, match="negative exponent"):
-            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1, -1], basis)
+            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1, -1], 5)
         with pytest.raises(ValueError):
-            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1], basis)
+            conv_multi_pow(SQRT2, [SQRT2.one(), SQRT2.one()], [1], 5)
         with pytest.raises(ValueError, match="context mismatch"):
-            conv_multi_pow(SQRT2, [ZETA5.one()], [1], basis)
+            conv_multi_pow(SQRT2, [ZETA5.one()], [1], 5)
 
 
 def element_key_lattice(spec, bound, seed):
@@ -433,7 +430,7 @@ def scalar_lattice(ctx, *primes):
     return ctx, basis, tuple((p,) + pad for p in primes)
 
 
-# Every kind of lattice conv_multi_pow reduces by, with generators of its
+# Every kind of ideal lattice the powers reduce by, with generators of its
 # prime factors, so that their multiples give zero divisors.
 IDEAL_LATTICES = {
     "p-zeta5": lambda: scalar_lattice(ZETA5, 1009),
@@ -463,7 +460,7 @@ def ladder_product(ctx, bases, exps, basis):
 
 
 class TestIdealLattices:
-    """conv_multi_pow, whose kernels reduce % basis.diag[0] per step, against
+    """conv_multi_pow % basis.diag[0], reduced once into the box, against
     products of the binary ladder, which reduces into the box per step."""
 
     def test_keys_have_the_lattice_shapes(self):
@@ -498,7 +495,7 @@ class TestIdealLattices:
                 g = conv_mul(ctx, ctx.element(rng.choice(factors)), g)
             bases.append(g)
         exps = [m for _, _, m in draws]
-        got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+        got = multi_power_mod_lattice(ctx, bases, exps, basis)
         assert got == ladder_product(ctx, bases, exps, basis)
 
     @pytest.mark.parametrize("name", sorted(IDEAL_LATTICES))
@@ -508,9 +505,9 @@ class TestIdealLattices:
         f, g = (ctx.element(rand_coeffs(rng, ctx.degree, 1 << 70)) for _ in range(2))
         zero_divisors = [conv_mul(ctx, ctx.element(a), f) for a in factors]
         identity = reduce_mod_lattice(basis, ctx.one().coeffs)
-        assert conv_multi_pow(ctx, [], [], basis).coeffs == identity
-        assert conv_multi_pow(ctx, [f, g], [0, 0], basis).coeffs == identity
-        assert conv_pow(ctx, f, 1, basis).coeffs == reduce_mod_lattice(basis, f.coeffs)
+        assert multi_power_mod_lattice(ctx, [], [], basis) == identity
+        assert multi_power_mod_lattice(ctx, [f, g], [0, 0], basis) == identity
+        assert power_mod_lattice(ctx, f, 1, basis) == reduce_mod_lattice(basis, f.coeffs)
         cases = [
             ([f, g], [2**100 + 1, 0]),
             ([f, g, zero_divisors[0]], [0, 65537, 1]),
@@ -518,7 +515,7 @@ class TestIdealLattices:
             ([ctx.zero(), g], [5, 0]),
         ]
         for bases, exps in cases:
-            got = conv_multi_pow(ctx, bases, exps, basis).coeffs
+            got = multi_power_mod_lattice(ctx, bases, exps, basis)
             assert got == ladder_product(ctx, bases, exps, basis)
 
 

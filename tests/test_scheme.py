@@ -36,7 +36,7 @@ from ringrsa.keyfiles import parse_private, parse_public, render_private, render
 from ringrsa.lattice import HnfBasis
 from ringrsa.ring import conv_pow, norm
 from ringrsa.scheme import CiphertextBlock
-from support import scaled_identity
+from support import power_mod_lattice
 
 FIELD = quadratic_field(2)
 
@@ -292,7 +292,7 @@ def element_keypair(field, coeff_bound, seed):
 
 def lattice_power(ctx, lattice, vec, exponent):
     """The generic path: convolution power modulo the lattice, in the box."""
-    return conv_pow(ctx, ctx.element(vec), exponent, lattice).coeffs
+    return power_mod_lattice(ctx, ctx.element(vec), exponent, lattice)
 
 
 def box_points(radices, rng, limit=2000):
@@ -464,7 +464,7 @@ class TestFrobeniusPower:
             columns = list(zip(*half.frobenius))
             for j in range(n):
                 x_j = ctx.element(tuple(int(i == j) for i in range(n)))
-                assert columns[j] == conv_pow(ctx, x_j, prime, scaled_identity(n, prime)).coeffs
+                assert columns[j] == conv_pow(ctx, x_j, prime, prime).coeffs
 
     @pytest.mark.parametrize(
         "d,digits",
@@ -523,20 +523,19 @@ class TestFrobeniusPower:
         assert sum(ring_products.values()) < 1500
 
     def test_rsa_size_block_reductions(self, record_calls):
-        # the kernels reduce every step % p, and each half takes the block
-        # and its Frobenius images % p itself: reduce_mod_lattice runs
-        # once per half, on the result of conv_multi_pow, and once on the
-        # recombined point, by the key lattice
+        # the key lattice is pq I: encryption powers in (Z/pq)[x]/(phi),
+        # each half in (Z/p)[x]/(phi), and the recombined point is taken
+        # % pq, so no block is reduced by a lattice basis
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
-        ct = encrypt_block(pub, msg).vector.coeffs
-        halves = priv._crt[:2]  # the per-key set-up runs before counting
+        priv._crt  # the per-key set-up runs before counting
         assert all(len(digits) == 2 for digits in priv._digits)
         calls = []
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
+        ct = encrypt_block(pub, msg).vector.coeffs
         assert decrypt_block(priv, ct).coeffs == msg
-        assert calls == [h.lattice for h in halves] + [priv.lattice]
+        assert calls == []
 
 
 @pytest.fixture
@@ -697,7 +696,7 @@ def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
 def frobenius_calls(record_calls):
     """The p of every scheme._frobenius call."""
     calls = []
-    record_calls(scheme, "_frobenius", lambda ctx, p, basis: calls.append(p))
+    record_calls(scheme, "_frobenius", lambda ctx, p: calls.append(p))
     return calls
 
 
