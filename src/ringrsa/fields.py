@@ -10,18 +10,22 @@ norm forces the quotient by the element to be a prime field, so such an
 element generates a prime ideal.  That ideal is (N, x - r), where N is
 the norm and r the root of x modulo the element.  _ideal_basis writes the
 Hermite normal form of either key lattice, m I or (N, x - r), by formula,
-for product_lattice and for the public-key check ideal_lattice.
+for product_lattice and for the public-key check ideal_lattice.  A
+PrimeElement keeps what a key derives from its prime, for a scalar p the
+Frobenius matrix of R/pR too, which scheme's admission rule and
+decryption read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from functools import cached_property
 
 from ._record import record
-from .errors import SearchExhaustedError
+from .errors import KeyFileError, SearchExhaustedError
 from .lattice import HnfBasis
 from .primes import (
     _jacobi,
@@ -30,7 +34,9 @@ from .primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from .ring import RingContext, RingElement, make_ring, norm_and_linear
+from .ring import (
+    RingContext, RingElement, conv_mul, conv_pow, make_ring, norm_and_linear, norm_bound_bits,
+)
 
 __all__ = [
     "FieldDescriptor",
@@ -67,6 +73,23 @@ def _key_budget_bits() -> int:
     return digits * 3322 // 1000 + _NORM_BOUND_SLACK_BITS  # log2(10) < 3.322
 
 
+def _check_norm_budget(ctx, alpha, beta) -> None:
+    """Refuse alpha and beta whose norms may not fit a key file, before any norm.
+
+    keygen refuses a key whose N(alpha) N(beta) (the lattice corner, or
+    about d) has more digits than the int-to-str limit; this bounds the
+    work of the two norms a parse computes.  Each norm may take half the
+    digits plus the slack, which bounds the primality test of one norm.
+    """
+    budget, bits = _key_budget_bits(), (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
+    each = (budget + _NORM_BOUND_SLACK_BITS) // 2
+    if sum(bits) > budget or max(bits) > each:
+        raise KeyFileError(
+            f"private key file: alpha and beta too large (norm bounds above {budget} bits,"
+            f" or one above {each})"
+        )
+
+
 @record
 class FieldDescriptor:
     kind: str
@@ -83,23 +106,31 @@ class FieldDescriptor:
 
 @record
 class PrimeElement:
-    """An element meant to generate a prime ideal; the admission rule refuses it if not.
+    """An element meant to generate a prime ideal P; the admission rule refuses it if not.
 
     norm_abs and root come from one resultant, computed on first read and
-    kept, and so does p_is_prime; equality and hashing see only the element.
+    kept, and so do p, p_is_prime and frobenius, the whole of what a key
+    derives from its prime; equality and hashing see only the element.
     """
 
     element: RingElement
 
-    @property
+    @cached_property
     def p(self) -> int:
         """The rational integer under the ideal: |a| for a scalar a, else norm_abs."""
         return abs(self.element.coeffs[0]) if _is_scalar(self) else self.norm_abs
 
     @cached_property
     def p_is_prime(self) -> bool:
-        """is_probable_prime(p), run once; find_inert_prime seeds it with its own verdict."""
         return is_probable_prime(self.p)
+
+    @cached_property
+    def frobenius(self) -> tuple[tuple[int, ...], ...]:
+        """For a scalar p, the matrix of a -> a^p on R/P = (Z/p)[x]/(phi): see _frobenius.
+
+        An element's R/P is F_p, its value at root, and needs no matrix.
+        """
+        return _frobenius(self.element.context, self.p)
 
     @cached_property
     def _norm_and_linear(self) -> tuple[int, list[int] | None]:
@@ -143,6 +174,32 @@ def _eval_mod(coeffs: Sequence[int], t: int, modulus: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * t + c) % modulus
     return acc
+
+
+def _frobenius(ctx, p: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi).
+
+    ValueError unless x^(p^n) = x, that is unless phi is square-free mod p
+    with every irreducible factor of a degree f | n, so that the ring is a
+    product of fields F_{p^f}.  The matrix applied n times to x tells.
+    """
+    n = ctx.degree
+    x = (0, 1) + (0,) * (n - 2) if n > 1 else ctx.phi_coeffs
+    x_p = conv_pow(ctx, ctx.element(x), p, p)
+    cols = [ctx.one()]
+    while len(cols) < n:
+        cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
+    rows = tuple(zip(*(c.coeffs for c in cols)))
+    image = x = tuple(c % p for c in x)
+    for _ in range(n):
+        image = _mat_vec_mod(rows, image, p)
+    if image != x:
+        raise ValueError("for a scalar p, R/pR is not a product of fields of degree dividing n")
+    return rows
+
+
+def _mat_vec_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, vec)) % p for row in rows)
 
 
 def _is_scalar(elem: PrimeElement) -> bool:
@@ -304,10 +361,10 @@ def find_inert_prime(
         cand = rng.randrange(lo, hi)
         # the residue test first: it needs no modexp and refuses most
         # candidates, so only those that can still be accepted reach one
-        if cand != exclude and _inert(field, cand) and is_probable_prime(cand):
+        if cand != exclude and _inert(field, cand):
             prime = _scalar_element(field, cand)
-            vars(prime)["p_is_prime"] = True
-            return prime
+            if prime.p_is_prime:
+                return prime
     raise SearchExhaustedError("search exhausted: no inert prime found")
 
 
@@ -354,17 +411,16 @@ def _ideal_basis(n: int, m: int, r: int | None = None) -> HnfBasis:
 def product_lattice(alpha: PrimeElement, beta: PrimeElement) -> HnfBasis:
     """The Hermite normal form of the ideal (alpha * beta), from norms and roots.
 
-    - two scalars a, b: (ab, phi) = |ab| R, so |ab| I;
+    - scalars a, b with p = |a|, q = |b|: (ab) = pq R, so pq I;
     - elements of norms p != q: (pq, x - r), r the CRT of the roots.
 
     alpha and beta must be an admitted key, as the admission rule
     (scheme._admit) checks before every call: then p != q are primes;
     nothing here checks it.
     """
-    n = alpha.element.context.degree
-    if alpha.root is None:
-        return _ideal_basis(n, abs(alpha.element.coeffs[0] * beta.element.coeffs[0]))
-    p, q, r_a, r_b = alpha.norm_abs, beta.norm_abs, alpha.root, beta.root
+    n, p, q, r_a, r_b = alpha.element.context.degree, alpha.p, beta.p, alpha.root, beta.root
+    if r_a is None:
+        return _ideal_basis(n, p * q)
     return _ideal_basis(n, p * q, r_b + q * ((r_a - r_b) * pow(q, -1, p) % p))
 
 

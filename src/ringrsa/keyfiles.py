@@ -15,8 +15,7 @@ import hashlib
 import sys
 
 from .errors import CiphertextFormatError, KeyFileError
-from .fields import _NORM_BOUND_SLACK_BITS, _key_budget_bits, ideal_lattice, parse_field_spec
-from .ring import norm_bound_bits
+from .fields import _check_norm_budget, ideal_lattice, parse_field_spec
 from .scheme import PrivateKey, PublicKey, _check_e, _exponent_fault
 
 __all__ = [
@@ -162,30 +161,13 @@ def render_private(priv: PrivateKey, e: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_norm_budget(ctx, alpha, beta) -> None:
-    """Refuse alpha and beta whose norms may not fit a key file, before any norm.
-
-    keygen refuses a key whose N(alpha) N(beta) (the lattice corner, or
-    about d) has more digits than the int-to-str limit; this bounds the
-    work of the two norms a parse computes.  Each norm may take half the
-    digits plus the slack, which bounds the primality test of one norm.
-    """
-    budget, bits = _key_budget_bits(), (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
-    each = (budget + _NORM_BOUND_SLACK_BITS) // 2
-    if sum(bits) > budget or max(bits) > each:
-        raise KeyFileError(
-            f"private key file: alpha and beta too large (norm bounds above {budget} bits,"
-            f" or one above {each})"
-        )
-
-
 def parse_private(text: str) -> tuple[PrivateKey, int]:
     """Rebuild the private key; returns it with the recorded public e.
 
-    The key derives the totient, the lattice and the halves from alpha
-    and beta; a file is checked here, where it comes in, for alpha and
-    beta whose norms fit the budget of _check_norm_budget, then by the
-    admission rule (priv._crt), then for 1 <= d < phi, e * d = 1 (mod phi)
+    The key derives the totient, the lattice and eps from alpha and beta;
+    a file is checked here, where it comes in, for alpha and beta whose
+    norms fit the budget of fields._check_norm_budget, then by the
+    admission rule (priv._eps), then for 1 <= d < phi, e * d = 1 (mod phi)
     and the bounds parse_public puts on e.  No lattice is built.
     """
     pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
@@ -201,7 +183,7 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         d = _parse_int(pairs, "d", "private key file")
         e = _parse_int(pairs, "e", "private key file")
         priv = PrivateKey(field, alpha, beta, d)
-        priv._crt  # the admission rule
+        priv._eps  # the admission rule
         fault = _exponent_fault(priv, e)
         if fault:
             raise KeyFileError(f"private key file: {fault}")

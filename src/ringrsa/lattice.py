@@ -35,10 +35,6 @@ __all__ = [
 class HnfBasis:
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
     @cached_property
     def diag(self) -> tuple[int, ...]:
         return tuple(row[i] for i, row in enumerate(self.entries))

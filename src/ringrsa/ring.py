@@ -89,9 +89,6 @@ class RingContext:
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, tuple(map(operator.index, coeffs)))
 
-    def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * self.degree)
-
     def one(self) -> "RingElement":
         return RingElement(self, (1,) + (0,) * (self.degree - 1))
 

@@ -10,8 +10,8 @@ are points of the public coset box.  Encryption raises them to the e-th
 convolution power in (Z/m)[x]/(phi), m the lattice's corner.  Decryption
 raises a block to d in each factor, or half, of R/(alpha beta) =
 R/(alpha) x R/(beta), and recombines the two powers by the idempotent
-of (alpha).  Building the halves is the admission rule, _admit, and
-every key pair passes it: keygen, parsing and decryption.  The byte
+of (alpha).  The admission rule, _admit, computes it, and every key
+pair passes the rule: keygen, parsing and decryption.  The byte
 codec frames a payload with an 8-byte big-endian length header and
 packs fixed-size chunks into mixed-radix box coordinates.
 """
@@ -34,12 +34,13 @@ from .errors import (
 from .fields import (
     FieldDescriptor,
     PrimeElement,
+    _mat_vec_mod,
     find_inert_prime,
     find_prime_norm_element,
     product_lattice,
 )
 from .lattice import HnfBasis
-from .ring import RingElement, conv_mul, conv_multi_pow, conv_pow
+from .ring import RingElement, conv_multi_pow, conv_pow
 
 __all__ = [
     "InertPrimeMode",
@@ -86,7 +87,7 @@ class PublicKey:
 
 @record
 class PrivateKey:
-    """The secret primes and exponent, unchecked; the totient, halves and lattice follow."""
+    """The secret primes and exponent, unchecked; the totient, eps and lattice follow."""
 
     field: FieldDescriptor
     alpha: RingElement
@@ -95,7 +96,7 @@ class PrivateKey:
 
     @cached_property
     def _primes(self) -> tuple[PrimeElement, PrimeElement]:
-        """alpha and beta, each with its norm and root computed once."""
+        """alpha and beta, each with its norm, root and Frobenius matrix computed once."""
         return PrimeElement(self.alpha), PrimeElement(self.beta)
 
     @cached_property
@@ -105,75 +106,61 @@ class PrivateKey:
 
     @cached_property
     def lattice(self) -> HnfBasis:
-        """product_lattice of alpha and beta, once _crt admits them: the public modulus."""
-        self._crt
+        """product_lattice of alpha and beta, once _eps admits them: the public modulus."""
+        self._eps
         return product_lattice(*self._primes)
 
     @property
     def key_class(self) -> str:
-        """"scalar" or "prime-norm", read off the halves _crt admits."""
-        return "scalar" if self._crt[0].root is None else "prime-norm"
+        """"scalar" or "prime-norm", read off the primes _eps admits."""
+        self._eps
+        return "scalar" if self._primes[0].root is None else "prime-norm"
 
     @cached_property
-    def _crt(self) -> tuple[_PrimeHalf, _PrimeHalf, int]:
+    def _eps(self) -> int:
         """_admit of alpha and beta: the admission rule, run once per key."""
-        return _admit(self.field.ring, *self._primes)
+        return _admit(*self._primes)
 
     @cached_property
     def _digits(self) -> tuple[tuple[int, ...], ...]:
         """The base-p digits of d in each half, computed once per key, not per block."""
-        n, halves = self.field.ring.degree, self._crt[:2]
-        return tuple(_base_p_digits(self.d, h.p, n if h.root is None else 1) for h in halves)
+        self._eps
+        return tuple(_base_p_digits(self.d, prime.p, prime.norm_abs - 1) for prime in self._primes)
 
 
-@record
-class _PrimeHalf:
-    """R/P for a prime ideal P of a key, over the rational prime p.
-
-    An element of prime norm p and root r gives R/P = F_p, where a block
-    is its value at r.  A scalar p (root None) gives (Z/p)[x]/(phi), a
-    product of fields F_{p^f}, f | n; frobenius is the matrix of a -> a^p.
-    """
-
-    p: int
-    root: int | None
-    frobenius: tuple[tuple[int, ...], ...] = ()
-
-
-def _admit(ctx, alpha: PrimeElement, beta: PrimeElement) -> tuple[_PrimeHalf, _PrimeHalf, int]:
-    """The admission rule, the only refusal of a key's alpha and beta.
+def _admit(alpha: PrimeElement, beta: PrimeElement) -> int:
+    """The admission rule, the only refusal of a key's alpha and beta; returns eps.
 
     Two scalars or two elements over rational primes p != q pass, with
-    eps = q (q^-1 mod p), 1 mod p and 0 mod q.  ValueError unless _prime_half
-    builds both halves, and for a scalar beside an element; AssociatePrimesError
-    for p = q.  Either refused pair's public lattice, of diagonal (s m, s, ..., s)
-    or (p, p, 1, ..., 1), gives the totient away.
+    eps = q (q^-1 mod p), 1 mod p and 0 mod q.  Each prime's root, then
+    p_is_prime, then a scalar's frobenius refuse it with ValueError; so
+    does a scalar beside an element, and p = q raises AssociatePrimesError.
+    Either refused pair's public lattice, of diagonal (s m, s, ..., s) or
+    (p, p, 1, ..., 1), gives the totient away.
     """
-    half_a, half_b = _prime_half(ctx, alpha), _prime_half(ctx, beta)
-    p, q = half_a.p, half_b.p
+    for prime in alpha, beta:
+        scalar = prime.root is None
+        if not prime.p_is_prime:
+            raise ValueError("alpha or beta is not prime (a unit, zero, composite scalar or norm)")
+        if scalar:
+            prime.frobenius
+    p, q = alpha.p, beta.p
     if p == q:
         raise AssociatePrimesError("alpha and beta lie over one prime: not coprime, or equal norms")
-    if (half_a.root is None) != (half_b.root is None):
+    if (alpha.root is None) != (beta.root is None):
         raise ValueError("a scalar beside an element: the public lattice gives the totient away")
-    return half_a, half_b, q * pow(q, -1, p)
+    return q * pow(q, -1, p)
 
 
-def _prime_half(ctx, prime: PrimeElement) -> _PrimeHalf:
-    """The half of the ideal prime generates; ValueError unless p is prime."""
-    root, p = prime.root, prime.p
-    if not prime.p_is_prime:
-        raise ValueError("alpha or beta is not prime (a unit, zero, composite scalar or norm)")
-    if root is not None:
-        return _PrimeHalf(p, root)
-    return _PrimeHalf(p, None, _frobenius(ctx, p))
+def _base_p_digits(d: int, p: int, order: int) -> tuple[int, ...]:
+    """Base-p digits, least significant first, of d_p = d mod order in [1, order].
 
-
-def _base_p_digits(d: int, p: int, n: int) -> tuple[int, ...]:
-    """Base-p digits, least significant first, of d_p = d mod p^n - 1 in [1, p^n - 1].
-
-    a^d = a^d_p on a product of fields F_{p^f}, f | n; d_p is never 0, so zero divisors map to 0.
+    order is |N(P)| - 1, which the order of every unit of R/P divides:
+    p^n - 1 for a scalar p, whose R/P is a product of fields F_{p^f}, f | n,
+    and p - 1 for an element, whose R/P is F_p.  So a^d = a^d_p on R/P;
+    d_p is never 0, so zero divisors map to 0.
     """
-    d_p = (d - 1) % (p**n - 1) + 1
+    d_p = (d - 1) % order + 1
     digits = []
     while d_p:
         d_p, digit = divmod(d_p, p)
@@ -181,34 +168,8 @@ def _base_p_digits(d: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _frobenius(ctx, p: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi).
-
-    ValueError unless x^(p^n) = x, that is unless phi is square-free mod p
-    with every irreducible factor of a degree f | n, so that the ring is a
-    product of fields F_{p^f}.  The matrix applied n times to x tells.
-    """
-    n = ctx.degree
-    x = (0, 1) + (0,) * (n - 2) if n > 1 else ctx.phi_coeffs
-    x_p = conv_pow(ctx, ctx.element(x), p, p)
-    cols = [ctx.one()]
-    while len(cols) < n:
-        cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
-    rows = tuple(zip(*(c.coeffs for c in cols)))
-    image = x = tuple(c % p for c in x)
-    for _ in range(n):
-        image = _mat_vec_mod(rows, image, p)
-    if image != x:
-        raise ValueError("for a scalar p, R/pR is not a product of fields of degree dividing n")
-    return rows
-
-
-def _mat_vec_mod(rows: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[int, ...]:
-    return tuple(sum(map(operator.mul, row, vec)) % p for row in rows)
-
-
 def _power_mod_prime(
-    ctx, half: _PrimeHalf, digits: Sequence[int], vec: Sequence[int]
+    ctx, prime: PrimeElement, digits: Sequence[int], vec: Sequence[int]
 ) -> tuple[int, ...]:
     """vec^d in R/pR for a scalar p, lifted to a coefficient vector; digits are _base_p_digits of d.
 
@@ -217,10 +178,10 @@ def _power_mod_prime(
     conv_multi_pow.  An element's half is F_p, which only the integer path
     of decrypt_block reaches.
     """
-    p = half.p
+    p = prime.p
     images = [tuple(c % p for c in vec)]
     for _ in digits[1:]:
-        images.append(_mat_vec_mod(half.frobenius, images[-1], p))
+        images.append(_mat_vec_mod(prime.frobenius, images[-1], p))
     bases = [ctx.element(image) for image in images]
     return conv_multi_pow(ctx, bases, digits, p).coeffs
 
@@ -257,14 +218,14 @@ def keypair_from_primes(
     """Assemble a key pair from two prime elements, found or built by hand.
 
     _admit runs before e is chosen, so a pair it refuses is refused even
-    where phi leaves no e.  The private key keeps alpha, beta and the halves.
+    where phi leaves no e.  The private key keeps alpha and beta, with
+    what the rule computed on them.
     """
-    crt = _admit(field.ring, alpha, beta)
+    _admit(alpha, beta)
     phi = math.prod(prime.norm_abs - 1 for prime in (alpha, beta))
     e = _select_e(phi, e_choice)
     priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
     vars(priv)["_primes"] = alpha, beta
-    vars(priv)["_crt"] = crt
     return PublicKey(field, priv.lattice, e), priv
 
 
@@ -278,8 +239,8 @@ def keygen(
 
     InertPrimeMode draws two distinct rational inert primes of the given
     bit length; PrimeNormElementMode draws two prime-norm elements with
-    bounded coefficients, drawing again up to an internal bound while their
-    norms are equal (associates, or a lattice (p, p, 1, ...) giving phi away).
+    bounded coefficients, drawing again up to an internal bound while the
+    admission rule finds their norms equal (AssociatePrimesError).
     """
     if rng is None:
         rng = random.SystemRandom()
@@ -294,8 +255,10 @@ def keygen(
             beta = find_prime_norm_element(field, mode.coeff_bound, rng)
         else:
             raise ValueError("unknown keygen mode")
-        if alpha.p != beta.p:
+        try:
             return keypair_from_primes(field, alpha, beta, e_choice)
+        except AssociatePrimesError:
+            pass
     raise SearchExhaustedError("search exhausted: could not find primes of distinct norms")
 
 
@@ -337,13 +300,13 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     vec = tuple(map(operator.index, block))
     if not _in_box(lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
-    (half_a, half_b, eps), digits = priv._crt, priv._digits
+    eps, (alpha, beta), digits = priv._eps, priv._primes, priv._digits
     if lattice.cyclic:  # R/(alpha beta) = Z/pq, where each d_p is one digit
-        c, p, q, ((d_p,), (d_q,)) = vec[0], half_a.p, half_b.p, digits
+        c, p, q, ((d_p,), (d_q,)) = vec[0], alpha.p, beta.p, digits
         b = pow(c % q, d_q, q)
         w = (b + eps * (pow(c % p, d_p, p) - b)) % lattice.cyclic
         return RingElement(ctx, (w,) + vec[1:])
-    a, b = (_power_mod_prime(ctx, h, ds, vec) for h, ds in zip((half_a, half_b), digits))
+    a, b = (_power_mod_prime(ctx, prime, ds, vec) for prime, ds in zip(priv._primes, digits))
     return ctx.element((y + eps * (x - y)) % lattice.diag[0] for x, y in zip(a, b))
 
 

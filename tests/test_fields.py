@@ -36,7 +36,7 @@ from ringrsa.primes import (
     is_probable_prime,
     multiplicative_order,
 )
-from ringrsa.scheme import _admit, _frobenius
+from ringrsa.scheme import _admit
 from oracles import euler_inert, ideal_hnf, inert_search_primality_first
 from support import contains, coset_box_naive
 
@@ -207,7 +207,7 @@ class TestInertPrimes:
 def frobenius_rule(field, p):
     """x^(p^n) = x mod (p, phi): the rule that admits a scalar prime p."""
     try:
-        _frobenius(field.ring, p)
+        fields._scalar_element(field, p).frobenius
     except ValueError:
         return False
     return True
@@ -248,6 +248,12 @@ class TestUnramified:
     )
     def test_table(self, field, p, expected):
         assert frobenius_rule(field, p) is expected
+
+    def test_refused_scalar_has_no_frobenius(self):
+        # 2 ramifies in Z[sqrt(2)]: R/2R = F_2[x]/(x^2) is not a product of fields
+        prime = PrimeElement(quadratic_field(2).ring.element((2, 0)))
+        with pytest.raises(ValueError, match="not a product of fields"):
+            prime.frobenius
 
     @pytest.mark.parametrize(
         "field",
@@ -400,15 +406,10 @@ class TestPrimeElement:
         prime = PrimeElement(field.ring.element((3, 0)))
         for alpha, beta in ((unit, prime), (prime, unit), (zero, prime), (prime, zero)):
             with pytest.raises(ValueError, match="is not prime") as refused:
-                admit(alpha, beta)
+                _admit(alpha, beta)
             assert not isinstance(refused.value, AssociatePrimesError)
             with pytest.raises(ValueError, match="is not prime"):
                 keypair_from_primes(field, alpha, beta)
-
-
-def admit(alpha, beta):
-    """The admission rule, scheme._admit, on two PrimeElements of one ring."""
-    return _admit(alpha.element.context, alpha, beta)
 
 
 def totient(field, alpha, beta):
@@ -424,7 +425,7 @@ class TestTotientOfProduct:
         alpha = PrimeElement(field.ring.element((3, 0)))
         beta = PrimeElement(field.ring.element((5, 0)))
         assert totient(field, alpha, beta) == 192
-        admit(alpha, beta)
+        _admit(alpha, beta)
 
     def test_associates_rejected(self):
         field = quadratic_field(2)
@@ -432,7 +433,7 @@ class TestTotientOfProduct:
         # sqrt(2) * (1 + sqrt(2)) = 2 + sqrt(2), an associate
         beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(ValueError, match="not coprime"):
-            admit(alpha, beta)
+            _admit(alpha, beta)
 
     def test_equal_norm_non_associates_refused(self, tmp_path, capsys):
         # 2 + i and 2 - i both have norm 5 but generate different ideals; the
@@ -445,14 +446,14 @@ class TestTotientOfProduct:
         assert isinstance(refused, AssociatePrimesError)
         # i * (2 + i) = -1 + 2i is an associate of alpha
         with pytest.raises(AssociatePrimesError):
-            admit(alpha, PrimeElement(field.ring.element((-1, 2))))
+            _admit(alpha, PrimeElement(field.ring.element((-1, 2))))
 
     def test_associates_raise_typed_error(self):
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((0, 1)))
         beta = PrimeElement(field.ring.element((2, 1)))
         with pytest.raises(AssociatePrimesError):
-            admit(alpha, beta)
+            _admit(alpha, beta)
         with pytest.raises(AssociatePrimesError):
             keypair_from_primes(field, alpha, beta)
 
@@ -460,7 +461,7 @@ class TestTotientOfProduct:
         field = quadratic_field(2)
         alpha = PrimeElement(field.ring.element((3, 0)))
         with pytest.raises(AssociatePrimesError):
-            admit(alpha, PrimeElement(field.ring.element((-3, 0))))
+            _admit(alpha, PrimeElement(field.ring.element((-3, 0))))
 
 
 def hnf_oracle(alpha, beta):
@@ -599,11 +600,11 @@ class TestProductLattice:
             for beta in primes:
                 if (alpha.root is None) != (beta.root is None):  # a scalar beside an element
                     with pytest.raises(ValueError):
-                        admit(alpha, beta)
+                        _admit(alpha, beta)
                     seen["mixed"] += 1
                 elif alpha.p == beta.p:  # associates or equal norms, unless 3 or 7 ramifies
                     with pytest.raises(ValueError if alpha.root is None else AssociatePrimesError):
-                        admit(alpha, beta)
+                        _admit(alpha, beta)
                     seen["one prime"] += 1
                 else:
                     kind = "scalar" if alpha.root is None else "prime-norm"
@@ -613,7 +614,7 @@ class TestProductLattice:
         for alpha in elements:
             negative = PrimeElement(field.ring.element(-c for c in alpha.element.coeffs))
             with pytest.raises(AssociatePrimesError):
-                admit(alpha, negative)
+                _admit(alpha, negative)
         assert seen["scalar"] == 2 and seen["mixed"] == 4 * count
         assert seen["prime-norm"] and seen["one prime"] >= count + 2
 
@@ -644,7 +645,7 @@ class TestProductLattice:
             from_public = (s**n - 1) * (diag[0] // s - 1)
         assert from_public == totient(field, alpha, beta)
         with pytest.raises(ValueError, match="equal norms|scalar beside an element"):
-            admit(alpha, beta)
+            _admit(alpha, beta)
 
     def test_scalar_pair_is_scaled_identity(self):
         field = cyclotomic_field(16)

@@ -21,13 +21,13 @@ from ringrsa import (
 from ringrsa.errors import CiphertextFormatError, KeyFileError
 from ringrsa.fields import (
     _NORM_BOUND_SLACK_BITS,
+    _check_norm_budget,
     _key_budget_bits,
     find_inert_prime,
     find_prime_norm_element,
 )
 from ringrsa.keyfiles import (
     CIPHERTEXT_MAGIC,
-    _check_norm_budget,
     fingerprint,
     parse_ciphertext,
     parse_private,

@@ -5,8 +5,8 @@ PublicKey are checked where key files are parsed (test_lattice.py,
 test_ring.py and test_scheme.py test those refusals).  Other modules test
 the rest of what the records do: cached_property values left out of
 equality (test_fields.py), and the _primes that keypair_from_primes
-seeds, so that validate_keypair after a keygen takes no norm
-(test_scheme.py).
+seeds, so that validate_keypair and decrypt_block after a keygen take no
+norm, primality test or Frobenius matrix again (test_scheme.py).
 """
 
 import importlib
@@ -24,7 +24,7 @@ from ringrsa._record import record
 from ringrsa.fields import FieldDescriptor, quadratic_field
 from ringrsa.lattice import HnfBasis
 from ringrsa.ring import make_ring
-from ringrsa.scheme import CiphertextBlock, _PrimeHalf
+from ringrsa.scheme import CiphertextBlock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIELD = quadratic_field(2)
@@ -64,8 +64,6 @@ def test_keywords_and_defaults():
     assert PublicKey(e=5, lattice=LATTICE, field=FIELD) == PublicKey(FIELD, LATTICE, 5)
     assert FieldDescriptor("generic", FIELD.ring).param is None
     assert FieldDescriptor(kind="quadratic", ring=FIELD.ring, param=2) == FIELD
-    assert _PrimeHalf(7, 3).frobenius == ()
-    assert _PrimeHalf(7, None, frobenius=((1,),)).frobenius == ((1,),)
 
 
 @pytest.mark.parametrize(

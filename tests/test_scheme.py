@@ -132,7 +132,7 @@ class TestKeygen:
         rng = random.Random(5)
         field = cyclotomic_field(5)
         pub, priv = keygen(field, InertPrimeMode(bits=6), rng=rng)
-        assert pub.lattice.dimension == 4
+        assert len(pub.lattice.entries) == 4
         p = priv.alpha.coeffs[0]
         assert priv.phi % (p**4 - 1) == 0
         assert validate_keypair(pub, priv)
@@ -380,7 +380,25 @@ class TestDecryptPaths:
         assert pub.lattice.cyclic == priv.lattice.cyclic
         assert bool(pub.lattice.cyclic) == (key in INTEGER_KEYS)
         if key in INTEGER_KEYS:
-            assert pub.lattice.cyclic == math.prod(h.p for h in priv._crt[:2])
+            assert pub.lattice.cyclic == math.prod(prime.p for prime in priv._primes)
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_digits_are_d_modulo_the_unit_group_order(self, key):
+        # the order of every unit of R/P divides N - 1, N = |N(P)|: p^n - 1
+        # for a scalar p, p - 1 for an element of prime norm p; d is reduced
+        # into [1, N - 1]
+        _, priv = PATH_KEYS[key]()
+        ctx = priv.field.ring
+        for element, digits in zip((priv.alpha, priv.beta), priv._digits):
+            n_abs = abs(norm(ctx, element))
+            scalar = not any(element.coeffs[1:])
+            p = abs(element.coeffs[0]) if scalar else n_abs
+            assert n_abs == p ** (ctx.degree if scalar else 1)
+            d_p, expected = (priv.d - 1) % (n_abs - 1) + 1, []
+            while d_p:
+                d_p, digit = divmod(d_p, p)
+                expected.append(digit)
+            assert digits == tuple(expected)
 
     @pytest.mark.parametrize("key", INTEGER_KEYS)
     def test_integer_keys_run_no_vector_work(self, key, ring_products, record_calls):
@@ -459,8 +477,7 @@ class TestFrobeniusPower:
         priv = hand_built_private_key(field, p, q, d=7)
         ctx = field.ring
         n = ctx.degree
-        p_half, q_half, _ = priv._crt
-        for half, prime in ((p_half, p), (q_half, q)):
+        for half, prime in zip(priv._primes, (p, q)):
             columns = list(zip(*half.frobenius))
             for j in range(n):
                 x_j = ctx.element(tuple(int(i == j) for i in range(n)))
@@ -529,7 +546,7 @@ class TestFrobeniusPower:
         pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(512))
         rng = random.Random(2)
         msg = tuple(rng.randrange(r) for r in pub.lattice.diag)
-        priv._crt  # the per-key set-up runs before counting
+        priv._eps  # the per-key set-up runs before counting
         assert all(len(digits) == 2 for digits in priv._digits)
         calls = []
         record_calls(lattice, "reduce_mod_lattice", lambda basis, vec: calls.append(basis))
@@ -683,7 +700,7 @@ KEYGEN_CASES = [
 
 @pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
 def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
-    # the searches seed each PrimeElement's verdict, which _crt reads
+    # keygen's private key keeps the searches' PrimeElements and their verdicts
     pub, priv = keygen(field, mode, rng=random.Random(seed))
     primality_calls.clear()
     assert validate_keypair(pub, priv)
@@ -694,14 +711,14 @@ def test_keygen_primes_are_not_tested_again(primality_calls, field, mode, seed):
 
 @pytest.fixture
 def frobenius_calls(record_calls):
-    """The p of every scheme._frobenius call."""
+    """The p of every fields._frobenius call."""
     calls = []
-    record_calls(scheme, "_frobenius", lambda ctx, p: calls.append(p))
+    record_calls(fields, "_frobenius", lambda ctx, p: calls.append(p))
     return calls
 
 
 def test_each_key_is_admitted_once(primality_calls, frobenius_calls, record_calls):
-    # keygen admits the key and the private key keeps the halves; a parse
+    # keygen admits the key and the private key keeps its primes; a parse
     # admits it again, and its digits of d are computed once, not per block
     pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(0x100))
     p, q = priv.alpha.coeffs[0], priv.beta.coeffs[0]
