@@ -42,10 +42,17 @@ GOLDEN = {
         "54613208c4baeec2ed384111ff7edc347617baf0ea646469c4b1da341aa76f6a",
         "67e332c423755c671e5ed5f5b1146982a43b517a507073822d64879c558274fe",
     ),
+    ("cyclotomic:m=16", "inert:bits=64"): (
+        "f4c0f45fe547624bed5e9b760fb57546a4aafde38a8e7ee7c281aa86e8da1780",
+        "b8ccdb0be7b844b1db9b9123eb2dda5d5ebf95e32114204ab7fd8c29f0ba8066",
+        "2762224ff427565735988afec25c67e54e6d513c406b83dc33d9d527f14bf3eb",
+    ),
 }
 
 
-@pytest.mark.parametrize("field, mode", GOLDEN, ids=["inert-d2", "element-m16", "element-generic"])
+@pytest.mark.parametrize(
+    "field, mode", GOLDEN, ids=["inert-d2", "element-m16", "element-generic", "inert-m16"]
+)
 def test_seeded_files_are_byte_identical(tmp_path, field, mode):
     pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
     src, ct, back = tmp_path / "m.bin", tmp_path / "m.ct", tmp_path / "m.out"
