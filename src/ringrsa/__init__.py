@@ -17,12 +17,12 @@ from .errors import (
 )
 from .fields import (
     PrimeElement,
+    coset_box,
     cyclotomic_field,
     generic_field,
     parse_field_spec,
     quadratic_field,
 )
-from .lattice import coset_box
 from .scheme import (
     InertPrimeMode,
     PrimeNormElementMode,

@@ -21,8 +21,7 @@ from .errors import (
     KeyFileError,
     SearchExhaustedError,
 )
-from .fields import parse_field_spec
-from .lattice import coset_box
+from .fields import coset_box, parse_field_spec
 from .scheme import (
     InertPrimeMode,
     PrimeNormElementMode,

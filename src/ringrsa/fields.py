@@ -10,7 +10,8 @@ norm forces the quotient by the element to be a prime field, so such an
 element generates a prime ideal.  That ideal is (N, x - r), where N is
 the norm and r the root of x modulo the element.  _ideal_basis writes the
 Hermite normal form of either key lattice, m I or (N, x - r), by formula,
-for product_lattice and for the public-key check ideal_lattice.  A
+as an HnfBasis, whose box coset_box reads, for product_lattice and for the
+public-key check ideal_lattice.  A
 PrimeElement keeps what a key derives from its prime, for a scalar p the
 Frobenius matrix of R/pR too, which scheme's admission rule and
 decryption read.
@@ -25,8 +26,7 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from ._record import record
-from .errors import KeyFileError, SearchExhaustedError
-from .lattice import HnfBasis
+from .errors import SearchExhaustedError
 from .primes import (
     _jacobi,
     carmichael_lambda,
@@ -47,6 +47,8 @@ __all__ = [
     "parse_field_spec",
     "find_inert_prime",
     "find_prime_norm_element",
+    "HnfBasis",
+    "coset_box",
     "product_lattice",
     "ideal_lattice",
 ]
@@ -84,9 +86,8 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
     budget, bits = _key_budget_bits(), (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
     each = (budget + _NORM_BOUND_SLACK_BITS) // 2
     if sum(bits) > budget or max(bits) > each:
-        raise KeyFileError(
-            f"private key file: alpha and beta too large (norm bounds above {budget} bits,"
-            f" or one above {each})"
+        raise ValueError(
+            f"alpha and beta too large (norm bounds above {budget} bits, or one above {each})"
         )
 
 
@@ -390,6 +391,26 @@ def find_prime_norm_element(
         if cand.p_is_prime:
             return cand
     raise SearchExhaustedError("search exhausted: no prime-norm element found")
+
+
+@record
+class HnfBasis:
+    entries: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def diag(self) -> tuple[int, ...]:
+        return tuple(row[i] for i, row in enumerate(self.entries))
+
+    @cached_property
+    def cyclic(self) -> int:
+        """N if the box is (N, 1, ..., 1), whose points (c, 0, ..., 0) are Z/N; else 0."""
+        corner, *rest = self.diag
+        return 0 if any(b != 1 for b in rest) else corner
+
+
+def coset_box(basis: HnfBasis) -> tuple[int, ...]:
+    """Radices of the box spanned by the diagonal: one point per residue class."""
+    return basis.diag
 
 
 def _ideal_basis(n: int, m: int, r: int | None = None) -> HnfBasis:

@@ -1,4 +1,4 @@
-"""Full-rank integer lattices with canonical upper-triangular bases.
+"""Hermite normal forms of any full-rank integer lattice.
 
 Basis vectors are matrix COLUMNS throughout the package.  The canonical
 basis is the (column-style) Hermite normal form: upper triangular,
@@ -7,20 +7,18 @@ to 0 <= b[i][j] < b[i][i].  It is unique per lattice, so basis equality is
 lattice equality.  The box {x : 0 <= x[i] < b[i][i]} then holds exactly
 one representative of every coset of Z^n modulo the lattice.
 
-Key lattices are the ideals m I and (N, x - r), whose canonical basis
-fields writes down by formula, and HnfBasis checks nothing: parse_public
-admits a key's by fields.ideal_lattice.  hnf, its Bareiss determinant,
-_xgcd and reduce_mod_lattice (the box point by back substitution) work
-for any lattice; no command calls them, and they stay for the
-benchmark's per-layer replay and as the tests' oracles.
+Key lattices are the ideals m I and (N, x - r), whose canonical basis,
+an HnfBasis, fields writes by formula; HnfBasis and coset_box live there.
+hnf, its Bareiss determinant, _xgcd and reduce_mod_lattice (the box point
+by back substitution) work for any lattice; no command imports them, and
+they stay for the benchmark's per-layer replay and as the tests' oracles.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 
-from ._record import record
+from .fields import HnfBasis, coset_box
 
 __all__ = [
     "HnfBasis",
@@ -29,21 +27,6 @@ __all__ = [
     "coset_box",
     "reduce_mod_lattice",
 ]
-
-
-@record
-class HnfBasis:
-    entries: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def diag(self) -> tuple[int, ...]:
-        return tuple(row[i] for i, row in enumerate(self.entries))
-
-    @cached_property
-    def cyclic(self) -> int:
-        """N if the box is (N, 1, ..., 1), whose points (c, 0, ..., 0) are Z/N; else 0."""
-        corner, *rest = self.diag
-        return 0 if any(b != 1 for b in rest) else corner
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -150,11 +133,6 @@ def hnf(matrix: Sequence[Sequence[int]]) -> HnfBasis:
                     cols[j][r] -= q * cols[i][r]
     entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return HnfBasis(entries)
-
-
-def coset_box(basis: HnfBasis) -> tuple[int, ...]:
-    """Radices of the box spanned by the diagonal: one point per residue class."""
-    return basis.diag
 
 
 def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...]:

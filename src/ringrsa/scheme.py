@@ -33,13 +33,13 @@ from .errors import (
 )
 from .fields import (
     FieldDescriptor,
+    HnfBasis,
     PrimeElement,
     _mat_vec_mod,
     find_inert_prime,
     find_prime_norm_element,
     product_lattice,
 )
-from .lattice import HnfBasis
 from .ring import RingElement, conv_multi_pow, conv_pow
 
 __all__ = [

@@ -389,7 +389,7 @@ class TestNormBudget:
             if bound == each:
                 _check_norm_budget(ctx, big, small)
             else:
-                with pytest.raises(KeyFileError, match=f"one above {each}"):
+                with pytest.raises(ValueError, match=f"one above {each}"):
                     _check_norm_budget(ctx, big, small)
 
 

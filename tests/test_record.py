@@ -126,4 +126,7 @@ def test_cli_import_set():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "ringrsa.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "ast", "dis"})
+    # no command imports lattice: fields writes the key lattices by formula
+    assert loaded.isdisjoint(
+        {"dataclasses", "inspect", "typing", "ast", "dis", "ringrsa.lattice"}
+    )
