@@ -10,7 +10,7 @@ norm forces the quotient by the element to be a prime field, so such an
 element generates a prime ideal.  That ideal is (N, x - r), where N is
 the norm and r the root of x modulo the element.  _ideal_basis writes the
 Hermite normal form of either key lattice, m I or (N, x - r), by formula,
-as an HnfBasis, whose box coset_box reads, for product_lattice and for the
+as an HnfBasis (coset_box reads its box), for product_lattice and for the
 public-key check ideal_lattice.  A
 PrimeElement keeps what a key derives from its prime, for a scalar p the
 Frobenius matrix of R/pR too, which scheme's admission rule and

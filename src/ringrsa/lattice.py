@@ -10,8 +10,8 @@ one representative of every coset of Z^n modulo the lattice.
 Key lattices are the ideals m I and (N, x - r), whose canonical basis,
 an HnfBasis, fields writes by formula; HnfBasis and coset_box live there.
 hnf, its Bareiss determinant, _xgcd and reduce_mod_lattice (the box point
-by back substitution) work for any lattice; no command imports them, and
-they stay for the benchmark's per-layer replay and as the tests' oracles.
+by back substitution) work for any lattice; no command imports this module:
+it stays for the benchmark's per-layer replay and as the tests' oracles.
 """
 
 from __future__ import annotations
