@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -35,7 +34,8 @@ from .primes import (
     multiplicative_order,
 )
 from .ring import (
-    RingContext, RingElement, conv_mul, conv_pow, make_ring, norm_and_linear, norm_bound_bits,
+    RingContext, RingElement, conv_mul, conv_pow, make_ring, norm, norm_and_linear,
+    norm_bound_bits,
 )
 
 __all__ = [
@@ -67,12 +67,11 @@ _MAX_DEGREE = 128
 # Bits the bound on N(alpha) N(beta) may exceed what a key file carries by: on
 # keygen's keys it overshoots by up to 1036 (cyclotomic:m=255, the worst measured).
 _NORM_BOUND_SLACK_BITS = 2048
-
-
-def _key_budget_bits() -> int:
-    """Bits for N(alpha) N(beta), or a key lattice's determinant: the digit limit plus slack."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    return digits * 3322 // 1000 + _NORM_BOUND_SLACK_BITS  # log2(10) < 3.322
+# Bits for N(alpha) N(beta), or a key lattice's determinant: the 4300 decimal
+# digits of the default int-to-str limit (log2(10) < 3.322) plus the slack,
+# 16332.  A constant, so that raising the digit limit (PYTHONINTMAXSTRDIGITS)
+# raises no bound on untrusted input.
+_KEY_BUDGET_BITS = 4300 * 3322 // 1000 + _NORM_BOUND_SLACK_BITS
 
 
 def _check_norm_budget(ctx, alpha, beta) -> None:
@@ -83,7 +82,7 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
     work of the two norms a parse computes.  Each norm may take half the
     digits plus the slack, which bounds the primality test of one norm.
     """
-    budget, bits = _key_budget_bits(), (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
+    budget, bits = _KEY_BUDGET_BITS, (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
     each = (budget + _NORM_BOUND_SLACK_BITS) // 2
     if sum(bits) > budget or max(bits) > each:
         raise ValueError(
@@ -109,9 +108,13 @@ class FieldDescriptor:
 class PrimeElement:
     """An element meant to generate a prime ideal P; the admission rule refuses it if not.
 
-    norm_abs and root come from one resultant, computed on first read and
-    kept, and so do p, p_is_prime and frobenius, the whole of what a key
-    derives from its prime; equality and hashing see only the element.
+    norm_abs comes from ring.norm, which halves the degree over a binomial
+    phi, and root from the subresultant PRS, which also gives the norm: a
+    prime search reads norm_abs of every candidate and root of the primes
+    it keeps, and a parsed key, root first, takes one PRS per prime.  Each
+    is computed on first read and kept, and so are p, p_is_prime and
+    frobenius, the whole of what a key derives from its prime; equality
+    and hashing see only the element.
     """
 
     element: RingElement
@@ -139,7 +142,8 @@ class PrimeElement:
 
     @cached_property
     def norm_abs(self) -> int:
-        return abs(self._norm_and_linear[0])
+        known = vars(self).get("_norm_and_linear")  # root has taken the PRS
+        return abs(known[0] if known else norm(self.element.context, self.element))
 
     @cached_property
     def root(self) -> int | None:
@@ -155,7 +159,8 @@ class PrimeElement:
         """
         if _is_scalar(self):
             return None
-        n_abs, linear = self.norm_abs, self._norm_and_linear[1]
+        linear = self._norm_and_linear[1]  # the PRS first, whose norm norm_abs then reads
+        n_abs = self.norm_abs
         not_cyclic = ValueError("the quotient by an element is not Z/N(element)")
         if linear is None:
             raise not_cyclic
@@ -348,6 +353,21 @@ def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
     return PrimeElement(field.ring.element((p,) + (0,) * (field.ring.degree - 1)))
 
 
+def _check_search_budget(ctx: RingContext, largest: RingElement) -> None:
+    """Refuse, before any draw, a search whose two primes may not fit a key file.
+
+    A key takes two primes of one search, each of a norm below 2 to the
+    norm bound of the largest candidate: the scalar 2^bits - 1, which
+    makes 2 n bits for the pair, or the all-bound vector.  The pair must
+    fit the budget _check_norm_budget puts on a parsed key.
+    """
+    bits = 2 * norm_bound_bits(ctx, largest)
+    if bits > _KEY_BUDGET_BITS:
+        raise ValueError(
+            f"key too large for a key file (norms up to {bits} bits, above {_KEY_BUDGET_BITS})"
+        )
+
+
 def find_inert_prime(
     field: FieldDescriptor,
     bits: int,
@@ -358,6 +378,7 @@ def find_inert_prime(
     if bits < 2:
         raise ValueError("bits must be at least 2")
     lo, hi = 1 << (bits - 1), 1 << bits
+    _check_search_budget(field.ring, _scalar_element(field, hi - 1).element)
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
         # the residue test first: it needs no modexp and refuses most
@@ -383,6 +404,7 @@ def find_prime_norm_element(
         raise ValueError("coeff_bound must be at least 1")
     ctx = field.ring
     n = ctx.degree
+    _check_search_budget(ctx, ctx.element((coeff_bound,) * n))
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         coeffs = tuple(rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n))
         if n > 1 and not any(coeffs[1:]):
@@ -454,7 +476,7 @@ def ideal_lattice(ctx: RingContext, entries: tuple[tuple[int, ...], ...]) -> Hnf
     m I is an ideal, and (N, x - r) is one exactly when phi(r) = 0 (mod N).
     """
     n, basis = ctx.degree, HnfBasis(entries)
-    diag, budget = basis.diag, _key_budget_bits()
+    diag, budget = basis.diag, _KEY_BUDGET_BITS
     if sum(c.bit_length() for c in diag) > budget:
         raise ValueError(f"lattice too large (determinant above {budget} bits)")
     m = diag[0]

@@ -26,9 +26,12 @@ One-off products (conv_mul) stay with _conv, which costs nothing to set up.
 
 The norm of f is det f(H); since phi is monic it equals the resultant
 Res(phi, f), which the subresultant PRS gives exactly over Z in O(n^2)
-integer steps, against the O(n^3) of an n x n determinant.  The same PRS
-yields its member of degree 1, from which fields reads the integer that x
-is congruent to modulo f.
+integer steps, against the O(n^3) of an n x n determinant.  Over a
+binomial phi = x^n - c, as every preset is, norm first halves the degree
+while n is even, N(f) = N'(f(x) f(-x)) over y = x^2 (the field-norm tower
+of Pornin and Prest, PKC 2019), at one half-size square per step.  The
+PRS, norm_and_linear, also yields its member of degree 1, from which
+fields reads the integer that x is congruent to modulo f.
 """
 
 from __future__ import annotations
@@ -391,30 +394,62 @@ def _resultant(a: list[int], b: list[int]) -> tuple[int, list[int] | None]:
     return sign * scale * (b[0] ** da // h ** (da - 1)), linear
 
 
+def _square_mod_binomial(a: list[int], c: int) -> list[int]:
+    """a^2 in Z[y]/(y^m - c), m = len(a), from the m(m+1)/2 distinct products, as sqr takes them."""
+    m = len(a)
+    prod = [0] * (2 * m)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[2 * i] += ai * ai
+            di = ai + ai
+            for j in range(i + 1, m):
+                prod[i + j] += di * a[j]
+    return [lo + c * hi for lo, hi in zip(prod[:m], prod[m:])]
+
+
+def _prs_norm(phi: Sequence[int], coeffs: list[int]) -> tuple[int, list[int] | None]:
+    """Res(phi, f) and its member of degree 1 by _resultant, f given by coeffs, trimmed here."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        return 0, None
+    return _resultant([-c for c in phi] + [1], coeffs)
+
+
 def norm(ctx: RingContext, f: RingElement) -> int:
     """N(f) = det f(H), the signed determinant of the ideal matrix of f.
 
-    phi is monic, so this is the resultant Res(phi, f), taken by the
-    subresultant PRS exactly over Z in O(n^2) integer steps; no ideal
-    matrix is built.  It is 0 for f = 0 and when f shares a factor with
-    phi.
+    phi is monic, so this is the resultant Res(phi, f); no ideal matrix is
+    built.  While phi = x^n - c with n even, f = e(y) + x o(y), y = x^2,
+    is replaced by f(x) f(-x) = e(y)^2 - y o(y)^2 in Z[y]/(y^(n/2) - c):
+    the roots of y^(n/2) - c are the squares of the pairs +-t of roots of
+    phi, so the resultant, sign included, stays the same for every c.  At
+    n = 1 the norm is the constant; any other phi, or an odd n > 1, goes
+    to the subresultant PRS, exact over Z in O(n^2) integer steps.  It is
+    0 for f = 0 and when f shares a factor with phi.
     """
-    return norm_and_linear(ctx, f)[0]
+    _claim(ctx, f)
+    phi, coeffs = ctx.phi_coeffs, list(f.coeffs)
+    if not any(phi[1:]):  # phi = x^n - c
+        c = phi[0]
+        while len(coeffs) % 2 == 0:
+            even = _square_mod_binomial(coeffs[::2], c)
+            odd = _square_mod_binomial(coeffs[1::2], c)
+            coeffs = [e - o for e, o in zip(even, [c * odd[-1]] + odd[:-1])]
+        if len(coeffs) == 1:
+            return coeffs[0]
+        phi = (c,) + (0,) * (len(coeffs) - 1)
+    return _prs_norm(phi, coeffs)[0]
 
 
 def norm_and_linear(ctx: RingContext, f: RingElement) -> tuple[int, list[int] | None]:
-    """N(f) and, from the same PRS, its member c0 + c1 x of degree 1 as [c0, c1].
+    """N(f) and, from the subresultant PRS, its member c0 + c1 x of degree 1 as [c0, c1].
 
     That member is a rational multiple of the subresultant S_1(phi, f),
     which lies in the ideal (phi, f) of Z[x]; None when there is none.
     """
     _claim(ctx, f)
-    coeffs = list(f.coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs:
-        return 0, None
-    return _resultant([-c for c in ctx.phi_coeffs] + [1], coeffs)
+    return _prs_norm(ctx.phi_coeffs, list(f.coeffs))
 
 
 def norm_bound_bits(ctx: RingContext, f: RingElement) -> int:

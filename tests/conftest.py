@@ -94,12 +94,16 @@ def record_calls(monkeypatch):
 
 @pytest.fixture
 def norm_calls(record_calls):
-    """The coefficients of every element whose norm a ringrsa module takes.
+    """(function, coefficients) of every norm a ringrsa module takes, in call order.
 
-    ring.norm and PrimeElement both take a norm through ring.norm_and_linear.
+    The function is "norm" for ring.norm, which halves the degree over a
+    binomial phi and gives PrimeElement.norm_abs, or "norm_and_linear" for
+    the subresultant PRS that PrimeElement.root takes.  ring.norm calls no
+    norm_and_linear, so each norm is recorded once.
     """
     calls = []
-    record_calls(ring, "norm_and_linear", lambda ctx, elem: calls.append(elem.coeffs))
+    for name in ("norm", "norm_and_linear"):
+        record_calls(ring, name, lambda ctx, elem, name=name: calls.append((name, elem.coeffs)))
     return calls
 
 

@@ -162,6 +162,23 @@ class TestKeygenCommand:
         assert not pub.exists() and not priv.exists()
 
 
+    def test_key_past_the_budget_is_refused_before_the_search(self, tmp_path, capsys):
+        # 2 * 128 * 64 bits of (p^128 - 1)(q^128 - 1): refused at once, not
+        # after a search of 64-bit inert primes at degree 128
+        pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+        start = time.monotonic()
+        code = main(
+            ["keygen", "--field", "cyclotomic:m=256", "--mode", "inert:bits=64",
+             "--seed", "0x5", "--pub", str(pub), "--priv", str(priv)]
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: key too large for a key file (norms up to 16384 bits, above 16332)\n"
+        )
+        assert not pub.exists() and not priv.exists()
+
+
 class TestEncryptDecrypt:
     def roundtrip(self, tmp_path, payload, keygen_args=()):
         code, pub, priv = run_keygen(tmp_path, *keygen_args)

@@ -379,12 +379,15 @@ class TestFindPrimeNormElement:
                     out.append(coeffs)
             return out
 
-        candidates = drawn(5, alpha) + drawn(6, beta)
+        # one halving norm per candidate drawn, and the PRS only for the
+        # roots of the two primes kept, which the key pair reads
+        candidates = [("norm", c) for c in drawn(5, alpha) + drawn(6, beta)]
         assert len(candidates) > 2
         assert norm_calls == candidates
         assert is_probable_prime(alpha.norm_abs) and alpha.norm_abs != beta.norm_abs
         keypair_from_primes(field, alpha, beta)
-        assert norm_calls == candidates
+        roots = [("norm_and_linear", prime.element.coeffs) for prime in (alpha, beta)]
+        assert norm_calls == candidates + roots
 
 
 class TestPrimeElement:

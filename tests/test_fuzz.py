@@ -34,7 +34,7 @@ from ringrsa import (
     parse_field_spec,
 )
 from ringrsa.cli import main
-from ringrsa.fields import _key_budget_bits
+from ringrsa.fields import _KEY_BUDGET_BITS
 from ringrsa.keyfiles import (
     fingerprint,
     parse_ciphertext,
@@ -263,7 +263,7 @@ REFUSED_PUBLIC = {
     # x = 3 modulo the lattice, and phi(3) = 10 is not 0 mod 15
     "not-an-ideal": lambda: public_text("quadratic:d=-1", ((15, 12), (0, 1)), 7),
     "not-a-key-shape": skew_diagonal_public,
-    "corner-over-budget": lambda: scalar_public(_key_budget_bits() // 2 + 1),
+    "corner-over-budget": lambda: scalar_public(_KEY_BUDGET_BITS // 2 + 1),
     # the totient follows from either lattice: 3 (7, x - 4) of the scalar 3
     # beside 3 + sqrt(2), and (11, 11, 1, 1) of two elements of norm 11
     "mixed": lambda: product_public("quadratic:d=2", (3, 0), (3, 1)),
@@ -281,7 +281,7 @@ def test_cli_refuses_hostile_public_keys(workdir, name):
 
 
 def test_cli_encrypts_under_a_corner_at_the_budget(workdir):
-    pub = write(workdir / "edge.pub", scalar_public(_key_budget_bits() // 2))
+    pub = write(workdir / "edge.pub", scalar_public(_KEY_BUDGET_BITS // 2))
     code = run_cli("encrypt", "--pub", pub, "--in", str(workdir / "payload"),
                    "--out", str(workdir / "edge.ct"))
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -20,9 +21,9 @@ from ringrsa import (
 )
 from ringrsa.errors import CiphertextFormatError, KeyFileError
 from ringrsa.fields import (
+    _KEY_BUDGET_BITS,
     _NORM_BOUND_SLACK_BITS,
     _check_norm_budget,
-    _key_budget_bits,
     find_inert_prime,
     find_prime_norm_element,
 )
@@ -213,7 +214,7 @@ class TestPublicKeyRule:
 
     def test_corner_bounded_by_the_private_key_budget(self):
         # c I is an ideal for every c; at degree 128 it has 128 bitlen(c) bits
-        budget = _key_budget_bits()
+        budget = _KEY_BUDGET_BITS
         for bits in (budget // 128, budget // 128 + 1):
             c = (1 << bits) - 1
             text = public_text("cyclotomic:m=256", tuple(
@@ -379,7 +380,7 @@ class TestNormBudget:
     def test_each_norm_bounded_by_half_the_digits_plus_slack(self):
         # 1 + 2i beside a + i, of norm bound bitlen(a^2 + 1) + 1: the sum stays in
         # the budget, and one norm may not pass (budget + slack) / 2 = 9190 bits
-        ctx, budget = quadratic_field(-1).ring, _key_budget_bits()
+        ctx, budget = quadratic_field(-1).ring, _KEY_BUDGET_BITS
         each = (budget + _NORM_BOUND_SLACK_BITS) // 2
         small = ctx.element((1, 2))
         for bound in (each, each + 1):
@@ -391,6 +392,29 @@ class TestNormBudget:
             else:
                 with pytest.raises(ValueError, match=f"one above {each}"):
                     _check_norm_budget(ctx, big, small)
+
+
+def test_budget_is_fixed_whatever_the_digit_limit():
+    # PYTHONINTMAXSTRDIGITS sets the same limit; raised, it leaves the budget,
+    # 16332 bits at the default of 4300 digits, where it was
+    assert _KEY_BUDGET_BITS == 16332 == 4300 * 3322 // 1000 + _NORM_BOUND_SLACK_BITS
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(100_000)
+        ctx = cyclotomic_field(256).ring
+        over = ctx.element(((1 << 64) - 59,) + (0,) * 127)  # 2 * 64 * 128 = 16384 bits
+        with pytest.raises(ValueError, match="above 16332 bits"):
+            _check_norm_budget(ctx, over, over)
+        c = (1 << (_KEY_BUDGET_BITS // 128 + 1)) - 1
+        text = public_text("cyclotomic:m=256", tuple(
+            tuple(c * (i == j) for j in range(128)) for i in range(128)
+        ))
+        with pytest.raises(KeyFileError, match="above 16332 bits"):
+            parse_public(text)
+        with pytest.raises(ValueError, match="above 16332"):
+            find_inert_prime(cyclotomic_field(256), 64, random.Random(0))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestFingerprint:

@@ -22,6 +22,7 @@ from ringrsa.ring import (
     ideal_matrix,
     make_ring,
     norm,
+    norm_and_linear,
     norm_bound_bits,
 )
 from oracles import poly_mulmod_naive
@@ -577,6 +578,23 @@ NORM_CASES = [
     ("generic:phi=-2,0,-3,0", (2, 0, 1, 0), 0),
     ("generic:phi=-2,0,-3,0", (3, 0, 3, 0), 0),
     ("generic:phi=-2,0,-3,0", (1, 1, 0, 0), 6),
+    # binomials x^n - c, whose norm halves the degree while n is even
+    ("quadratic:d=-1", (1, 8), 65),
+    ("quadratic:d=-1", (0, 1), 1),
+    ("quadratic:d=-1", (-3, 0), 9),
+    # x^6 - 3 halves once, to y^3 - 3, which goes to the PRS
+    ("generic:phi=3,0,0,0,0,0", (0, 1, 0, 0, 0, 0), -3),
+    ("generic:phi=3,0,0,0,0,0", (2, 0, 0, 0, 0, 0), 64),
+    ("generic:phi=3,0,0,0,0,0", (4, -1, 3, 0, 2, -5), -639227),
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2), reducible with c = -4
+    ("generic:phi=-4,0,0,0", (2, 2, 1, 0), 0),
+    ("generic:phi=-4,0,0,0", (1, 1, 0, 0), 5),
+    ("generic:phi=-4,0,0,0", (3, 0, -1, 2), 425),
+    # x^4 - 4 = (x^2 - 2)(x^2 + 2)
+    ("generic:phi=4,0,0,0", (-2, 0, 1, 0), 0),
+    ("generic:phi=4,0,0,0", (0, 1, 0, 0), -4),
+    # degree 1: the norm is the constant
+    ("generic:phi=-5", (-7,), -7),
 ]
 
 
@@ -596,11 +614,33 @@ class TestNormResultant:
         f = ctx.element(rand_coeffs(random.Random(0x256), 128, 3))
         assert norm(ctx, f) == bareiss_norm(ctx, f) != 0
 
+    def test_degree_128_element_of_64_bit_coefficients_equals_the_prs(self):
+        ctx = cyclotomic_field(256).ring
+        rng = random.Random(0x25664)
+        f = ctx.element(rng.randrange(-(1 << 64), 1 << 64) for _ in range(128))
+        assert norm(ctx, f) == norm_and_linear(ctx, f)[0] != 0
+
+    @pytest.mark.parametrize(
+        "spec,prs_degrees", [("cyclotomic:m=64", []), ("generic:phi=3,0,0,0,0,0", [3]),
+                             ("cyclotomic:m=5", [4]), ("quadratic:d=-5", [])],
+    )
+    def test_binomials_halve_to_the_prs_only_at_an_odd_degree(
+        self, record_calls, spec, prs_degrees
+    ):
+        # the PRS sees deg phi; cyclotomic:m=5 is no binomial, so it goes there whole
+        calls = []
+        record_calls(ring, "_resultant", lambda a, b: calls.append(len(a) - 1))
+        ctx = parse_field_spec(spec).ring
+        assert norm(ctx, ctx.element(range(1, ctx.degree + 1))) != 0
+        assert calls == prs_degrees
+
     @settings(max_examples=40)
     @given(
         st.sampled_from([
             "quadratic:d=2", "quadratic:d=-5", "cyclotomic:m=5", "cyclotomic:m=16",
             "cyclotomic:m=64", "generic:phi=3,1,0,0,-1", "generic:phi=-2,0,-3,0",
+            "quadratic:d=-1", "generic:phi=3,0,0,0,0,0", "generic:phi=-4,0,0,0",
+            "generic:phi=4,0,0,0",
         ]),
         st.lists(st.integers(-6, 6), min_size=64, max_size=64),
         st.integers(1, 4),
@@ -609,6 +649,14 @@ class TestNormResultant:
         ctx = parse_field_spec(spec).ring
         f = ctx.element([scale * c for c in pool[: ctx.degree]])
         assert norm(ctx, f) == bareiss_norm(ctx, f)
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 12), st.integers(-30, 30), st.lists(st.integers(-9, 9), min_size=12, max_size=12))
+    def test_any_binomial_equals_bareiss_and_the_prs(self, n, c, pool):
+        # built past make_ring, so c = 0 and binomials with a rational root are in
+        ctx = ring.RingContext((c,) + (0,) * (n - 1))
+        f = ctx.element(pool[:n])
+        assert norm(ctx, f) == bareiss_norm(ctx, f) == norm_and_linear(ctx, f)[0]
 
     @pytest.mark.parametrize("spec,coeffs,expected", NORM_CASES)
     def test_bound_holds(self, spec, coeffs, expected):

@@ -555,6 +555,47 @@ class TestFrobeniusPower:
         assert calls == []
 
 
+class NoDraws:
+    """An rng that refuses every draw, so a search that starts raises DrawTaken."""
+
+    def __getattr__(self, name):
+        raise DrawTaken(name)
+
+
+class DrawTaken(Exception):
+    pass
+
+
+class TestKeygenSizeBound:
+    """keygen refuses a mode whose largest key may not fit a key file before any draw.
+
+    Two primes of the largest norm bound, the scalar 2^bits - 1 or the
+    all-bound vector, must fit the key budget of 16332 bits: 2 n bits
+    for inert keys.
+    """
+
+    @pytest.mark.parametrize(
+        "field,mode",
+        [(quadratic_field(2), InertPrimeMode(4083)),  # 2 * 2 * 4083 = 16332 bits
+         (cyclotomic_field(256), PrimeNormElementMode((1 << 59) - 1))],  # 16254 bits
+        ids=["inert", "element"],
+    )
+    def test_largest_accepted_size_starts_the_search(self, field, mode):
+        with pytest.raises(DrawTaken):
+            keygen(field, mode, rng=NoDraws())
+
+    @pytest.mark.parametrize(
+        "field,mode,bits",
+        [(quadratic_field(2), InertPrimeMode(4084), 16336),
+         (cyclotomic_field(256), PrimeNormElementMode(1 << 59), 16382),
+         (cyclotomic_field(256), InertPrimeMode(64), 16384)],
+        ids=["inert", "element", "inert-degree-128"],
+    )
+    def test_smallest_refused_size_draws_nothing(self, field, mode, bits):
+        with pytest.raises(ValueError, match=f"key too large for a key file .*{bits} bits"):
+            keygen(field, mode, rng=NoDraws())
+
+
 @pytest.fixture
 def hnf_calls(record_calls):
     """Counts lattice.hnf calls made through any ringrsa module."""
@@ -577,10 +618,14 @@ class TestHnfPerKey:
         assert pub.lattice.diag[1] == 1
         assert len(hnf_calls) == 0
 
+    # a scalar's norm_abs is ring.norm; an element's root takes the PRS,
+    # which gives its norm too
     @pytest.mark.parametrize(
-        "mode", [InertPrimeMode(bits=16), PrimeNormElementMode(30)], ids=["inert", "element"]
+        "mode,taken",
+        [(InertPrimeMode(bits=16), "norm"), (PrimeNormElementMode(30), "norm_and_linear")],
+        ids=["inert", "element"],
     )
-    def test_parse_private_then_decrypt(self, hnf_calls, norm_calls, mode):
+    def test_parse_private_then_decrypt(self, hnf_calls, norm_calls, mode, taken):
         pub, priv = keygen(FIELD, mode, rng=random.Random(5))
         text = render_private(priv, pub.e)
         ct = encrypt_block(pub, (1, 0)).vector.coeffs
@@ -590,7 +635,7 @@ class TestHnfPerKey:
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert len(hnf_calls) == 0
-        assert sorted(norm_calls) == sorted((priv.alpha.coeffs, priv.beta.coeffs))
+        assert sorted(norm_calls) == sorted((taken, c) for c in (priv.alpha.coeffs, priv.beta.coeffs))
 
     def test_keypair_from_read_norms_takes_no_norm(self, norm_calls):
         field = cyclotomic_field(16)
@@ -600,7 +645,9 @@ class TestHnfPerKey:
         assert alpha.norm_abs != beta.norm_abs
         norm_calls.clear()
         pub, priv = keypair_from_primes(field, alpha, beta)
-        assert norm_calls == []
+        # no norm again: only the PRS of each root, which the search did not take
+        assert norm_calls == [("norm_and_linear", alpha.element.coeffs),
+                              ("norm_and_linear", beta.element.coeffs)]
         assert pub.lattice.diag[0] == alpha.norm_abs * beta.norm_abs
 
     def test_keygen_then_validate_and_decrypt_take_no_norm(self, norm_calls):
