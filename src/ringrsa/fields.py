@@ -81,6 +81,9 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
     about d) has more digits than the int-to-str limit; this bounds the
     work of the two norms a parse computes.  Each norm may take half the
     digits plus the slack, which bounds the primality test of one norm.
+    Each prime search runs it first on its largest candidate, twice (the
+    scalar 2^bits - 1, or the all-bound vector), so a mode whose keys
+    may not fit is refused before any draw.
     """
     budget, bits = _KEY_BUDGET_BITS, (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
     each = (budget + _NORM_BOUND_SLACK_BITS) // 2
@@ -353,21 +356,6 @@ def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
     return PrimeElement(field.ring.element((p,) + (0,) * (field.ring.degree - 1)))
 
 
-def _check_search_budget(ctx: RingContext, largest: RingElement) -> None:
-    """Refuse, before any draw, a search whose two primes may not fit a key file.
-
-    A key takes two primes of one search, each of a norm below 2 to the
-    norm bound of the largest candidate: the scalar 2^bits - 1, which
-    makes 2 n bits for the pair, or the all-bound vector.  The pair must
-    fit the budget _check_norm_budget puts on a parsed key.
-    """
-    bits = 2 * norm_bound_bits(ctx, largest)
-    if bits > _KEY_BUDGET_BITS:
-        raise ValueError(
-            f"key too large for a key file (norms up to {bits} bits, above {_KEY_BUDGET_BITS})"
-        )
-
-
 def find_inert_prime(
     field: FieldDescriptor,
     bits: int,
@@ -378,7 +366,8 @@ def find_inert_prime(
     if bits < 2:
         raise ValueError("bits must be at least 2")
     lo, hi = 1 << (bits - 1), 1 << bits
-    _check_search_budget(field.ring, _scalar_element(field, hi - 1).element)
+    largest = _scalar_element(field, hi - 1).element
+    _check_norm_budget(field.ring, largest, largest)
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
         # the residue test first: it needs no modexp and refuses most
@@ -404,7 +393,8 @@ def find_prime_norm_element(
         raise ValueError("coeff_bound must be at least 1")
     ctx = field.ring
     n = ctx.degree
-    _check_search_budget(ctx, ctx.element((coeff_bound,) * n))
+    largest = ctx.element((coeff_bound,) * n)
+    _check_norm_budget(ctx, largest, largest)
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         coeffs = tuple(rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n))
         if n > 1 and not any(coeffs[1:]):

@@ -161,7 +161,6 @@ class TestKeygenCommand:
         )
         assert not pub.exists() and not priv.exists()
 
-
     def test_key_past_the_budget_is_refused_before_the_search(self, tmp_path, capsys):
         # 2 * 128 * 64 bits of (p^128 - 1)(q^128 - 1): refused at once, not
         # after a search of 64-bit inert primes at degree 128
@@ -174,7 +173,7 @@ class TestKeygenCommand:
         assert time.monotonic() - start < 1.0
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: key too large for a key file (norms up to 16384 bits, above 16332)\n"
+            "error: alpha and beta too large (norm bounds above 16332 bits, or one above 9190)\n"
         )
         assert not pub.exists() and not priv.exists()
 
