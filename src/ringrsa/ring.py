@@ -27,11 +27,12 @@ One-off products (conv_mul) stay with _conv, which costs nothing to set up.
 The norm of f is det f(H); since phi is monic it equals the resultant
 Res(phi, f), which the subresultant PRS gives exactly over Z in O(n^2)
 integer steps, against the O(n^3) of an n x n determinant.  Over a
-binomial phi = x^n - c, as every preset is, norm first halves the degree
-while n is even, N(f) = N'(f(x) f(-x)) over y = x^2 (the field-norm tower
-of Pornin and Prest, PKC 2019), at one half-size square per step.  The
-PRS, norm_and_linear, also yields its member of degree 1, from which
-fields reads the integer that x is congruent to modulo f.
+binomial phi = x^n - c (quadratic fields, and cyclotomic ones of m = 2^k),
+norm first halves the degree while n is even, N(f) = N'(f(x) f(-x)) over
+y = x^2 (the field-norm tower of Pornin and Prest, PKC 2019), at one
+half-size square per step.  The PRS, norm_and_linear, also yields its
+member of degree 1, from which fields reads the integer that x is
+congruent to modulo f.
 """
 
 from __future__ import annotations
