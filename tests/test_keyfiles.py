@@ -56,7 +56,60 @@ def keypair():
     return keygen(FIELD, InertPrimeMode(bits=12), rng=random.Random(100))
 
 
-class TestPublicFiles:
+class KeyFileHeaderCases:
+    """The header checks both key files share, run once per kind by each subclass."""
+
+    def test_field_order_is_fixed(self, keypair):
+        names = [line.split(" =")[0] for line in self.render(keypair).splitlines()]
+        assert names == self.NAMES
+
+    def test_comments_and_blank_lines_ignored(self, keypair):
+        text = "# made by hand\n\n" + self.render(keypair) + "\n# trailing\n"
+        assert self.parse(text) == self.parsed(keypair)
+
+    def test_unknown_field_rejected(self, keypair):
+        text = self.render(keypair) + "extra = 1\n"
+        with pytest.raises(KeyFileError, match=f"{self.ROLE} key file: unknown field on line"):
+            self.parse(text)
+
+    def test_duplicate_field_rejected(self, keypair):
+        text = self.render(keypair) + "e = 3\n"
+        with pytest.raises(KeyFileError, match=f"{self.ROLE} key file: duplicate field 'e'"):
+            self.parse(text)
+
+    def test_missing_field_rejected(self, keypair):
+        lines = self.render(keypair).splitlines()
+        text = "\n".join(line for line in lines if not line.startswith("e ="))
+        with pytest.raises(KeyFileError, match=f"{self.ROLE} key file: missing field 'e'"):
+            self.parse(text)
+
+    def test_wrong_role_rejected(self, keypair):
+        other = "private" if self.ROLE == "public" else "public"
+        text = self.render(keypair).replace(f"role = {self.ROLE}", f"role = {other}")
+        with pytest.raises(KeyFileError, match=f"^{self.ROLE} key file: wrong role$"):
+            self.parse(text)
+
+    def test_unsupported_version_rejected(self, keypair):
+        text = self.render(keypair).replace("format_version = 1", "format_version = 2")
+        with pytest.raises(
+            KeyFileError, match=f"^{self.ROLE} key file: unsupported format version$"
+        ):
+            self.parse(text)
+
+
+class TestPublicFiles(KeyFileHeaderCases):
+    ROLE, NAMES = "public", ["format_version", "role", "field", "lattice", "e"]
+
+    @staticmethod
+    def render(keypair):
+        return render_public(keypair[0])
+
+    parse = staticmethod(parse_public)
+
+    @staticmethod
+    def parsed(keypair):
+        return keypair[0]
+
     def test_roundtrip(self, keypair):
         pub, _ = keypair
         assert parse_public(render_public(pub)) == pub
@@ -65,55 +118,12 @@ class TestPublicFiles:
         pub, _ = keypair
         assert render_public(pub) == render_public(pub)
 
-    def test_field_order_is_fixed(self, keypair):
-        pub, _ = keypair
-        names = [line.split(" =")[0] for line in render_public(pub).splitlines()]
-        assert names == ["format_version", "role", "field", "lattice", "e"]
-
-    def test_comments_and_blank_lines_ignored(self, keypair):
-        pub, _ = keypair
-        text = "# made by hand\n\n" + render_public(pub) + "\n# trailing\n"
-        assert parse_public(text) == pub
-
-    def test_unknown_field_rejected(self, keypair):
-        pub, _ = keypair
-        text = render_public(pub) + "extra = 1\n"
-        with pytest.raises(KeyFileError, match="unknown field"):
-            parse_public(text)
-
     @pytest.mark.parametrize("line", ["= 1", "block = 1,2"])
     def test_nameless_and_block_lines_rejected(self, keypair, line):
         # only a ciphertext repeats `block`; a key file knows no such field
         pub, _ = keypair
         with pytest.raises(KeyFileError, match="unknown field"):
             parse_public(render_public(pub) + line + "\n")
-
-    def test_duplicate_field_rejected(self, keypair):
-        pub, _ = keypair
-        text = render_public(pub) + "e = 3\n"
-        with pytest.raises(KeyFileError, match="duplicate field"):
-            parse_public(text)
-
-    def test_missing_field_rejected(self, keypair):
-        pub, _ = keypair
-        lines = render_public(pub).splitlines()
-        text = "\n".join(line for line in lines if not line.startswith("e ="))
-        with pytest.raises(KeyFileError, match="missing field"):
-            parse_public(text)
-
-    def test_wrong_role_rejected(self, keypair):
-        pub, _ = keypair
-        text = render_public(pub).replace("role = public", "role = private")
-        with pytest.raises(KeyFileError, match="wrong role"):
-            parse_public(text)
-
-    def test_unsupported_version_rejected(self, keypair):
-        pub, _ = keypair
-        text = render_public(pub).replace(
-            "format_version = 1", "format_version = 2"
-        )
-        with pytest.raises(KeyFileError, match="unsupported format version"):
-            parse_public(text)
 
     def test_bad_lattice_text_rejected(self, keypair):
         pub, _ = keypair
@@ -227,7 +237,21 @@ class TestPublicKeyRule:
                     parse_public(text)
 
 
-class TestPrivateFiles:
+class TestPrivateFiles(KeyFileHeaderCases):
+    ROLE, NAMES = "private", ["format_version", "role", "field", "alpha", "beta", "d", "e"]
+
+    @staticmethod
+    def render(keypair):
+        pub, priv = keypair
+        return render_private(priv, pub.e)
+
+    parse = staticmethod(parse_private)
+
+    @staticmethod
+    def parsed(keypair):
+        pub, priv = keypair
+        return priv, pub.e
+
     def test_roundtrip_recomputes_derived_parts(self, keypair):
         pub, priv = keypair
         text = render_private(priv, pub.e)
@@ -275,7 +299,7 @@ class TestPrivateFiles:
 
     def test_public_file_refused(self, keypair):
         pub, _ = keypair
-        with pytest.raises(KeyFileError):
+        with pytest.raises(KeyFileError, match="private key file: unknown field on line 4"):
             parse_private(render_public(pub))
 
 
