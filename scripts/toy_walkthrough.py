@@ -9,7 +9,6 @@ import math
 
 from ringrsa import (
     PrimeElement,
-    coset_box,
     decrypt_block,
     encrypt_block,
     keypair_from_primes,
@@ -41,7 +40,7 @@ def main():
 
     pub, priv = keypair_from_primes(field, alpha, beta, e_choice=5)
     show_matrix("public HNF lattice", pub.lattice.entries)
-    box = coset_box(pub.lattice)
+    box = pub.lattice.diag
     print(f"coset box radices: {box}  ({math.prod(box)} messages)")
     print(f"totient = {priv.phi}   e = {pub.e}   d = {priv.d}")
 

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fields import (
     PrimeElement,
-    coset_box,
     cyclotomic_field,
     generic_field,
     parse_field_spec,
@@ -44,7 +43,7 @@ __all__ = [
     "InertPrimeMode", "PrimeNormElementMode", "PublicKey", "PrivateKey",
     "keygen", "keypair_from_primes", "validate_keypair",
     # blocks and the byte codec
-    "encrypt_block", "decrypt_block", "encode_bytes", "decode_blocks", "coset_box",
+    "encrypt_block", "decrypt_block", "encode_bytes", "decode_blocks",
     # the exceptions the CLI maps to exit codes
     "CapacityError", "CiphertextFormatError", "FingerprintMismatchError",
     "KeyFileError", "SearchExhaustedError",

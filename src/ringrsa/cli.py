@@ -21,7 +21,7 @@ from .errors import (
     KeyFileError,
     SearchExhaustedError,
 )
-from .fields import coset_box, parse_field_spec
+from .fields import parse_field_spec
 from .scheme import (
     InertPrimeMode,
     PrimeNormElementMode,
@@ -116,7 +116,7 @@ def _cmd_keygen(args) -> int:
     priv_text = comment + keyfiles.render_private(priv, pub.e)
     _write_text(args.pub, pub_text)
     _write_text(args.priv, priv_text)
-    box = coset_box(pub.lattice)
+    box = pub.lattice.diag
     print(f"degree: {field.ring.degree}")
     print(f"modulus bits: {math.prod(box).bit_length()}")
     print(f"box radices: {','.join(map(str, box))}")
@@ -130,7 +130,7 @@ def _cmd_encrypt(args) -> int:
         payload = fh.read()
     blocks = [
         encrypt_block(pub, vec).vector.coeffs
-        for vec in encode_bytes(coset_box(pub.lattice), payload)
+        for vec in encode_bytes(pub.lattice.diag, payload)
     ]
     _write_text(args.outfile, keyfiles.render_ciphertext(keyfiles.fingerprint(pub), blocks))
     return EXIT_OK
@@ -146,7 +146,7 @@ def _cmd_decrypt(args) -> int:
         vectors = [decrypt_block(priv, block).coeffs for block in blocks]
     except ValueError as exc:
         raise CiphertextFormatError(str(exc)) from None
-    payload = decode_blocks(coset_box(priv.lattice), vectors)
+    payload = decode_blocks(priv.lattice.diag, vectors)
     with open(args.outfile, "wb") as fh:
         fh.write(payload)
     return EXIT_OK
@@ -158,7 +158,7 @@ def _describe_public(pub: PublicKey) -> None:
     print(f"degree: {pub.field.ring.degree}")
     print(f"e: {pub.e}")
     print(f"hnf basis: {';'.join(','.join(str(x) for x in row) for row in pub.lattice.entries)}")
-    print(f"box radices: {','.join(map(str, coset_box(pub.lattice)))}")
+    print(f"box radices: {','.join(map(str, pub.lattice.diag))}")
     print(f"fingerprint: {keyfiles.fingerprint(pub)}")
 
 
@@ -175,7 +175,7 @@ def _cmd_inspect(args) -> int:
         print(f"field: {priv.field.spec_string()}")
         print(f"degree: {priv.field.ring.degree}")
         print(f"totient bits: {priv.phi.bit_length()}")
-        print(f"box radices: {','.join(map(str, coset_box(priv.lattice)))}")
+        print(f"box radices: {','.join(map(str, priv.lattice.diag))}")
         print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
         print(f"key class: {priv.key_class}")
     if args.verify:

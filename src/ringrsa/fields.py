@@ -10,9 +10,8 @@ norm forces the quotient by the element to be a prime field, so such an
 element generates a prime ideal.  That ideal is (N, x - r), where N is
 the norm and r the root of x modulo the element.  _ideal_basis writes the
 Hermite normal form of either key lattice, m I or (N, x - r), by formula,
-as an HnfBasis (coset_box reads its box), for product_lattice and for the
-public-key check ideal_lattice.  A
-PrimeElement keeps what a key derives from its prime, for a scalar p the
+as an HnfBasis, whose diag is the box, for product_lattice and for the
+public-key check ideal_lattice.  A PrimeElement keeps what a key derives from its prime, for a scalar p the
 Frobenius matrix of R/pR too, which scheme's admission rule and
 decryption read.
 """
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -48,7 +48,6 @@ __all__ = [
     "find_inert_prime",
     "find_prime_norm_element",
     "HnfBasis",
-    "coset_box",
     "product_lattice",
     "ideal_lattice",
 ]
@@ -362,12 +361,21 @@ def find_inert_prime(
     rng,
     exclude: int | None = None,
 ) -> PrimeElement:
-    """Random search for an inert rational prime of the given bit length."""
+    """Random search for an inert rational prime of the given bit length.
+
+    Refused before any draw: a size past the norm budget, then one whose d
+    (below (pq)^n < 2^(2 n bits)) may pass the int-to-str limit (0: none).
+    """
     if bits < 2:
         raise ValueError("bits must be at least 2")
     lo, hi = 1 << (bits - 1), 1 << bits
     largest = _scalar_element(field, hi - 1).element
     _check_norm_budget(field.ring, largest, largest)
+    limit = sys.get_int_max_str_digits()
+    if limit and 1 << (2 * field.ring.degree * bits) > 10**limit:
+        raise ValueError(
+            f"key too large for a key file: integers are limited to {limit} decimal digits"
+        )
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
         # the residue test first: it needs no modexp and refuses most
@@ -418,11 +426,6 @@ class HnfBasis:
         """N if the box is (N, 1, ..., 1), whose points (c, 0, ..., 0) are Z/N; else 0."""
         corner, *rest = self.diag
         return 0 if any(b != 1 for b in rest) else corner
-
-
-def coset_box(basis: HnfBasis) -> tuple[int, ...]:
-    """Radices of the box spanned by the diagonal: one point per residue class."""
-    return basis.diag
 
 
 def _ideal_basis(n: int, m: int, r: int | None = None) -> HnfBasis:

@@ -2,7 +2,9 @@
 
 Files are UTF-8 with LF newlines, one `name = value` pair per line, in a
 fixed field order, with no timestamps, so a file is a deterministic
-function of its contents.  Lines starting with `#` are comments and are
+function of its contents.  _FIELDS names each key file's lines in order;
+one writer renders both key files from it, and one entry, _parse_key,
+checks their shared header.  Lines starting with `#` are comments and are
 ignored by the parsers; the canonical public rendering (the data lines
 only) feeds the SHA-256 key fingerprint, of which the first 16 hex digits
 are stored inside ciphertext files.  Vectors are comma-separated integers
@@ -97,50 +99,55 @@ def _parse_pairs(
     return pairs, rows
 
 
-def _parse_int(pairs: dict[str, str], name: str, what: str) -> int:
+def _parse_int(pairs: dict[str, str], name: str) -> int:
     try:
         return int(pairs[name])
     except ValueError:
-        raise KeyFileError(f"{what}: field {name!r} is not an integer") from None
+        raise ValueError(f"field {name!r} is not an integer") from None
 
 
-def _check_version(pairs: dict[str, str], what: str) -> None:
-    if _parse_int(pairs, "format_version", what) != FORMAT_VERSION:
-        raise KeyFileError(f"{what}: unsupported format version")
+# Each key file's lines, in order: the header, then the values of its role.
+_FIELDS = {
+    "public": ("format_version", "role", "field", "lattice", "e"),
+    "private": ("format_version", "role", "field", "alpha", "beta", "d", "e"),
+}
 
 
-_PUBLIC_FIELDS = ("format_version", "role", "field", "lattice", "e")
-_PRIVATE_FIELDS = ("format_version", "role", "field", "alpha", "beta", "d", "e")
+def _render_key(role: str, field, *values: str) -> str:
+    """The key file of role: the header for field, then values in _FIELDS order."""
+    header = (str(FORMAT_VERSION), role, field.spec_string())
+    return "".join(f"{name} = {value}\n" for name, value in zip(_FIELDS[role], header + values))
+
+
+def _parse_key(text: str, role: str, build):
+    """build(field, pairs) once the header passes; a ValueError names the role."""
+    what = f"{role} key file"
+    pairs, _ = _parse_pairs(text, _FIELDS[role], what)
+    try:
+        if _parse_int(pairs, "format_version") != FORMAT_VERSION:
+            raise ValueError("unsupported format version")
+        if pairs["role"] != role:
+            raise ValueError("wrong role")
+        return build(parse_field_spec(pairs["field"]), pairs)
+    except ValueError as exc:
+        raise KeyFileError(f"{what}: {exc}") from None
 
 
 def render_public(pub: PublicKey) -> str:
-    lines = [
-        f"format_version = {FORMAT_VERSION}",
-        "role = public",
-        f"field = {pub.field.spec_string()}",
-        f"lattice = {_render_matrix(pub.lattice.entries)}",
-        f"e = {_render_int(pub.e)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _render_key("public", pub.field, _render_matrix(pub.lattice.entries), _render_int(pub.e))
 
 
 def parse_public(text: str) -> PublicKey:
     """The public key, if fields.ideal_lattice admits its lattice and 2 <= e < det."""
-    pairs, _ = _parse_pairs(text, _PUBLIC_FIELDS, "public key file")
-    _check_version(pairs, "public key file")
-    if pairs["role"] != "public":
-        raise KeyFileError("public key file: wrong role")
-    try:
-        field = parse_field_spec(pairs["field"])
+
+    def build(field, pairs):
         matrix = _parse_matrix(pairs["lattice"], "lattice", field.ring.degree)
         lattice = ideal_lattice(field.ring, matrix)
-        e = _parse_int(pairs, "e", "public key file")
+        e = _parse_int(pairs, "e")
         _check_e(e, lattice.diag)
         return PublicKey(field, lattice, e)
-    except KeyFileError:
-        raise
-    except ValueError as exc:
-        raise KeyFileError(f"public key file: {exc}") from None
+
+    return _parse_key(text, "public", build)
 
 
 def fingerprint(pub: PublicKey) -> str:
@@ -149,16 +156,8 @@ def fingerprint(pub: PublicKey) -> str:
 
 
 def render_private(priv: PrivateKey, e: int) -> str:
-    lines = [
-        f"format_version = {FORMAT_VERSION}",
-        "role = private",
-        f"field = {priv.field.spec_string()}",
-        f"alpha = {_render_vector(priv.alpha.coeffs)}",
-        f"beta = {_render_vector(priv.beta.coeffs)}",
-        f"d = {_render_int(priv.d)}",
-        f"e = {_render_int(e)}",
-    ]
-    return "\n".join(lines) + "\n"
+    alpha, beta = (_render_vector(v.coeffs) for v in (priv.alpha, priv.beta))
+    return _render_key("private", priv.field, alpha, beta, _render_int(priv.d), _render_int(e))
 
 
 def parse_private(text: str) -> tuple[PrivateKey, int]:
@@ -170,29 +169,22 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
     admission rule (priv._eps), then for 1 <= d < phi, e * d = 1 (mod phi)
     and the bounds parse_public puts on e.  No lattice is built.
     """
-    pairs, _ = _parse_pairs(text, _PRIVATE_FIELDS, "private key file")
-    _check_version(pairs, "private key file")
-    if pairs["role"] != "private":
-        raise KeyFileError("private key file: wrong role")
-    try:
-        field = parse_field_spec(pairs["field"])
+
+    def build(field, pairs):
         ctx = field.ring
         alpha = ctx.element(_parse_vector(pairs["alpha"], "alpha", ctx.degree))
         beta = ctx.element(_parse_vector(pairs["beta"], "beta", ctx.degree))
         _check_norm_budget(ctx, alpha, beta)
-        d = _parse_int(pairs, "d", "private key file")
-        e = _parse_int(pairs, "e", "private key file")
+        d, e = _parse_int(pairs, "d"), _parse_int(pairs, "e")
         priv = PrivateKey(field, alpha, beta, d)
         priv._eps  # the admission rule
         fault = _exponent_fault(priv, e)
         if fault:
-            raise KeyFileError(f"private key file: {fault}")
+            raise ValueError(fault)
         _check_e(e, (prime.norm_abs for prime in priv._primes))  # as parse_public does
         return priv, e
-    except KeyFileError:
-        raise
-    except ValueError as exc:
-        raise KeyFileError(f"private key file: {exc}") from None
+
+    return _parse_key(text, "private", build)
 
 
 def render_ciphertext(fp: str, blocks) -> str:

@@ -8,8 +8,8 @@ lattice equality.  The box {x : 0 <= x[i] < b[i][i]} then holds exactly
 one representative of every coset of Z^n modulo the lattice.
 
 Key lattices are the ideals m I and (N, x - r), whose canonical basis,
-an HnfBasis, fields writes by formula; HnfBasis and coset_box live there.
-hnf, its Bareiss determinant, _xgcd and reduce_mod_lattice (the box point
+an HnfBasis, fields writes by formula; HnfBasis lives there.  hnf, its
+Bareiss determinant, _xgcd, coset_box and reduce_mod_lattice (the box point
 by back substitution) work for any lattice; no command imports this module:
 it stays for the benchmark's per-layer replay and as the tests' oracles.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .fields import HnfBasis, coset_box
+from .fields import HnfBasis
 
 __all__ = [
     "HnfBasis",
@@ -133,6 +133,10 @@ def hnf(matrix: Sequence[Sequence[int]]) -> HnfBasis:
                     cols[j][r] -= q * cols[i][r]
     entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return HnfBasis(entries)
+
+
+def coset_box(basis: HnfBasis) -> tuple[int, ...]:
+    return basis.diag  # the radices of the box: one point per residue class
 
 
 def reduce_mod_lattice(basis: HnfBasis, vector: Sequence[int]) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ from ringrsa import (
     InertPrimeMode,
     PrimeElement,
     PrimeNormElementMode,
-    coset_box,
     cyclotomic_field,
     decrypt_block,
     encrypt_block,
@@ -95,7 +94,7 @@ def test_03_repeated_totient_exponent_fixes_box_points(acceptance):
             ctx = field.ring
             for _ in range(10):
                 pub, priv = keygen(field, InertPrimeMode(bits=6), rng=rng)
-                box = coset_box(pub.lattice)
+                box = pub.lattice.diag
                 for _ in range(100):
                     point = tuple(rng.randrange(r) for r in box)
                     elem = ctx.element(point)
@@ -143,7 +142,7 @@ def test_05_element_mode_key_batch(acceptance):
                 entries[i][j] for i in range(n) for j in range(n) if i != j
             ):
                 saw_non_diagonal = True
-            box = coset_box(pub.lattice)
+            box = pub.lattice.diag
             for _ in range(50):
                 msg = tuple(rng.randrange(r) for r in box)
                 assert decrypt_block(priv, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
@@ -247,7 +246,7 @@ def test_09_coset_enumeration_matches_key_norms(acceptance):
                 if "no valid e" in str(exc):
                     continue
                 raise
-            box = coset_box(pub.lattice)
+            box = pub.lattice.diag
             if math.prod(box) <= 2000:
                 keys.append((field, pub, priv, box))
         for field, pub, priv, box in keys:

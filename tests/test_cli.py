@@ -146,9 +146,13 @@ class TestKeygenCommand:
         assert err == "error: public key file: public exponent out of range\n"
 
 
-    def test_key_past_the_digit_limit_writes_neither_file(self, tmp_path, capsys):
+    def test_key_past_the_digit_limit_writes_neither_file(self, tmp_path, capsys, monkeypatch):
         # d of a 1000-bit inert key in degree 8 has about 4800 decimal
-        # digits, past the interpreter's int-to-str limit
+        # digits, past the interpreter's int-to-str limit: refused before any draw
+        def draw(*args):
+            raise AssertionError("keygen drew a candidate")
+
+        monkeypatch.setattr(random.Random, "randrange", draw)
         pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
         code = main(
             ["keygen", "--field", "cyclotomic:m=16", "--mode", "inert:bits=1000",

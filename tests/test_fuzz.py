@@ -27,7 +27,6 @@ from ringrsa import (
     KeyFileError,
     PrimeNormElementMode,
     PublicKey,
-    coset_box,
     encode_bytes,
     encrypt_block,
     keygen,
@@ -70,7 +69,7 @@ INJECTED = ["=", ",", ";", "#", "\n", " ", "-", "x", "0", "\x00", "é", "٣", "\
 def key_texts(spec, mode, seed):
     pub, priv = keygen(parse_field_spec(spec), mode, rng=random.Random(seed))
     blocks = [
-        encrypt_block(pub, b).vector.coeffs for b in encode_bytes(coset_box(pub.lattice), PAYLOAD)
+        encrypt_block(pub, b).vector.coeffs for b in encode_bytes(pub.lattice.diag, PAYLOAD)
     ]
     return render_public(pub), render_private(priv, pub.e), render_ciphertext(fingerprint(pub), blocks)
 

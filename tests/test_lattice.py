@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ringrsa import KeyFileError, PublicKey, coset_box, quadratic_field
+from ringrsa import KeyFileError, PublicKey, quadratic_field
 from ringrsa.keyfiles import parse_public, render_public
-from ringrsa.lattice import HnfBasis, determinant, hnf, reduce_mod_lattice
+from ringrsa.lattice import HnfBasis, coset_box, determinant, hnf, reduce_mod_lattice
 from ringrsa.primes import is_probable_prime
 from oracles import is_lattice_member, laplace_determinant
 from support import contains, mat_mul, rand_nonsingular, rand_unimodular, scaled_identity
