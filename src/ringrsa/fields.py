@@ -11,9 +11,9 @@ element generates a prime ideal.  That ideal is (N, x - r), where N is
 the norm and r the root of x modulo the element.  _ideal_basis writes the
 Hermite normal form of either key lattice, m I or (N, x - r), by formula,
 as an HnfBasis, whose diag is the box, for product_lattice and for the
-public-key check ideal_lattice.  A PrimeElement keeps what a key derives from its prime, for a scalar p the
-Frobenius matrix of R/pR too, which scheme's admission rule and
-decryption read.
+public-key check ideal_lattice.  A PrimeElement keeps what a key derives
+from its prime, for a scalar p the Frobenius matrix of R/pR too, which
+scheme's admission rule and decryption read.
 """
 
 from __future__ import annotations
