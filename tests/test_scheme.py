@@ -806,6 +806,22 @@ def test_parsed_key_tests_each_prime_once(primality_calls, field, mode, seed):
     assert primality_calls == {PrimeElement(priv.alpha).p: 1, PrimeElement(priv.beta).p: 1}
 
 
+@pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
+def test_keygen_is_its_searches_then_keypair_from_primes(field, mode, seed):
+    # each seed draws one pair, so keygen is the two searches and the assembly
+    pair = keygen(field, mode, rng=random.Random(seed))
+    rng = random.Random(seed)
+    if isinstance(mode, InertPrimeMode):
+        alpha = fields.find_inert_prime(field, mode.bits, rng)
+        beta = fields.find_inert_prime(field, mode.bits, rng, exclude=alpha.element.coeffs[0])
+    else:
+        alpha = find_prime_norm_element(field, mode.coeff_bound, rng)
+        beta = find_prime_norm_element(field, mode.coeff_bound, rng)
+    assert keypair_from_primes(field, alpha, beta) == pair
+    pub, priv = pair
+    assert parse_private(render_private(priv, pub.e)) == (priv, pub.e)
+
+
 ROOT_EXPORTS = {
     "quadratic_field", "cyclotomic_field", "generic_field", "parse_field_spec", "PrimeElement",
     "InertPrimeMode", "PrimeNormElementMode", "PublicKey", "PrivateKey",
