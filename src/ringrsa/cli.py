@@ -119,7 +119,7 @@ def _cmd_keygen(args) -> int:
     box = pub.lattice.diag
     print(f"degree: {field.ring.degree}")
     print(f"modulus bits: {math.prod(box).bit_length()}")
-    print(f"box radices: {','.join(map(str, box))}")
+    print(f"box radices: {keyfiles._render_vector(box)}")
     print(f"fingerprint: {keyfiles.fingerprint(pub)}")
     return EXIT_OK
 
@@ -157,8 +157,8 @@ def _describe_public(pub: PublicKey) -> None:
     print(f"field: {pub.field.spec_string()}")
     print(f"degree: {pub.field.ring.degree}")
     print(f"e: {pub.e}")
-    print(f"hnf basis: {';'.join(','.join(str(x) for x in row) for row in pub.lattice.entries)}")
-    print(f"box radices: {','.join(map(str, pub.lattice.diag))}")
+    print(f"hnf basis: {keyfiles._render_matrix(pub.lattice.entries)}")
+    print(f"box radices: {keyfiles._render_vector(pub.lattice.diag)}")
     print(f"fingerprint: {keyfiles.fingerprint(pub)}")
 
 
@@ -175,7 +175,7 @@ def _cmd_inspect(args) -> int:
         print(f"field: {priv.field.spec_string()}")
         print(f"degree: {priv.field.ring.degree}")
         print(f"totient bits: {priv.phi.bit_length()}")
-        print(f"box radices: {','.join(map(str, priv.lattice.diag))}")
+        print(f"box radices: {keyfiles._render_vector(priv.lattice.diag)}")
         print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
         print(f"key class: {priv.key_class}")
     if args.verify:

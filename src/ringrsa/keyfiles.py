@@ -17,7 +17,7 @@ import hashlib
 import sys
 
 from .errors import CiphertextFormatError, KeyFileError
-from .fields import _check_norm_budget, ideal_lattice, parse_field_spec
+from .fields import PrimeElement, _check_norm_budget, ideal_lattice, parse_field_spec
 from .scheme import PrivateKey, PublicKey, _check_e, _exponent_fault
 
 __all__ = [
@@ -156,7 +156,7 @@ def fingerprint(pub: PublicKey) -> str:
 
 
 def render_private(priv: PrivateKey, e: int) -> str:
-    alpha, beta = (_render_vector(v.coeffs) for v in (priv.alpha, priv.beta))
+    alpha, beta = (_render_vector(v.element.coeffs) for v in (priv.alpha, priv.beta))
     return _render_key("private", priv.field, alpha, beta, _render_int(priv.d), _render_int(e))
 
 
@@ -176,12 +176,12 @@ def parse_private(text: str) -> tuple[PrivateKey, int]:
         beta = ctx.element(_parse_vector(pairs["beta"], "beta", ctx.degree))
         _check_norm_budget(ctx, alpha, beta)
         d, e = _parse_int(pairs, "d"), _parse_int(pairs, "e")
-        priv = PrivateKey(field, alpha, beta, d)
+        priv = PrivateKey(field, PrimeElement(alpha), PrimeElement(beta), d)
         priv._eps  # the admission rule
         fault = _exponent_fault(priv, e)
         if fault:
             raise ValueError(fault)
-        _check_e(e, (prime.norm_abs for prime in priv._primes))  # as parse_public does
+        _check_e(e, (priv.alpha.norm_abs, priv.beta.norm_abs))  # as parse_public does
         return priv, e
 
     return _parse_key(text, "private", build)

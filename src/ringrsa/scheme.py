@@ -87,45 +87,42 @@ class PublicKey:
 
 @record
 class PrivateKey:
-    """The secret primes and exponent, unchecked; the totient, eps and lattice follow."""
+    """The secret PrimeElements and exponent, unchecked; the totient, eps and lattice follow."""
 
     field: FieldDescriptor
-    alpha: RingElement
-    beta: RingElement
+    alpha: PrimeElement
+    beta: PrimeElement
     d: int
-
-    @cached_property
-    def _primes(self) -> tuple[PrimeElement, PrimeElement]:
-        """alpha and beta, each with its norm, root and Frobenius matrix computed once."""
-        return PrimeElement(self.alpha), PrimeElement(self.beta)
 
     @cached_property
     def phi(self) -> int:
         """(|N(alpha)| - 1) * (|N(beta)| - 1), the totient of an admitted key."""
-        return math.prod(prime.norm_abs - 1 for prime in self._primes)
+        return (self.alpha.norm_abs - 1) * (self.beta.norm_abs - 1)
 
     @cached_property
     def lattice(self) -> HnfBasis:
         """product_lattice of alpha and beta, once _eps admits them: the public modulus."""
         self._eps
-        return product_lattice(*self._primes)
+        return product_lattice(self.alpha, self.beta)
 
     @property
     def key_class(self) -> str:
         """"scalar" or "prime-norm", read off the primes _eps admits."""
         self._eps
-        return "scalar" if self._primes[0].root is None else "prime-norm"
+        return "scalar" if self.alpha.root is None else "prime-norm"
 
     @cached_property
     def _eps(self) -> int:
         """_admit of alpha and beta: the admission rule, run once per key."""
-        return _admit(*self._primes)
+        return _admit(self.alpha, self.beta)
 
     @cached_property
     def _digits(self) -> tuple[tuple[int, ...], ...]:
         """The base-p digits of d in each half, computed once per key, not per block."""
         self._eps
-        return tuple(_base_p_digits(self.d, prime.p, prime.norm_abs - 1) for prime in self._primes)
+        return tuple(
+            _base_p_digits(self.d, prime.p, prime.norm_abs - 1) for prime in (self.alpha, self.beta)
+        )
 
 
 def _admit(alpha: PrimeElement, beta: PrimeElement) -> int:
@@ -222,10 +219,9 @@ def keypair_from_primes(
     what the rule computed on them.
     """
     _admit(alpha, beta)
-    phi = math.prod(prime.norm_abs - 1 for prime in (alpha, beta))
+    phi = (alpha.norm_abs - 1) * (beta.norm_abs - 1)
     e = _select_e(phi, e_choice)
-    priv = PrivateKey(field, alpha.element, beta.element, pow(e, -1, phi))
-    vars(priv)["_primes"] = alpha, beta
+    priv = PrivateKey(field, alpha, beta, pow(e, -1, phi))
     return PublicKey(field, priv.lattice, e), priv
 
 
@@ -300,13 +296,13 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     vec = tuple(map(operator.index, block))
     if not _in_box(lattice.diag, vec):
         raise ValueError("ciphertext outside coset box")
-    eps, (alpha, beta), digits = priv._eps, priv._primes, priv._digits
+    eps, alpha, beta, digits = priv._eps, priv.alpha, priv.beta, priv._digits
     if lattice.cyclic:  # R/(alpha beta) = Z/pq, where each d_p is one digit
         c, p, q, ((d_p,), (d_q,)) = vec[0], alpha.p, beta.p, digits
         b = pow(c % q, d_q, q)
         w = (b + eps * (pow(c % p, d_p, p) - b)) % lattice.cyclic
         return RingElement(ctx, (w,) + vec[1:])
-    a, b = (_power_mod_prime(ctx, prime, ds, vec) for prime, ds in zip(priv._primes, digits))
+    a, b = (_power_mod_prime(ctx, prime, ds, vec) for prime, ds in zip((alpha, beta), digits))
     return ctx.element((y + eps * (x - y)) % lattice.diag[0] for x, y in zip(a, b))
 
 

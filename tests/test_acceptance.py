@@ -251,7 +251,7 @@ def test_09_coset_enumeration_matches_key_norms(acceptance):
                 keys.append((field, pub, priv, box))
         for field, pub, priv, box in keys:
             ctx = field.ring
-            expected = abs(norm(ctx, priv.alpha)) * abs(norm(ctx, priv.beta))
+            expected = abs(norm(ctx, priv.alpha.element)) * abs(norm(ctx, priv.beta.element))
             cosets = brute_force_cosets(pub.lattice.entries)
             assert len(cosets) == expected == math.prod(box)
             for point in cosets:

@@ -66,7 +66,7 @@ def private_key_text(spec, alpha, beta):
     """The key file of (alpha, beta), built past the rule: PrivateKey plus d,
     with the e keypair_from_primes would choose (ValueError if none)."""
     field = parse_field_spec(spec)
-    alpha, beta = field.ring.element(alpha), field.ring.element(beta)
+    alpha, beta = (PrimeElement(field.ring.element(v)) for v in (alpha, beta))
     phi = PrivateKey(field, alpha, beta, 1).phi
     e = _select_e(phi, None)
     return render_private(PrivateKey(field, alpha, beta, pow(e, -1, phi)), e)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ringrsa import PrimeElement, keypair_from_primes, quadratic_field
+from ringrsa import PrimeElement, keypair_from_primes, parse_field_spec, quadratic_field
 from ringrsa.cli import main
 from ringrsa.keyfiles import fingerprint, parse_public, render_private, render_public
 
@@ -344,6 +344,28 @@ class TestInspect:
         assert captured.out == ""
         assert captured.err == (
             "error: private key file: the quotient by an element is not Z/N(element)\n"
+        )
+
+    def test_private_corner_past_the_digit_limit_refused(self, tmp_path, capsys):
+        # Z = Z[x]/(x + 3): d = 65537^-1 mod (p - 1)(q - 1) has 640 digits and
+        # parses, but the corner pq of the box has 641
+        field = parse_field_spec("generic:phi=3")
+        p = 2**1279 - 1
+        q = 10**640 // p + 1802
+        primes = (PrimeElement(field.ring.element((v,))) for v in (p, q))
+        pub, priv = keypair_from_primes(field, *primes)
+        assert (len(str(priv.d)), len(str(p * q)), pub.e) == (640, 641, 65537)
+        priv_path = tmp_path / "big.priv"
+        priv_path.write_text(render_private(priv, pub.e))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["inspect", "--priv", str(priv_path)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: key too large for a key file: integers are limited to 640 decimal digits\n"
         )
 
     def test_verify_matched(self, tmp_path, capsys):

@@ -417,7 +417,7 @@ class TestPrimeElement:
 
 def totient(field, alpha, beta):
     """priv.phi of the private key of alpha and beta."""
-    return PrivateKey(field, alpha.element, beta.element, 1).phi
+    return PrivateKey(field, alpha, beta, 1).phi
 
 
 class TestTotientOfProduct:
@@ -551,7 +551,7 @@ def refused_by_the_admission_rule(tmp_path, capsys, alpha, beta, reason):
     field = quadratic_field(-1)
     with pytest.raises(ValueError, match=reason):
         keypair_from_primes(field, alpha, beta, e_choice=3)
-    priv = PrivateKey(field, alpha.element, beta.element, pow(3, -1, totient(field, alpha, beta)))
+    priv = PrivateKey(field, alpha, beta, pow(3, -1, totient(field, alpha, beta)))
     text = render_private(priv, 3)
     with pytest.raises(KeyFileError, match=reason):
         parse_private(text)
@@ -679,9 +679,10 @@ class TestProductLattice:
     def test_key_class(self, a, b, kind):
         # norms 7, 23 and 17; the class is read off the admitted halves
         field = quadratic_field(2)
-        priv = PrivateKey(field, field.ring.element(a), field.ring.element(b), 1)
-        assert priv.key_class == kind
-        equal_norms = PrivateKey(field, field.ring.element((1, 2)), field.ring.element((3, 1)), 1)
+        alpha, beta = (PrimeElement(field.ring.element(v)) for v in (a, b))
+        assert PrivateKey(field, alpha, beta, 1).key_class == kind
+        alpha, beta = (PrimeElement(field.ring.element(v)) for v in ((1, 2), (3, 1)))
+        equal_norms = PrivateKey(field, alpha, beta, 1)
         with pytest.raises(AssociatePrimesError):
             equal_norms.key_class
 

@@ -271,7 +271,7 @@ class TestPrivateFiles(KeyFileHeaderCases):
 
     def test_associate_pair_rejected(self, keypair):
         pub, priv = keypair
-        alpha = ",".join(map(str, priv.alpha.coeffs))
+        alpha = ",".join(map(str, priv.alpha.element.coeffs))
         text = with_field(render_private(priv, pub.e), "beta", alpha)
         with pytest.raises(KeyFileError, match="not coprime"):
             parse_private(text)
@@ -305,8 +305,8 @@ class TestPrivateFiles(KeyFileHeaderCases):
 
 def private_text(field, alpha, beta):
     """A private key file for two prime elements, with e = 65537, and no lattice built."""
-    phi = PrivateKey(field, alpha.element, beta.element, 1).phi
-    priv = PrivateKey(field, alpha.element, beta.element, pow(65537, -1, phi))
+    phi = PrivateKey(field, alpha, beta, 1).phi
+    priv = PrivateKey(field, alpha, beta, pow(65537, -1, phi))
     return priv, render_private(priv, 65537)
 
 

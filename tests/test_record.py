@@ -4,9 +4,9 @@ Records check no values when they are built: HnfBasis, RingElement and
 PublicKey are checked where key files are parsed (test_lattice.py,
 test_ring.py and test_scheme.py test those refusals).  Other modules test
 the rest of what the records do: cached_property values left out of
-equality (test_fields.py), and the _primes that keypair_from_primes
-seeds, so that validate_keypair and decrypt_block after a keygen take no
-norm, primality test or Frobenius matrix again (test_scheme.py).
+equality (test_fields.py), and the PrimeElements a private key holds,
+so that validate_keypair and decrypt_block after a keygen take no norm,
+primality test or Frobenius matrix again (test_scheme.py).
 """
 
 import importlib

@@ -93,9 +93,8 @@ class TestExponentSelection:
         with pytest.raises(KeyFileError, match="above the limit of 32 bits"):
             parse_public(text.replace(f"e = {pub.e}", f"e = {(1 << 32) + 15}"))
         # keygen's _select_e takes the cap: 2^32 + 15 is a prime below phi
-        primes = PrimeElement(priv.alpha), PrimeElement(priv.beta)
         with pytest.raises(ValueError, match="above the limit of 32 bits"):
-            keypair_from_primes(FIELD, *primes, e_choice=(1 << 32) + 15)
+            keypair_from_primes(FIELD, priv.alpha, priv.beta, e_choice=(1 << 32) + 15)
 
     def test_default_is_65537_when_totient_allows(self):
         rng = random.Random(3)
@@ -108,9 +107,9 @@ class TestKeygen:
     def test_inert_mode_gives_scalar_primes_and_diagonal_lattice(self):
         rng = random.Random(41)
         pub, priv = keygen(FIELD, InertPrimeMode(bits=8), rng=rng)
-        assert priv.alpha.coeffs[1] == 0
-        assert priv.beta.coeffs[1] == 0
-        p, q = priv.alpha.coeffs[0], priv.beta.coeffs[0]
+        assert priv.alpha.element.coeffs[1] == 0
+        assert priv.beta.element.coeffs[1] == 0
+        p, q = priv.alpha.element.coeffs[0], priv.beta.element.coeffs[0]
         assert p != q
         assert pub.lattice.entries == ((p * q, 0), (0, p * q))
         assert validate_keypair(pub, priv)
@@ -118,8 +117,8 @@ class TestKeygen:
     def test_element_mode_gives_nonscalar_primes(self):
         rng = random.Random(42)
         pub, priv = keygen(FIELD, PrimeNormElementMode(coeff_bound=20), rng=rng)
-        assert any(priv.alpha.coeffs[1:])
-        assert any(priv.beta.coeffs[1:])
+        assert any(priv.alpha.element.coeffs[1:])
+        assert any(priv.beta.element.coeffs[1:])
         assert validate_keypair(pub, priv)
 
     def test_seeded_runs_reproduce(self):
@@ -132,7 +131,7 @@ class TestKeygen:
         field = cyclotomic_field(5)
         pub, priv = keygen(field, InertPrimeMode(bits=6), rng=rng)
         assert len(pub.lattice.entries) == 4
-        p = priv.alpha.coeffs[0]
+        p = priv.alpha.element.coeffs[0]
         assert priv.phi % (p**4 - 1) == 0
         assert validate_keypair(pub, priv)
 
@@ -149,7 +148,7 @@ class TestKeygen:
         with pytest.raises(AssociatePrimesError, match="equal norms"):
             keypair_from_primes(field, alpha, beta)
         pub, priv = keygen(field, PrimeNormElementMode(4), rng=random.Random(1))
-        norms = [PrimeElement(x).norm_abs for x in (priv.alpha, priv.beta)]
+        norms = [x.norm_abs for x in (priv.alpha, priv.beta)]
         assert norms[0] != norms[1] and pub.lattice.diag[0] == norms[0] * norms[1]
 
     def test_associate_only_pool_exhausts(self):
@@ -280,8 +279,8 @@ def hand_built_private_key(field, p, q, d):
     """Private key for alpha = p, beta = q with any d, bypassing keygen."""
     ctx = field.ring
     n = ctx.degree
-    alpha = ctx.element((p,) + (0,) * (n - 1))
-    beta = ctx.element((q,) + (0,) * (n - 1))
+    alpha = PrimeElement(ctx.element((p,) + (0,) * (n - 1)))
+    beta = PrimeElement(ctx.element((q,) + (0,) * (n - 1)))
     return PrivateKey(field, alpha, beta, d)
 
 
@@ -380,7 +379,7 @@ class TestDecryptPaths:
         assert pub.lattice.cyclic == priv.lattice.cyclic
         assert bool(pub.lattice.cyclic) == (key in INTEGER_KEYS)
         if key in INTEGER_KEYS:
-            assert pub.lattice.cyclic == math.prod(prime.p for prime in priv._primes)
+            assert pub.lattice.cyclic == priv.alpha.p * priv.beta.p
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_digits_are_d_modulo_the_unit_group_order(self, key):
@@ -389,7 +388,7 @@ class TestDecryptPaths:
         # into [1, N - 1]
         _, priv = PATH_KEYS[key]()
         ctx = priv.field.ring
-        for element, digits in zip((priv.alpha, priv.beta), priv._digits):
+        for element, digits in zip((priv.alpha.element, priv.beta.element), priv._digits):
             n_abs = abs(norm(ctx, element))
             scalar = not any(element.coeffs[1:])
             p = abs(element.coeffs[0]) if scalar else n_abs
@@ -477,7 +476,7 @@ class TestFrobeniusPower:
         priv = hand_built_private_key(field, p, q, d=7)
         ctx = field.ring
         n = ctx.degree
-        for half, prime in zip(priv._primes, (p, q)):
+        for half, prime in zip((priv.alpha, priv.beta), (p, q)):
             columns = list(zip(*half.frobenius))
             for j in range(n):
                 x_j = ctx.element(tuple(int(i == j) for i in range(n)))
@@ -621,7 +620,7 @@ class TestHnfPerKey:
     def test_element_keygen_with_distinct_norms(self, hnf_calls):
         pub, priv = keygen(cyclotomic_field(5), PrimeNormElementMode(3), rng=random.Random(1))
         ctx = pub.field.ring
-        assert abs(norm(ctx, priv.alpha)) != abs(norm(ctx, priv.beta))
+        assert abs(norm(ctx, priv.alpha.element)) != abs(norm(ctx, priv.beta.element))
         assert pub.lattice.diag[1] == 1
         assert len(hnf_calls) == 0
 
@@ -642,7 +641,7 @@ class TestHnfPerKey:
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert decrypt_block(parsed, ct).coeffs == (1, 0)
         assert len(hnf_calls) == 0
-        assert sorted(norm_calls) == sorted((taken, c) for c in (priv.alpha.coeffs, priv.beta.coeffs))
+        assert sorted(norm_calls) == sorted((taken, c) for c in (priv.alpha.element.coeffs, priv.beta.element.coeffs))
 
     def test_keypair_from_read_norms_takes_no_norm(self, norm_calls):
         field = cyclotomic_field(16)
@@ -692,13 +691,14 @@ class TestAdmissionBeforeLattice:
         # 1 + 8i and 4 + 7i: one composite norm 65, roots 8 and 18 equal mod 5
         field = quadratic_field(-1)
         ctx = field.ring
-        priv = PrivateKey(field, ctx.element((1, 8)), ctx.element((4, 7)), 2731)
+        alpha, beta = PrimeElement(ctx.element((1, 8))), PrimeElement(ctx.element((4, 7)))
+        priv = PrivateKey(field, alpha, beta, 2731)
         with pytest.raises(ValueError, match="is not prime"):
             decrypt_block(priv, (0, 0))
         # without the rule keypair_from_primes gave this pair the lattice 65 I,
         # which is not that of (alpha * beta)
         with pytest.raises(ValueError, match="is not prime"):
-            keypair_from_primes(field, *priv._primes)
+            keypair_from_primes(field, alpha, beta)
         assert lattice_calls == []
 
 
@@ -713,16 +713,16 @@ def test_degree_128_key_lattice_is_bounded(seed):
     rng = random.Random(seed)
     alpha = ctx.element(tuple(rng.randrange(-(2**15), 2**15) for _ in range(ctx.degree)))
     beta = ctx.element((-1, 1) + (0,) * (ctx.degree - 2))  # x - 1, of norm 2 and root 1
-    priv = PrivateKey(field, alpha, beta, 1)
+    priv = PrivateKey(field, PrimeElement(alpha), PrimeElement(beta), 1)
     start = time.monotonic()
-    prime = priv._primes[0]
+    prime = priv.alpha
     try:
         root = prime.root
     except ValueError as exc:
         assert "not Z/N" in str(exc)
     else:
         assert fields._eval_mod(alpha.coeffs, root, prime.norm_abs) == 0
-    assert priv._primes[1].root == 1
+    assert priv.beta.root == 1
     with pytest.raises(ValueError, match="not Z/N|is not prime"):
         priv.lattice
     assert time.monotonic() - start < 5.0
@@ -741,8 +741,8 @@ def primality_calls(record_calls):
 )
 def test_inert_keygen_tests_each_integer_for_primality_once(primality_calls, field):
     pub, priv = keygen(field, InertPrimeMode(bits=64), rng=random.Random(11))
-    assert primality_calls[priv.alpha.coeffs[0]] == 1
-    assert primality_calls[priv.beta.coeffs[0]] == 1
+    assert primality_calls[priv.alpha.element.coeffs[0]] == 1
+    assert primality_calls[priv.beta.element.coeffs[0]] == 1
     assert max(primality_calls.values()) == 1
 
 
@@ -775,7 +775,7 @@ def test_each_key_is_admitted_once(primality_calls, frobenius_calls, record_call
     # keygen admits the key and the private key keeps its primes; a parse
     # admits it again, and its digits of d are computed once, not per block
     pub, priv = keygen(FIELD, InertPrimeMode(bits=512), rng=random.Random(0x100))
-    p, q = priv.alpha.coeffs[0], priv.beta.coeffs[0]
+    p, q = priv.alpha.element.coeffs[0], priv.beta.element.coeffs[0]
     assert sorted(frobenius_calls) == sorted((p, q))
     assert primality_calls[p] == primality_calls[q] == max(primality_calls.values()) == 1
     primality_calls.clear()
@@ -803,7 +803,7 @@ def test_parsed_key_tests_each_prime_once(primality_calls, field, mode, seed):
     msg = (1,) + (0,) * (field.ring.degree - 1)
     for _ in range(2):
         assert decrypt_block(parsed, encrypt_block(pub, msg).vector.coeffs).coeffs == msg
-    assert primality_calls == {PrimeElement(priv.alpha).p: 1, PrimeElement(priv.beta).p: 1}
+    assert primality_calls == {priv.alpha.p: 1, priv.beta.p: 1}
 
 
 @pytest.mark.parametrize("field, mode, seed", KEYGEN_CASES, ids=["inert", "element"])
