@@ -13,8 +13,17 @@ and matrices are semicolon-separated rows.
 
 from __future__ import annotations
 
-import hashlib
 import sys
+
+# the interpreter's own SHA-256, as random.py takes it: hashlib would load
+# OpenSSL, 3.6 MiB of every CLI call's peak RSS, for one 16-digit fingerprint
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import CiphertextFormatError, KeyFileError
 from .fields import PrimeElement, _check_norm_budget, ideal_lattice, parse_field_spec
@@ -152,7 +161,7 @@ def parse_public(text: str) -> PublicKey:
 
 def fingerprint(pub: PublicKey) -> str:
     """First 16 hex digits of SHA-256 over the canonical public rendering."""
-    return hashlib.sha256(render_public(pub).encode()).hexdigest()[:16]
+    return sha256(render_public(pub).encode()).hexdigest()[:16]
 
 
 def render_private(priv: PrivateKey, e: int) -> str:
