@@ -152,35 +152,38 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _describe_public(pub: PublicKey) -> None:
-    print("role: public")
-    print(f"field: {pub.field.spec_string()}")
-    print(f"degree: {pub.field.ring.degree}")
-    print(f"e: {pub.e}")
-    print(f"hnf basis: {keyfiles._render_matrix(pub.lattice.entries)}")
-    print(f"box radices: {keyfiles._render_vector(pub.lattice.diag)}")
-    print(f"fingerprint: {keyfiles.fingerprint(pub)}")
-
-
 def _cmd_inspect(args) -> int:
     if args.pub is None and args.priv is None:
         raise KeyFileError("inspect needs --pub and/or --priv")
-    pub = priv = None
+    if args.verify and (args.pub is None or args.priv is None):
+        raise KeyFileError("--verify needs both --pub and --priv")
+    # the whole report is built before any of it is printed, so a refusal
+    # met on the way leaves stdout empty, as a parse refusal does
+    report = []
     if args.pub is not None:
         pub = keyfiles.parse_public(_read_text(args.pub))
-        _describe_public(pub)
+        report += [
+            "role: public",
+            f"field: {pub.field.spec_string()}",
+            f"degree: {pub.field.ring.degree}",
+            f"e: {pub.e}",
+            f"hnf basis: {keyfiles._render_matrix(pub.lattice.entries)}",
+            f"box radices: {keyfiles._render_vector(pub.lattice.diag)}",
+            f"fingerprint: {keyfiles.fingerprint(pub)}",
+        ]
     if args.priv is not None:
         priv, e = keyfiles.parse_private(_read_text(args.priv))
-        print("role: private")
-        print(f"field: {priv.field.spec_string()}")
-        print(f"degree: {priv.field.ring.degree}")
-        print(f"totient bits: {priv.phi.bit_length()}")
-        print(f"box radices: {keyfiles._render_vector(priv.lattice.diag)}")
-        print(f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}")
-        print(f"key class: {priv.key_class}")
+        report += [
+            "role: private",
+            f"field: {priv.field.spec_string()}",
+            f"degree: {priv.field.ring.degree}",
+            f"totient bits: {priv.phi.bit_length()}",
+            f"box radices: {keyfiles._render_vector(priv.lattice.diag)}",
+            f"fingerprint: {keyfiles.fingerprint(PublicKey(priv.field, priv.lattice, e))}",
+            f"key class: {priv.key_class}",
+        ]
+    print("\n".join(report))
     if args.verify:
-        if pub is None or priv is None:
-            raise KeyFileError("--verify needs both --pub and --priv")
         if not validate_keypair(pub, priv):
             _fail("key pair mismatch")
             return EXIT_VERIFY_FAILED
