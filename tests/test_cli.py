@@ -348,7 +348,8 @@ class TestInspect:
 
     def test_private_corner_past_the_digit_limit_refused(self, tmp_path, capsys):
         # Z = Z[x]/(x + 3): d = 65537^-1 mod (p - 1)(q - 1) has 640 digits and
-        # parses, but the corner pq of the box has 641
+        # parses, but the corner pq of the box has 641; the report is printed
+        # whole or not at all, so not even the public lines of a toy key show
         field = parse_field_spec("generic:phi=3")
         p = 2**1279 - 1
         q = 10**640 // p + 1802
@@ -357,15 +358,17 @@ class TestInspect:
         assert (len(str(priv.d)), len(str(p * q)), pub.e) == (640, 641, 65537)
         priv_path = tmp_path / "big.priv"
         priv_path.write_text(render_private(priv, pub.e))
+        argv = ["inspect", "--priv", str(priv_path)]
+        toy_pub_path = toy_key_files(tmp_path)[0]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            code = main(["inspect", "--priv", str(priv_path)])
+            codes = [main(argv), main(argv + ["--pub", str(toy_pub_path)])]
         finally:
             sys.set_int_max_str_digits(limit)
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: key too large for a key file: integers are limited to 640 decimal digits\n"
+        assert codes == [2, 2]
+        assert capsys.readouterr() == (
+            "", 2 * "error: key too large for a key file: integers are limited to 640 decimal digits\n"
         )
 
     def test_verify_matched(self, tmp_path, capsys):
@@ -399,6 +402,7 @@ class TestInspect:
     def test_verify_needs_both_files(self, tmp_path, capsys):
         pub_path, _, _ = toy_key_files(tmp_path)
         assert main(["inspect", "--pub", str(pub_path), "--verify"]) == 2
+        assert capsys.readouterr() == ("", "error: --verify needs both --pub and --priv\n")
 
     def test_no_file_arguments(self, capsys):
         assert main(["inspect"]) == 2

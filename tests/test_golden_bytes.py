@@ -6,19 +6,30 @@ for a fixed seed, and a ciphertext of a fixed payload under a fixed key
 must not change, so old ciphertexts keep decrypting.  The benchmark's key
 files are pinned too: every keygen seed of every workload must reproduce
 the SHA-256 pair recorded in perfbench/digests.json.  Every pinned public
-key passes parse_public's rule, to the lattice of its private key.
+key passes parse_public's rule, to the lattice of its private key.  The
+fingerprint a ciphertext names is hashlib's SHA-256 of the public
+rendering, whichever module keyfiles takes the digest from.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ringrsa.cli import main
-from ringrsa.keyfiles import parse_private, parse_public
+from ringrsa.keyfiles import fingerprint, parse_private, parse_public, render_public
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PAYLOAD = bytes(range(40))
+
+
+def hashlib_fingerprint(path):
+    return hashlib.sha256(render_public(parse_public(path.read_text())).encode()).hexdigest()[:16]
 
 
 def assert_public_lattice_admitted(pub, priv):
@@ -62,9 +73,35 @@ def test_seeded_files_are_byte_identical(tmp_path, field, mode):
     assert main(["encrypt", "--pub", str(pub), "--in", str(src), "--out", str(ct)]) == 0
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pub, priv, ct))
     assert got == GOLDEN[field, mode]
+    assert fingerprint(parse_public(pub.read_text())) == hashlib_fingerprint(pub)
     assert_public_lattice_admitted(pub, priv)
     assert main(["decrypt", "--priv", str(priv), "--in", str(ct), "--out", str(back)]) == 0
     assert back.read_bytes() == PAYLOAD
+
+
+def test_fingerprint_without_the_lean_modules_is_hashlib_sha256(tmp_path):
+    # neither _sha2 (3.12+) nor _sha256 (3.10-3.11): keyfiles falls back to hashlib
+    paths = []
+    for i, (field, mode) in enumerate(GOLDEN):
+        pub, priv = tmp_path / f"{i}.pub", tmp_path / f"{i}.priv"
+        assert main(["keygen", "--field", field, "--mode", mode, "--seed", "0x2a",
+                     "--pub", str(pub), "--priv", str(priv)]) == 0
+        paths.append(pub)
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib, ringrsa.keyfiles as kf\n"
+        "assert kf.sha256 is hashlib.sha256\n"
+        "for path in sys.argv[1:]:\n"
+        "    print(kf.fingerprint(kf.parse_public(open(path).read())))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, paths)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [hashlib_fingerprint(path) for path in paths]
 
 
 BENCH_DIGESTS = json.loads(

@@ -115,18 +115,34 @@ def test_no_record_defines_post_init():
     assert [cls for cls in records if "__post_init__" in vars(cls)] == []
 
 
-def test_cli_import_set():
-    # python -S: without site, which may import typing by itself
-    probe = "import ringrsa.cli, sys; print(' '.join(sorted(sys.modules)))"
+def test_cli_import_set(tmp_path):
+    # python -S: without site, which may import typing by itself; the import
+    # and then every command, so that an import inside a command shows too
+    probe = (
+        "import sys, ringrsa.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert ringrsa.cli.main(argv.split()) == 0, argv\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    commands = [
+        "keygen --field quadratic:d=2 --mode inert:bits=16 --seed 0x1 --pub k.pub --priv k.priv",
+        "inspect --pub k.pub --priv k.priv --verify",
+        "encrypt --pub k.pub --in msg.bin --out msg.ct",
+        "decrypt --priv k.priv --in msg.ct --out msg.out",
+    ]
+    (tmp_path / "msg.bin").write_bytes(bytes(range(40)))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-S", "-c", probe, *commands],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    assert (tmp_path / "msg.out").read_bytes() == bytes(range(40))
+    loaded = set(proc.stdout.splitlines()[-1].split())
     assert "ringrsa.cli" in loaded
-    # no command imports lattice: fields writes the key lattices by formula
+    # no command imports lattice: fields writes the key lattices by formula;
+    # nor OpenSSL: keyfiles takes the interpreter's own SHA-256
     assert loaded.isdisjoint(
-        {"dataclasses", "inspect", "typing", "ast", "dis", "ringrsa.lattice"}
+        {"dataclasses", "inspect", "typing", "ast", "dis", "ringrsa.lattice",
+         "hashlib", "_hashlib"}
     )
