@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 failed --verify, 2 bad flags or malformed input
 files, 3 search exhaustion during keygen, 4 ciphertext/key fingerprint
 mismatch, 5 modulus too small for the byte codec, 6 corrupt ciphertext.
+Codes 3-6 come from _EXIT_CODES, by the type of the error a command raises.
 All error text goes to stderr with an `error:` prefix.
 """
 
@@ -37,10 +38,13 @@ from .scheme import (
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_SEARCH_EXHAUSTED = 3
-EXIT_FINGERPRINT = 4
-EXIT_CAPACITY = 5
-EXIT_CORRUPT = 6
+# a subclass takes its parent's code
+_EXIT_CODES = {
+    SearchExhaustedError: 3,
+    FingerprintMismatchError: 4,
+    CapacityError: 5,
+    CiphertextFormatError: 6,
+}
 
 
 def _parse_mode(spec: str):
@@ -102,15 +106,13 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_keygen(args) -> int:
     field = parse_field_spec(args.field)
     mode = _parse_mode(args.mode)
-    comment = ""
+    comment, rng = "", None
     if args.seed is not None:
         seed = int(args.seed, 16)
         if seed < 0:
             raise ValueError("seed must not be negative")
         rng = random.Random(seed)
         comment = f"# rng = python-random-mt19937 seed=0x{seed:x}\n"
-    else:
-        rng = random.SystemRandom()
     pub, priv = keygen(field, mode, e_choice=args.e, rng=rng)
     pub_text = comment + keyfiles.render_public(pub)
     priv_text = comment + keyfiles.render_private(priv, pub.e)
@@ -142,10 +144,7 @@ def _cmd_decrypt(args) -> int:
     derived = PublicKey(priv.field, priv.lattice, e)
     if fp != keyfiles.fingerprint(derived):
         raise FingerprintMismatchError("ciphertext fingerprint does not match the key")
-    try:
-        vectors = [decrypt_block(priv, block).coeffs for block in blocks]
-    except ValueError as exc:
-        raise CiphertextFormatError(str(exc)) from None
+    vectors = [decrypt_block(priv, block).coeffs for block in blocks]
     payload = decode_blocks(priv.lattice.diag, vectors)
     with open(args.outfile, "wb") as fh:
         fh.write(payload)
@@ -207,21 +206,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FingerprintMismatchError as exc:
+    except (SearchExhaustedError, ValueError, OSError) as exc:
         _fail(str(exc))
-        return EXIT_FINGERPRINT
-    except CapacityError as exc:
-        _fail(str(exc))
-        return EXIT_CAPACITY
-    except CiphertextFormatError as exc:
-        _fail(str(exc))
-        return EXIT_CORRUPT
-    except SearchExhaustedError as exc:
-        _fail(str(exc))
-        return EXIT_SEARCH_EXHAUSTED
-    except (KeyFileError, ValueError, OSError) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
+        return next((c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Exception types that callers (and the CLI exit-code map) rely on."""
+"""Exception types that callers rely on; cli._EXIT_CODES maps four of them
+(and their subclasses) to exit codes 3-6, and the rest, ValueErrors, exit 2."""
 
 
 class SearchExhaustedError(RuntimeError):

@@ -80,13 +80,17 @@ def _check_norm_budget(ctx, alpha, beta) -> None:
     about d) has more digits than the int-to-str limit; this bounds the
     work of the two norms a parse computes.  Each norm may take half the
     digits plus the slack, which bounds the primality test of one norm.
-    Each prime search runs it first on its largest candidate, twice (the
-    scalar 2^bits - 1, or the all-bound vector), so a mode whose keys
-    may not fit is refused before any draw.
+    Each prime search runs it first on its largest candidate, twice, so a
+    mode whose keys may not fit is refused before any draw.
     """
-    budget, bits = _KEY_BUDGET_BITS, (norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
+    _check_budget_bits(norm_bound_bits(ctx, alpha), norm_bound_bits(ctx, beta))
+
+
+def _check_budget_bits(alpha_bits: int, beta_bits: int) -> None:
+    """_check_norm_budget's rule on the two norm bounds, given in bits."""
+    budget = _KEY_BUDGET_BITS
     each = (budget + _NORM_BOUND_SLACK_BITS) // 2
-    if sum(bits) > budget or max(bits) > each:
+    if alpha_bits + beta_bits > budget or max(alpha_bits, beta_bits) > each:
         raise ValueError(
             f"alpha and beta too large (norm bounds above {budget} bits, or one above {each})"
         )
@@ -365,12 +369,12 @@ def find_inert_prime(
 
     Refused before any draw: a size past the norm budget, then one whose d
     (below (pq)^n < 2^(2 n bits)) may pass the int-to-str limit (0: none).
+    The budget takes n * bits, the norm bound of the scalar 2^bits - 1.
     """
     if bits < 2:
         raise ValueError("bits must be at least 2")
+    _check_budget_bits(field.ring.degree * bits, field.ring.degree * bits)
     lo, hi = 1 << (bits - 1), 1 << bits
-    largest = _scalar_element(field, hi - 1).element
-    _check_norm_budget(field.ring, largest, largest)
     limit = sys.get_int_max_str_digits()
     if limit and 1 << (2 * field.ring.degree * bits) > 10**limit:
         raise ValueError(

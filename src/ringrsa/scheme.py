@@ -289,13 +289,14 @@ def decrypt_block(priv: PrivateKey, block: Sequence[int]) -> RingElement:
     integers, RSA-CRT on c mod p and c mod q; otherwise both halves are
     scalar, (Z/p)[x]/(phi) and (Z/q)[x]/(phi), and the lattice is pq I,
     whose box is every coefficient mod pq.  Raises TypeError for a
-    coordinate that is not an integer (a float, Fraction or str), and
-    ValueError for a point outside the box or a key _admit refuses.
+    coordinate that is not an integer (a float, Fraction or str),
+    CiphertextFormatError (a ValueError) for a point outside the box, and
+    ValueError for a key _admit refuses.
     """
     ctx, lattice = priv.field.ring, priv.lattice
     vec = tuple(map(operator.index, block))
     if not _in_box(lattice.diag, vec):
-        raise ValueError("ciphertext outside coset box")
+        raise CiphertextFormatError("ciphertext outside coset box")
     eps, alpha, beta, digits = priv._eps, priv.alpha, priv.beta, priv._digits
     if lattice.cyclic:  # R/(alpha beta) = Z/pq, where each d_p is one digit
         c, p, q, ((d_p,), (d_q,)) = vec[0], alpha.p, beta.p, digits

@@ -10,7 +10,9 @@ import time
 import pytest
 
 from ringrsa import PrimeElement, keypair_from_primes, parse_field_spec, quadratic_field
+from ringrsa import cli
 from ringrsa.cli import main
+from ringrsa.errors import CiphertextFormatError
 from ringrsa.keyfiles import fingerprint, parse_public, render_private, render_public
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -502,6 +504,18 @@ def test_error_line_bounds_echoed_input(tmp_path, capsys, role, line, replacemen
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert len(err.encode()) < 300
+
+
+def test_error_subclass_keeps_its_parents_exit_code(capsys, monkeypatch):
+    class TruncatedBlock(CiphertextFormatError):
+        pass
+
+    def command(args):
+        raise TruncatedBlock("block cut short")
+
+    monkeypatch.setitem(cli._COMMANDS, "decrypt", command)
+    assert main(["decrypt", "--priv", "k", "--in", "c", "--out", "m"]) == 6
+    assert capsys.readouterr().err == "error: block cut short\n"
 
 
 class TestArgumentParsing:

@@ -18,7 +18,7 @@ from ringrsa import (
     quadratic_field,
     validate_keypair,
 )
-from ringrsa import fields, primes
+from ringrsa import fields, primes, ring
 from ringrsa.cli import main
 from ringrsa.errors import AssociatePrimesError, KeyFileError
 from ringrsa.fields import (
@@ -293,6 +293,19 @@ class TestFindInertPrime:
     def test_tiny_bits_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             find_inert_prime(quadratic_field(2), 1, random.Random(0))
+
+    def test_size_past_the_budget_builds_no_integer_of_that_size(self, record_calls):
+        # the bound of the scalar 2^bits - 1 is n * bits, checked on bit
+        # counts: squaring a 10^7-bit candidate alone took seconds
+        class NoDraw:
+            def randrange(self, *args):
+                raise AssertionError("the search drew a candidate")
+
+        widths = []
+        record_calls(ring, "norm_bound_bits", lambda ctx, f: widths.extend(map(int.bit_length, f.coeffs)))
+        with pytest.raises(ValueError, match=r"^alpha and beta too large \(norm bounds above 16332"):
+            find_inert_prime(quadratic_field(2), 10**7, NoDraw())
+        assert max(widths, default=0) <= fields._KEY_BUDGET_BITS
 
     def test_result_has_requested_bit_length(self):
         field = cyclotomic_field(5)

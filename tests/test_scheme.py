@@ -29,7 +29,7 @@ from ringrsa import (
     validate_keypair,
 )
 from ringrsa import fields, lattice, primes, scheme
-from ringrsa.errors import AssociatePrimesError
+from ringrsa.errors import AssociatePrimesError, CiphertextFormatError
 from ringrsa.fields import find_prime_norm_element
 from ringrsa.keyfiles import parse_private, parse_public, render_private, render_public
 from ringrsa.lattice import HnfBasis
@@ -209,6 +209,9 @@ class TestBlockOperations:
         _, priv = toy_keypair()
         with pytest.raises(ValueError, match="ciphertext outside coset box"):
             decrypt_block(priv, (15, 3))
+        # the type the CLI maps to exit 6, raised where the box is checked
+        with pytest.raises(CiphertextFormatError, match="ciphertext outside coset box"):
+            decrypt_block(priv, (-1, 3))
 
     def test_wrong_length_rejected(self):
         pub, priv = toy_keypair()
