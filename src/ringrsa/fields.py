@@ -34,7 +34,7 @@ from .primes import (
     multiplicative_order,
 )
 from .ring import (
-    RingContext, RingElement, conv_mul, conv_pow, make_ring, norm, norm_and_linear,
+    RingContext, RingElement, _kernels, conv_pow, make_ring, norm, norm_and_linear,
     norm_bound_bits,
 )
 
@@ -191,17 +191,19 @@ def _eval_mod(coeffs: Sequence[int], t: int, modulus: int) -> int:
 def _frobenius(ctx, p: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the matrix of a -> a^p = a(x^p) on (Z/p)[x]/(phi).
 
+    Column j is (x^p)^j, by the kernel mul that conv_pow builds for phi.
     ValueError unless x^(p^n) = x, that is unless phi is square-free mod p
     with every irreducible factor of a degree f | n, so that the ring is a
     product of fields F_{p^f}.  The matrix applied n times to x tells.
     """
     n = ctx.degree
     x = (0, 1) + (0,) * (n - 2) if n > 1 else ctx.phi_coeffs
-    x_p = conv_pow(ctx, ctx.element(x), p, p)
-    cols = [ctx.one()]
+    x_p = conv_pow(ctx, ctx.element(x), p, p).coeffs
+    mul = _kernels(ctx.phi_coeffs)[1]
+    cols = [ctx.one().coeffs]
     while len(cols) < n:
-        cols.append(ctx.element(c % p for c in conv_mul(ctx, cols[-1], x_p).coeffs))
-    rows = tuple(zip(*(c.coeffs for c in cols)))
+        cols.append(mul(cols[-1], x_p, p))
+    rows = tuple(zip(*cols))
     image = x = tuple(c % p for c in x)
     for _ in range(n):
         image = _mat_vec_mod(rows, image, p)
@@ -355,6 +357,15 @@ def _inert(field: FieldDescriptor, p: int) -> bool:
     raise ValueError("no inert-prime criterion for generic fields")
 
 
+def _check_key_digits(corner_bits: int) -> None:
+    """Refuse a key whose corner, below 2^corner_bits, may pass the int-to-str limit (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and 1 << corner_bits > 10**limit:
+        raise ValueError(
+            f"key too large for a key file: integers are limited to {limit} decimal digits"
+        )
+
+
 def _scalar_element(field: FieldDescriptor, p: int) -> PrimeElement:
     return PrimeElement(field.ring.element((p,) + (0,) * (field.ring.degree - 1)))
 
@@ -374,12 +385,8 @@ def find_inert_prime(
     if bits < 2:
         raise ValueError("bits must be at least 2")
     _check_budget_bits(field.ring.degree * bits, field.ring.degree * bits)
+    _check_key_digits(2 * field.ring.degree * bits)
     lo, hi = 1 << (bits - 1), 1 << bits
-    limit = sys.get_int_max_str_digits()
-    if limit and 1 << (2 * field.ring.degree * bits) > 10**limit:
-        raise ValueError(
-            f"key too large for a key file: integers are limited to {limit} decimal digits"
-        )
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         cand = rng.randrange(lo, hi)
         # the residue test first: it needs no modexp and refuses most
@@ -400,6 +407,9 @@ def find_prime_norm_element(
 
     Resamples scalar vectors whenever the degree allows a non-scalar
     generator, so the resulting ideals are not forced to be rational.
+    Refused before any draw: a bound past the norm budget; at the first
+    candidate: a corner, taken as its norm squared, that may pass the
+    int-to-str limit (a rule about a sample, not a bound).
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -407,11 +417,15 @@ def find_prime_norm_element(
     n = ctx.degree
     largest = ctx.element((coeff_bound,) * n)
     _check_norm_budget(ctx, largest, largest)
+    sampled = False
     for _ in range(_SEARCH_ATTEMPT_BOUND):
         coeffs = tuple(rng.randrange(-coeff_bound, coeff_bound + 1) for _ in range(n))
         if n > 1 and not any(coeffs[1:]):
             continue
         cand = PrimeElement(ctx.element(coeffs))
+        if not sampled:  # p_is_prime reads this norm next
+            _check_key_digits(2 * cand.norm_abs.bit_length())
+            sampled = True
         if cand.p_is_prime:
             return cand
     raise SearchExhaustedError("search exhausted: no prime-norm element found")

@@ -21,8 +21,9 @@ interleaved sliding windows over one shared squaring chain; conv_pow is
 its single-base case.  Its squares and products run through two
 straight-line kernels, sqr and mul, whose source _kernels writes and
 compiles once per modulus: sqr takes n(n+1)/2 coefficient products where
-the schoolbook _conv takes n^2, and neither pays for a Python loop.
-One-off products (conv_mul) stay with _conv, which costs nothing to set up.
+mul takes n^2, and neither pays for a Python loop.  The only other
+product is conv_mul over Z, f(H) times the vector of g, which no command
+calls.
 
 The norm of f is det f(H); since phi is monic it equals the resultant
 Res(phi, f), which the subresultant PRS gives exactly over Z in O(n^2)
@@ -145,32 +146,6 @@ def ideal_matrix(ctx: RingContext, f: RingElement) -> IdealMatrix:
     return IdealMatrix(tuple(zip(*cols)))
 
 
-def _reduce_by_phi(phi: tuple[int, ...], prod: list[int]) -> list[int]:
-    """Fold a product of degree up to 2n - 2 back to degree n - 1."""
-    n = len(phi)
-    # substitute x^k = x^(k-n) * (phi_0 + phi_1 x + ... + phi_{n-1} x^{n-1})
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if c:
-            base = k - n
-            for j, pj in enumerate(phi):
-                if pj:
-                    prod[base + j] += c * pj
-    return prod[:n]
-
-
-def _conv(phi: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = len(phi)
-    if n == 1:
-        return [a[0] * b[0]]
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _reduce_by_phi(phi, prod)
-
-
 def _fold_source(phi: Sequence[int], terms: list[list[str]]) -> list[str]:
     """Lines that fold the product terms of x^(2n-2), ..., x^n by phi.
 
@@ -231,11 +206,10 @@ def _kernel_source(phi_coeffs: Sequence[int]) -> str:
 def _kernels(phi_coeffs: tuple[int, ...]) -> tuple[Callable, Callable]:
     """(sqr, mul) for Z[x]/(phi): _kernel_source compiled once per phi.
 
-    sqr(a, m) and mul(a, b, m) equal _conv(phi, a, a) and _conv(phi, a, b)
-    with every coefficient taken % m, as tuples, without the loop overhead
-    of the generic kernel.  The functions see no builtins.  A pair holds
-    at most a few MiB at the degree cap of 128, and the build peaks at
-    tens of MiB there.
+    sqr(a, m) and mul(a, b, m) are a^2 and a b in Z[x]/(phi) with every
+    coefficient taken % m, as tuples, with no loop to interpret.  The
+    functions see no builtins.  A pair holds at most a few MiB at the
+    degree cap of 128, and the build peaks at tens of MiB there.
     """
     namespace = {"__builtins__": {}}
     exec(compile(_kernel_source(phi_coeffs), "<ring kernels>", "exec"), namespace)
@@ -243,10 +217,10 @@ def _kernels(phi_coeffs: tuple[int, ...]) -> tuple[Callable, Callable]:
 
 
 def conv_mul(ctx: RingContext, f: RingElement, g: RingElement) -> RingElement:
-    """Product in Z[x]/(phi): schoolbook multiply, then reduce by phi."""
-    _claim(ctx, f)
+    """f g in Z[x]/(phi) over Z: the ideal matrix f(H) times the vector of g."""
     _claim(ctx, g)
-    return RingElement(ctx, tuple(_conv(ctx.phi_coeffs, f.coeffs, g.coeffs)))
+    rows = ideal_matrix(ctx, f).entries
+    return RingElement(ctx, tuple(sum(map(operator.mul, row, g.coeffs)) for row in rows))
 
 
 def _window_width(bits: int) -> int:

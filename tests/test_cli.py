@@ -167,6 +167,34 @@ class TestKeygenCommand:
         )
         assert not pub.exists() and not priv.exists()
 
+    def test_element_mode_past_the_digit_limit_stops_at_its_first_candidate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # norms of 7818-7871 bits at degree 128, so N(alpha) N(beta) passes the
+        # limit although the Hadamard bound passes the budget: refused on the
+        # first candidate's norm, before its primality test or a second draw
+        draws = []
+        real = random.Random.randrange
+
+        def draw(self, *args):
+            if len(draws) == 128:
+                raise AssertionError("keygen drew a second candidate")
+            draws.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(random.Random, "randrange", draw)
+        pub, priv = tmp_path / "k.pub", tmp_path / "k.priv"
+        code = main(
+            ["keygen", "--field", "cyclotomic:m=256", "--mode", "element:bound=576460752303423487",
+             "--seed", "0x1", "--pub", str(pub), "--priv", str(priv)]
+        )
+        limit = sys.get_int_max_str_digits()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: key too large for a key file: integers are limited to {limit} decimal digits\n"
+        )
+        assert not pub.exists() and not priv.exists()
+
     def test_key_past_the_budget_is_refused_before_the_search(self, tmp_path, capsys):
         # 2 * 128 * 64 bits of (p^128 - 1)(q^128 - 1): refused at once, not
         # after a search of 64-bit inert primes at degree 128

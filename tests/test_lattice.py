@@ -17,8 +17,9 @@ from support import contains, mat_mul, rand_nonsingular, rand_unimodular, scaled
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringrsa"
 # computed for any matrix; key lattices come from fields.product_lattice,
-# and their blocks are powered in (Z/m)[x]/(phi), with no box reduction
-ORACLE_ONLY = {"hnf", "determinant", "contains", "reduce_mod_lattice"}
+# and their blocks are powered in (Z/m)[x]/(phi), with no box reduction;
+# every product a command takes runs through the kernels, none over Z
+ORACLE_ONLY = {"hnf", "determinant", "contains", "reduce_mod_lattice", "conv_mul", "ideal_matrix"}
 
 dims = st.integers(min_value=1, max_value=4)
 entries = st.integers(min_value=-40, max_value=40)
@@ -232,7 +233,9 @@ class TestNoHnfInProduction:
             for path in sorted(SRC.glob("*.py"))
             for scope, name in oracle_uses(path.read_text(encoding="utf-8"))
         }
-        assert uses == {("lattice.py", "hnf", "determinant")}
+        assert uses == {
+            ("lattice.py", "hnf", "determinant"), ("ring.py", "conv_mul", "ideal_matrix"),
+        }
 
     def test_contains_left_the_package(self):
         from ringrsa import lattice

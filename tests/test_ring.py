@@ -215,8 +215,8 @@ class TestConvolution:
 
 
 class TestKernels:
-    """The generated straight-line kernels against the schoolbook product,
-    every coefficient taken mod m."""
+    """The generated straight-line kernels against the oracle's schoolbook
+    product, every coefficient taken mod m."""
 
     # degree 1, the test rings, a generic quintic x^5 - 2x^4 - 3 with zero
     # coefficients, and a dense generic sextic with negative coefficients
@@ -236,8 +236,8 @@ class TestKernels:
         a, b = data.draw(vector), data.draw(vector)
         phi = ctx.phi_coeffs
         sqr, mul = ring._kernels(phi)
-        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
-        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
+        assert sqr(a, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, b))
 
     def test_coefficients_past_the_decimal_digit_limit(self):
         # str() refuses ints above 4300 digits; the kernel source must not
@@ -245,8 +245,8 @@ class TestKernels:
         sqr, mul = ring._kernels(phi)
         a, b = (5, -7), (10**4999, 2)
         m = 10**6000 + 1
-        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
-        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
+        assert sqr(a, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, b))
 
     def test_degree_cap_builds_in_budget(self):
         # cyclotomic:m=256 is the largest degree a field spec may have;
@@ -258,8 +258,8 @@ class TestKernels:
         rng = random.Random(256)
         a, b = rand_coeffs(rng, 128, 1 << 64), rand_coeffs(rng, 128, 1 << 64)
         m = (1 << 127) - 1
-        assert sqr(a, m) == tuple(c % m for c in ring._conv(phi, a, a))
-        assert mul(a, b, m) == tuple(c % m for c in ring._conv(phi, a, b))
+        assert sqr(a, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, a))
+        assert mul(a, b, m) == tuple(c % m for c in poly_mulmod_naive(phi, a, b))
 
 
 class TestConvPow:
